@@ -6,9 +6,6 @@
 //
 //   --scale small|paper   workload size (default paper)
 //   --threads N           host threads for the sweep (default: all)
-//   --streaming           replay concurrently with generation over a
-//                         bounded chunk window (O(window) trace memory)
-//   --window N            chunks in flight in streaming mode (default 8)
 //   --l2                  also sweep a shared L2 under the paper point
 //                         (size × inclusion policy; docs/DESIGN.md §9)
 #include <cstdio>
@@ -21,9 +18,7 @@ int main(int argc, char** argv) {
   rapwam::ReportOptions opt;
   opt.scale = cli.get("scale", "paper") == "small" ? rapwam::BenchScale::Small
                                                    : rapwam::BenchScale::Paper;
-  opt.pool_threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  opt.fig4_streaming = cli.has("streaming");
-  opt.stream_window = static_cast<std::size_t>(cli.get_int("window", 8));
+  opt.pool_threads = cli.get_u32("threads", 0);
   for (const rapwam::TextTable& t : rapwam::fig4_report(opt)) {
     std::fputs(cli.has("csv") ? t.csv().c_str() : t.str().c_str(), stdout);
     std::puts("");

@@ -17,7 +17,7 @@
 #include "cache/queueing.h"
 #include "cache/sweep.h"
 #include "harness/reports.h"
-#include "harness/runner.h"
+#include "harness/trace_lib.h"
 #include "support/cli.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -29,13 +29,12 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   BenchScale scale = cli.get("scale", "paper") == "small" ? BenchScale::Small
                                                           : BenchScale::Paper;
-  BenchProgram bp = bench_program("qsort", scale);
-
-  // One trace per PE count, shared by both protocols and all bus speeds.
+  // One trace per PE count, shared by both protocols, all bus speeds
+  // and the timing report below (the generate-once library).
   const unsigned pe_counts[] = {2u, 4u, 8u, 16u};
-  std::vector<std::vector<u64>> traces;
+  std::vector<std::shared_ptr<const GeneratedTrace>> traces;
   for (unsigned pes : pe_counts)
-    traces.push_back(run_parallel(bp, pes, /*want_trace=*/true).trace->packed());
+    traces.push_back(TraceLibrary::instance().get("qsort", scale, pes));
 
   // cycles/word: plain bus, 2x and 4x interleaved memory. The timed
   // replay expresses these as 1 service cycle over 1/2/4 banks.
@@ -49,13 +48,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < std::size(pe_counts); ++i) {
       unsigned pes = pe_counts[i];
       CacheConfig cfg = paper_cache_config(proto);
-      double tr = replay_traffic(cfg, pes, traces[i]).traffic_ratio();
+      const ChunkedTrace& trace = *traces[i]->trace;
+      double tr = replay_traffic(cfg, pes, trace).traffic_ratio();
       std::vector<std::string> row = {std::to_string(pes), fmt(tr, 3)};
       for (u32 il : interleaves) {
         TimingParams tp{1, 1, il, 4};
         BusEstimate e = bus_contention(pes, tr, BusParams{tp.effective_service()});
         TimedReplay timed(cfg, pes, tp);
-        timed.replay(traces[i]);
+        timed.replay(trace);
         row.push_back("x" + fmt(e.aggregate_speedup, 1) + " | x" +
                       fmt(timed.timing().speedup(), 1));
       }

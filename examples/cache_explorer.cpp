@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "cache/sweep.h"
-#include "harness/runner.h"
+#include "harness/trace_lib.h"
 #include "support/cli.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -14,19 +14,19 @@ int main(int argc, char** argv) {
   using namespace rapwam;
   Cli cli(argc, argv);
   std::string bench = cli.get("bench", "qsort");
-  unsigned pes = static_cast<unsigned>(cli.get_int("pes", 4));
+  unsigned pes = cli.get_u32("pes", 4);
   if (pes < 1 || pes > 64) {
     std::fprintf(stderr, "error: --pes must be 1..64 (directory holder masks)\n");
     return 1;
   }
-  u32 line = static_cast<u32>(cli.get_int("line", 4));
+  u32 line = cli.get_u32("line", 4);
   BenchScale scale = cli.get("scale", "small") == "paper" ? BenchScale::Paper
                                                           : BenchScale::Small;
 
-  BenchProgram bp = bench_program(bench, scale);
   std::printf("tracing %s on %u PEs...\n", bench.c_str(), pes);
-  BenchRun run = run_parallel(bp, pes, /*want_trace=*/true);
-  std::printf("  %zu busy references captured\n\n", run.trace->size());
+  std::shared_ptr<const GeneratedTrace> g =
+      TraceLibrary::instance().get(bench, scale, pes);
+  std::printf("  %zu busy references captured\n\n", g->trace->size());
 
   const Protocol protos[] = {Protocol::WriteInBroadcast,
                              Protocol::WriteThroughBroadcast, Protocol::Hybrid,
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       sp.cfg.line_words = line;
       sp.cfg.write_allocate = paper_write_allocate(p, sz);
       sp.num_pes = pes;
-      sp.trace = &run.trace->packed();
+      sp.chunks = g->trace.get();
       pts.push_back(sp);
     }
   }

@@ -41,6 +41,7 @@ MultiCacheSim::MultiCacheSim(const CacheConfig& cfg, unsigned num_pes, DirRep re
     : cfg_(cfg) {
   RW_CHECK(cfg.line_words > 0 && cfg.size_words % cfg.line_words == 0,
            "cache size must be a multiple of the line size");
+  RW_CHECK(cfg.num_lines() >= 1, "cache must hold at least one line");
   RW_CHECK(num_pes >= 1 && num_pes <= kMaxPes,
            "directory holder masks support 1..kMaxPes PEs");
   RW_CHECK(rep != DirRep::Flat || num_pes <= 64,

@@ -1,41 +1,9 @@
 #include "cache/sweep.h"
 
-#include <algorithm>
-#include <exception>
-#include <thread>
-
 #include "checkpoint/journal.h"
+#include "checkpoint/replay_job.h"
 
 namespace rapwam {
-
-namespace {
-TrafficStats replay_point(const SweepPoint& p, const CancelToken* cancel) {
-  RW_CHECK(p.trace || p.chunks, "sweep point has no trace");
-  // HierCacheSim with the L2 disabled delegates to the flat fast path,
-  // so every sweep point goes through the hierarchy-aware simulator.
-  HierCacheSim sim(p.cfg, p.num_pes);
-  if (!cancel) {
-    // No token: the original uninterrupted loops, nothing on the path.
-    if (p.chunks) sim.replay(*p.chunks);
-    else sim.replay(*p.trace);
-    return sim.stats();
-  }
-  // Cooperative cancellation at chunk granularity: one token check per
-  // kChunkRefs references, never per reference.
-  if (p.chunks) {
-    p.chunks->for_each_chunk([&](const u64* refs, std::size_t n) {
-      cancel->checkpoint();
-      sim.replay(refs, n);
-    });
-  } else {
-    for (std::size_t i = 0; i < p.trace->size(); i += kChunkRefs) {
-      cancel->checkpoint();
-      sim.replay(p.trace->data() + i, std::min(kChunkRefs, p.trace->size() - i));
-    }
-  }
-  return sim.stats();
-}
-}  // namespace
 
 std::vector<SweepResult> run_sweep(ThreadPool& pool,
                                    const std::vector<SweepPoint>& points,
@@ -47,7 +15,16 @@ std::vector<SweepResult> run_sweep(ThreadPool& pool,
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (journal && journal->is_done(i)) continue;
     const SweepPoint& p = points[i];
-    futs[i] = pool.submit([p, cancel]() { return replay_point(p, cancel); });
+    futs[i] = pool.submit([p, cancel]() {
+      RW_CHECK(p.chunks, "sweep point has no trace");
+      // HierCacheSim with the L2 disabled delegates to the flat fast
+      // path, so every sweep point goes through the hierarchy-aware
+      // simulator; the token is checked once per chunk, never per
+      // reference.
+      ReplayJob job(*p.chunks, p.cfg, p.num_pes);
+      job.run({.cancel = cancel});
+      return job.traffic();
+    });
   }
   std::vector<SweepResult> out;
   out.reserve(points.size());
@@ -56,99 +33,25 @@ std::vector<SweepResult> run_sweep(ThreadPool& pool,
       out.push_back(SweepResult{points[i], journal->result(i)});
       continue;
     }
-    out.push_back(SweepResult{points[i], futs[i].get()});
+    try {
+      out.push_back(SweepResult{points[i], futs[i].get()});
+    } catch (...) {
+      // The points still queued or running read the caller's traces
+      // and token: let them all finish before unwinding past them.
+      for (std::future<TrafficStats>& f : futs)
+        if (f.valid()) f.wait();
+      throw;
+    }
     if (journal) journal->record(i, out.back().stats);
   }
   return out;
 }
 
-std::vector<SweepResult> run_sweep_streaming(
-    const std::vector<SweepPoint>& points,
-    const std::function<void(TraceSink&)>& produce, bool busy_only,
-    std::size_t window_chunks, const CancelToken* cancel,
-    SweepJournal* journal) {
-  std::vector<SweepResult> out;
-  out.reserve(points.size());
-  for (const SweepPoint& p : points) out.push_back(SweepResult{p, {}});
-  if (points.empty()) {
-    // Still drive the producer so its side effects (e.g. run stats)
-    // happen; the stream has no consumers and drops chunks on push.
-    ChunkStream stream(0, window_chunks);
-    StreamSink sink(stream, busy_only);
-    produce(sink);
-    sink.finish();
-    return out;
-  }
-
-  ChunkStream stream(static_cast<unsigned>(points.size()), window_chunks);
-  std::vector<std::exception_ptr> errors(points.size());
-  std::vector<std::thread> consumers;
-  consumers.reserve(points.size());
-  for (unsigned i = 0; i < points.size(); ++i) {
-    if (journal && journal->is_done(i)) {
-      // Already recorded: return the journaled stats verbatim and
-      // detach so the window never waits for this point.
-      out[i].stats = journal->result(i);
-      stream.detach(i);
-      continue;
-    }
-    consumers.emplace_back([&, i] {
-      try {
-        HierCacheSim sim(points[i].cfg, points[i].num_pes);
-        while (std::shared_ptr<const std::vector<u64>> c = stream.next(i)) {
-          if (cancel) cancel->checkpoint();
-          sim.replay(*c);
-        }
-        out[i].stats = sim.stats();
-      } catch (...) {
-        errors[i] = std::current_exception();
-        stream.detach(i);  // don't hold the window open for a dead consumer
-      }
-    });
-  }
-
-  std::exception_ptr produce_error;
-  {
-    StreamSink sink(stream, busy_only);
-    // Cancellation aborts the producer too (the generation run), so an
-    // expired request doesn't keep emulating into a window nobody will
-    // drain past the consumers' own checkpoints.
-    CancelCheckSink checked(sink, cancel);
-    try {
-      produce(checked);
-    } catch (...) {
-      produce_error = std::current_exception();
-    }
-    sink.finish();  // flush + close even on error, so consumers terminate
-  }
-  for (std::thread& t : consumers) t.join();
-
-  if (produce_error) std::rethrow_exception(produce_error);
-  for (std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-  // Journal only after the producer and every consumer finished clean:
-  // a consumer that saw a truncated stream (producer threw) holds
-  // partial stats, and recording those as done would poison every
-  // later resume.
-  if (journal) {
-    for (std::size_t i = 0; i < points.size(); ++i)
-      if (!journal->is_done(i)) journal->record(i, out[i].stats);
-  }
-  return out;
-}
-
-TrafficStats replay_traffic(const CacheConfig& cfg, unsigned num_pes,
-                            const std::vector<u64>& trace) {
-  HierCacheSim sim(cfg, num_pes);
-  sim.replay(trace);
-  return sim.stats();
-}
-
 TrafficStats replay_traffic(const CacheConfig& cfg, unsigned num_pes,
                             const ChunkedTrace& trace) {
-  HierCacheSim sim(cfg, num_pes);
-  sim.replay(trace);
-  return sim.stats();
+  ReplayJob job(trace, cfg, num_pes);
+  job.run();
+  return job.traffic();
 }
 
 }  // namespace rapwam

@@ -2,17 +2,11 @@
 // more traces through many (protocol × size × policy) points using a
 // host thread pool. This is the harness behind Figure 4.
 //
-// Two fan-out modes (docs/DESIGN.md §8):
-//   * generate-once: each trace lives in shared immutable chunk
-//     storage (ChunkedTrace) and every point replays it independently
-//     on the pool;
-//   * streaming: run_sweep_streaming() replays the points concurrently
-//     with trace *generation* over a bounded chunk window, so nothing
-//     is ever materialized and peak memory is O(window), independent
-//     of trace length.
+// Generate-once fan-out (docs/DESIGN.md §8): each trace lives in shared
+// immutable chunk storage (ChunkedTrace) and every point replays it
+// independently on the pool, as one ReplayJob.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -29,12 +23,8 @@ struct SweepPoint {
   /// whenever the L2 is disabled.
   CacheConfig cfg;
   unsigned num_pes = 1;
-  /// The trace to replay: either a flat packed vector or shared chunk
-  /// storage (exactly one must be set, except under run_sweep_streaming
-  /// which supplies the stream itself and ignores both).
-  const std::vector<u64>* trace = nullptr;   ///< packed refs, global order
-  const ChunkedTrace* chunks = nullptr;      ///< shared immutable chunks
-  int label = 0;                             ///< caller-defined id
+  const ChunkedTrace* chunks = nullptr;  ///< the trace to replay (required)
+  int label = 0;                         ///< caller-defined id
 };
 
 struct SweepResult {
@@ -47,7 +37,9 @@ struct SweepResult {
 /// at chunk granularity inside every point's replay loop; once it
 /// fires, remaining points stop early and run_sweep rethrows the
 /// CancelledError — the server's per-request deadline path
-/// (docs/DESIGN.md §10).
+/// (docs/DESIGN.md §10). A point's error is rethrown only after every
+/// submitted point has finished, so none outlives the caller's traces
+/// or token.
 ///
 /// `journal` (optional, checkpoint/journal.h) makes the sweep
 /// resumable: points the journal already records are returned from it
@@ -60,34 +52,8 @@ std::vector<SweepResult> run_sweep(ThreadPool& pool,
                                    const CancelToken* cancel = nullptr,
                                    SweepJournal* journal = nullptr);
 
-/// Streaming fan-out: `produce` runs on the calling thread and emits
-/// the whole reference stream into the sink it is handed (typically by
-/// running the emulator with that sink); every point consumes the same
-/// bounded chunk window concurrently and sees the chunks in emission
-/// order. `busy_only` filters the stream exactly as TraceBuffer would.
-///
-/// Consumers run on dedicated threads, not a ThreadPool: the window
-/// couples their progress (a chunk is only released once *every*
-/// consumer took it), so a consumer parked in a pool queue behind the
-/// others would deadlock the producer. Results are in input order, and
-/// are bit-identical to materializing the trace and replaying it per
-/// point (pinned by tests/test_pipeline_diff.cpp).
-/// `journal` behaves as in run_sweep: already-recorded points do not
-/// consume the stream at all (they detach immediately). Fresh points
-/// are journaled together once the stream completed cleanly — in
-/// streaming mode every consumer shares one pass over the trace, so a
-/// consumer that outlived a failed producer holds partial stats, and
-/// recording before the join could poison later resumes.
-std::vector<SweepResult> run_sweep_streaming(
-    const std::vector<SweepPoint>& points,
-    const std::function<void(TraceSink&)>& produce, bool busy_only = true,
-    std::size_t window_chunks = ChunkStream::kDefaultWindow,
-    const CancelToken* cancel = nullptr, SweepJournal* journal = nullptr);
-
 /// One-point convenience used by the reports and benches: replays
 /// `trace` through a fresh simulator and returns its traffic counters.
-TrafficStats replay_traffic(const CacheConfig& cfg, unsigned num_pes,
-                            const std::vector<u64>& trace);
 TrafficStats replay_traffic(const CacheConfig& cfg, unsigned num_pes,
                             const ChunkedTrace& trace);
 

@@ -1,7 +1,6 @@
 // Append-only sweep journal: a write-ahead log of completed sweep
-// points, so an interrupted run_sweep/run_sweep_streaming resumes by
-// skipping points whose results are already on disk
-// (docs/DESIGN.md §12).
+// points, so an interrupted run_sweep resumes by skipping points whose
+// results are already on disk (docs/DESIGN.md §12).
 //
 // File layout (all little-endian):
 //

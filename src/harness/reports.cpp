@@ -71,9 +71,9 @@ constexpr Protocol kFig4Protos[] = {Protocol::WriteInBroadcast, Protocol::Hybrid
                                     Protocol::WriteThrough};
 
 /// The Figure 4 sweep grid for one (benchmark, PE count) trace: one
-/// point per (protocol, size). The trace pointer is left for the
-/// caller (chunk storage in fanout mode, none in streaming mode).
-std::vector<SweepPoint> fig4_points(const ReportOptions& opt, unsigned pes) {
+/// point per (protocol, size).
+std::vector<SweepPoint> fig4_points(const ReportOptions& opt, unsigned pes,
+                                    const ChunkedTrace* trace) {
   std::vector<SweepPoint> points;
   points.reserve(std::size(kFig4Protos) * opt.fig4_sizes.size());
   for (Protocol p : kFig4Protos) {
@@ -84,6 +84,7 @@ std::vector<SweepPoint> fig4_points(const ReportOptions& opt, unsigned pes) {
       sp.cfg.line_words = 4;
       sp.cfg.write_allocate = paper_write_allocate(p, sz);
       sp.num_pes = pes;
+      sp.chunks = trace;
       points.push_back(sp);
     }
   }
@@ -93,44 +94,24 @@ std::vector<SweepPoint> fig4_points(const ReportOptions& opt, unsigned pes) {
 
 std::vector<TextTable> fig4_report(const ReportOptions& opt) {
   std::vector<std::string> names = small_bench_names();
-  std::vector<SweepResult> results;
-
-  if (opt.fig4_streaming) {
-    // Streaming: per (benchmark, PE count), the emulator generates the
-    // trace while every (protocol, size) point replays it concurrently
-    // from a bounded chunk window — no trace is ever materialized.
-    for (const std::string& n : names) {
-      BenchProgram bp = bench_program(n, opt.scale);
-      for (unsigned pes : opt.fig4_pes) {
-        std::vector<SweepResult> rs = run_sweep_streaming(
-            fig4_points(opt, pes),
-            [&](TraceSink& sink) { run_into(bp, pes, /*strip=*/false, &sink); },
-            /*busy_only=*/true, opt.stream_window);
-        results.insert(results.end(), rs.begin(), rs.end());
-      }
+  // Generate-once fan-out: each (benchmark, PE count) trace is
+  // generated exactly once — concurrently, on the pool — into shared
+  // immutable chunk storage, then every (protocol, size) point replays
+  // the shared chunks.
+  ThreadPool pool(opt.pool_threads);
+  TraceLibrary& lib = TraceLibrary::instance();
+  lib.prefetch(pool, names, opt.fig4_pes, opt.scale);
+  std::vector<std::shared_ptr<const GeneratedTrace>> keepalive;
+  std::vector<SweepPoint> points;
+  for (const std::string& n : names) {
+    for (unsigned pes : opt.fig4_pes) {
+      std::shared_ptr<const GeneratedTrace> t = lib.get(n, opt.scale, pes);
+      keepalive.push_back(t);
+      for (const SweepPoint& sp : fig4_points(opt, pes, t->trace.get()))
+        points.push_back(sp);
     }
-  } else {
-    // Generate-once fan-out: each (benchmark, PE count) trace is
-    // generated exactly once — concurrently, on the pool — into shared
-    // immutable chunk storage, then every (protocol, size) point
-    // replays the shared chunks.
-    ThreadPool pool(opt.pool_threads);
-    TraceLibrary& lib = TraceLibrary::instance();
-    lib.prefetch(pool, names, opt.fig4_pes, opt.scale);
-    std::vector<std::shared_ptr<const GeneratedTrace>> keepalive;
-    std::vector<SweepPoint> points;
-    for (const std::string& n : names) {
-      for (unsigned pes : opt.fig4_pes) {
-        std::shared_ptr<const GeneratedTrace> t = lib.get(n, opt.scale, pes);
-        keepalive.push_back(t);
-        for (SweepPoint sp : fig4_points(opt, pes)) {
-          sp.chunks = t->trace.get();
-          points.push_back(sp);
-        }
-      }
-    }
-    results = run_sweep(pool, points);
   }
+  std::vector<SweepResult> results = run_sweep(pool, points);
 
   // Average traffic ratio over benchmarks for each (proto, size, pes).
   std::map<std::tuple<Protocol, u32, unsigned>, std::vector<double>> ratios;

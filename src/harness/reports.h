@@ -18,12 +18,6 @@ struct ReportOptions {
   std::vector<u32> fig4_sizes = {64, 128, 256, 512, 1024, 2048, 4096, 8192};
   std::vector<u32> table3_sizes = {512, 1024};
   unsigned pool_threads = 0;  ///< 0 = hardware concurrency
-  /// Figure 4 in streaming mode: replay consumers run concurrently
-  /// with trace generation over a bounded chunk window instead of
-  /// fanning out from stored chunk storage. Same numbers, O(window)
-  /// peak trace memory (docs/DESIGN.md §8).
-  bool fig4_streaming = false;
-  std::size_t stream_window = 8;  ///< chunks in flight in streaming mode
   /// Timed-replay report: PE counts and the bus being modelled. The
   /// default (1 cycle/word, 2-way interleave, 4-deep write buffers)
   /// matches the analytic model's s=0.5 "fast interleaved bus".

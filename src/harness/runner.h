@@ -29,8 +29,8 @@ BenchRun run_wam(const BenchProgram& bp, bool want_trace, unsigned max_solutions
 
 /// Runs `bp` streaming every reference into `sink` at chunk
 /// granularity — nothing is materialized here. The caller picks the
-/// consumer: ChunkingSink (shared storage), StreamSink (concurrent
-/// replay), FileTraceSink (archive), CountingSink (counters only).
+/// consumer: ChunkingSink (shared storage), FileTraceSink (archive),
+/// CountingSink (counters only).
 /// `strip` compiles the sequential-WAM baseline, as run_wam does.
 /// `limits` / `faults` / `cancel` thread the engine governance knobs
 /// through: resource budgets throw ResourceExhaustedError, a cancelled

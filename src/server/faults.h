@@ -82,10 +82,10 @@ struct FaultPlan {
   static FaultPlan from_json(const JsonValue& v);
 };
 
-/// Per-request countdown state. The worker thread executing the
-/// request calls the checkpoints; counters are atomic only so TSan
-/// stays quiet if a plan ever leaks across the streaming-consumer
-/// boundary — each plan belongs to exactly one request.
+/// Per-request countdown state. Each plan belongs to exactly one
+/// request, and the worker thread executing it calls the checkpoints;
+/// the counters are relaxed atomics so fired() stays race-free to read
+/// from any thread.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}

@@ -225,6 +225,10 @@ Request parse_request(const std::string& line, const RequestLimits& lim) {
                            Protocol::WriteThroughBroadcast, Protocol::Hybrid,
                            Protocol::Copyback};
     if (r.sweep_sizes.empty()) r.sweep_sizes = {256, 512, 1024, 2048};
+    for (u32 size : r.sweep_sizes)
+      if (size % r.cfg.line_words)
+        fail("sweep size " + std::to_string(size) +
+             " is not a multiple of \"line\"");
     std::size_t n = r.sweep_protocols.size() * r.sweep_sizes.size();
     if (n > lim.max_sweep_points)
       fail("oversized sweep: " + std::to_string(n) + " points > " +

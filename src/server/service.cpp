@@ -3,29 +3,12 @@
 #include <algorithm>
 
 #include "cache/sweep.h"
-#include "checkpoint/checkpoint.h"
+#include "checkpoint/replay_job.h"
 #include "harness/golden.h"
 
 namespace rapwam {
 
 namespace {
-
-/// Replays `trace` through `sim` with the cooperative checks the
-/// server adds to every loop: the cancellation checkpoint and the
-/// fault-injection chunk hook, both at chunk granularity.
-template <typename Sim>
-void replay_checked(Sim& sim, const ChunkedTrace& trace,
-                    const CancelToken& cancel, FaultInjector* faults) {
-  std::size_t index = 0;
-  trace.for_each_chunk([&](const u64* refs, std::size_t n) {
-    // Fault hook first: an injected stall models a slow chunk, and the
-    // deadline must notice it even when the trace is a single chunk.
-    if (faults) faults->on_chunk(index);
-    cancel.checkpoint();
-    sim.replay(refs, n);
-    ++index;
-  });
-}
 
 JsonValue traffic_json(const TrafficStats& s) {
   JsonValue out = JsonValue::object();
@@ -169,8 +152,8 @@ std::string Service::execute(const Request& req) {
     cancel.checkpoint();  // expired while queued: bounce before any work
     JsonValue result;
     switch (req.op) {
-      case ReqOp::Replay: result = run_replay(req, cancel, faults.get()); break;
-      case ReqOp::Time: result = run_time(req, cancel, faults.get()); break;
+      case ReqOp::Replay:
+      case ReqOp::Time: result = run_replay(req, cancel, faults.get()); break;
       case ReqOp::Sweep: result = run_sweep_op(req, cancel, faults.get()); break;
       case ReqOp::Golden: result = run_golden(req, cancel); break;
       default: fail("op not executable on a worker");  // handled inline
@@ -249,66 +232,22 @@ std::optional<std::string> Service::take_checkpoint(u64 key) {
   return frame;
 }
 
-template <typename Sim>
-void Service::replay_resumable(Sim& sim, const ChunkedTrace& trace, u64 start,
-                               const CancelToken& cancel, FaultInjector* faults,
-                               u64 key, bool timed) {
-  for (std::size_t i = start; i < trace.num_chunks(); ++i) {
-    try {
-      // Fault hook first: an injected stall models a slow chunk, and
-      // the deadline must notice it even on a single-chunk trace.
-      if (faults) faults->on_chunk(i);
-      cancel.checkpoint();
-    } catch (const CancelledError&) {
-      // Snapshot at the boundary of chunk i: chunks [0, i) are fully
-      // replayed, nothing of chunk i has touched the simulator, so a
-      // resume continues exactly where the deadline struck.
-      CheckpointMeta meta;
-      meta.config_hash = key;
-      meta.chunk_index = i;
-      meta.timed = timed;
-      std::string frame;
-      if constexpr (std::is_same_v<Sim, TimedReplay>) {
-        meta.refs_done = sim.traffic().refs;
-        frame = checkpoint_serialize(meta, sim);
-      } else {
-        meta.refs_done = sim.stats().refs;
-        frame = checkpoint_serialize(meta, sim);
-      }
-      // Fault sites: a "crash" drops the snapshot entirely (the write
-      // never happened), the damage hooks corrupt the stored bytes so
-      // the retry's validation path is exercised end to end.
-      bool crashed = faults && faults->crash_checkpoint(0);
-      if (!crashed) {
-        if (faults) faults->damage_checkpoint_bytes(0, frame);
-        store_checkpoint(key, std::move(frame));
-      }
-      throw;
-    }
-    const std::vector<u64>& c = trace.chunk(i);
-    sim.replay(c.data(), c.size());
-  }
-}
-
 JsonValue Service::run_replay(const Request& req, const CancelToken& cancel,
                               FaultInjector* faults) {
+  const bool timed = req.op == ReqOp::Time;
   if (faults) faults->on_alloc();  // alloc site 1: trace acquisition
   unsigned pes = 0;
   std::shared_ptr<const ChunkedTrace> trace = acquire_trace(req, cancel, pes);
   if (faults) faults->on_alloc();  // alloc site 2: simulator arena
-  u64 key = replay_config_hash(req.cfg, pes, resolve_wide(DirRep::Auto, pes),
-                               trace_fingerprint(*trace));
-  std::unique_ptr<HierCacheSim> sim;
-  u64 start = 0;
+  ReplayJob job(*trace, req.cfg, pes, timed ? &req.timing : nullptr);
+  const u64 key = job.config_hash();
   if (std::optional<std::string> frame = take_checkpoint(key)) {
     try {
-      RestoredReplay r =
-          checkpoint_parse(*frame, req.cfg, pes, DirRep::Auto, nullptr, key);
-      sim = std::move(r.sim);
-      start = r.meta.chunk_index;
+      job.resume(checkpoint_parse(*frame, req.cfg, pes, DirRep::Auto,
+                                  job.timing_params(), key));
       std::scoped_lock lk(mu_);
       ++counters_.resumes;
-      counters_.resume_chunks_skipped += start;
+      counters_.resume_chunks_skipped += job.next_chunk();
     } catch (const Error&) {
       // Damaged snapshot: discard it and replay from scratch — a
       // corrupt checkpoint may cost work, never correctness.
@@ -316,44 +255,31 @@ JsonValue Service::run_replay(const Request& req, const CancelToken& cancel,
       ++counters_.corrupt_checkpoints_rejected;
     }
   }
-  if (!sim) sim = std::make_unique<HierCacheSim>(req.cfg, pes);
-  replay_resumable(*sim, *trace, start, cancel, faults, key, /*timed=*/false);
-  if (faults) faults->on_alloc();  // alloc site 3: result assembly
-  JsonValue out = traffic_json(sim->stats());
-  out.set("pes", JsonValue::integer(pes));
-  out.set("resumed_chunks", JsonValue::unsigned_int(start));
-  return out;
-}
-
-JsonValue Service::run_time(const Request& req, const CancelToken& cancel,
-                            FaultInjector* faults) {
-  if (faults) faults->on_alloc();
-  unsigned pes = 0;
-  std::shared_ptr<const ChunkedTrace> trace = acquire_trace(req, cancel, pes);
-  if (faults) faults->on_alloc();
-  u64 key = timed_config_hash(req.cfg, pes, resolve_wide(DirRep::Auto, pes),
-                              req.timing, trace_fingerprint(*trace));
-  std::unique_ptr<TimedReplay> sim;
-  u64 start = 0;
-  if (std::optional<std::string> frame = take_checkpoint(key)) {
-    try {
-      RestoredReplay r = checkpoint_parse(*frame, req.cfg, pes, DirRep::Auto,
-                                          &req.timing, key);
-      sim = std::move(r.timed);
-      start = r.meta.chunk_index;
-      std::scoped_lock lk(mu_);
-      ++counters_.resumes;
-      counters_.resume_chunks_skipped += start;
-    } catch (const Error&) {
-      std::scoped_lock lk(mu_);
-      ++counters_.corrupt_checkpoints_rejected;
+  const u64 start = job.next_chunk();
+  try {
+    job.run({.cancel = &cancel, .faults = faults});
+  } catch (const CancelledError&) {
+    // The job stopped at the boundary of the chunk the deadline struck:
+    // its snapshot resumes exactly there. Fault sites: a "crash" drops
+    // the snapshot entirely (the write never happened), the damage
+    // hooks corrupt the stored bytes so the retry's validation path is
+    // exercised end to end.
+    std::string frame = job.snapshot();
+    bool crashed = faults && faults->crash_checkpoint(0);
+    if (!crashed) {
+      if (faults) faults->damage_checkpoint_bytes(0, frame);
+      store_checkpoint(key, std::move(frame));
     }
+    throw;
   }
-  if (!sim) sim = std::make_unique<TimedReplay>(req.cfg, pes, req.timing);
-  replay_resumable(*sim, *trace, start, cancel, faults, key, /*timed=*/true);
-  if (faults) faults->on_alloc();
-  JsonValue out = timing_json(sim->timing());
-  out.set("traffic", traffic_json(sim->traffic()));
+  if (faults) faults->on_alloc();  // alloc site 3: result assembly
+  JsonValue out;
+  if (timed) {
+    out = timing_json(job.timing());
+    out.set("traffic", traffic_json(job.traffic()));
+  } else {
+    out = traffic_json(job.traffic());
+  }
   out.set("pes", JsonValue::integer(pes));
   out.set("resumed_chunks", JsonValue::unsigned_int(start));
   return out;
@@ -370,9 +296,6 @@ JsonValue Service::run_sweep_op(const Request& req, const CancelToken& cancel,
   points.reserve(req.sweep_protocols.size() * req.sweep_sizes.size());
   for (Protocol p : req.sweep_protocols) {
     for (u32 size : req.sweep_sizes) {
-      if (size % req.cfg.line_words)
-        fail("sweep size " + std::to_string(size) +
-             " is not a multiple of the line size");
       SweepPoint pt;
       pt.cfg = paper_cache_config(p, size);
       pt.cfg.line_words = req.cfg.line_words;
@@ -386,14 +309,15 @@ JsonValue Service::run_sweep_op(const Request& req, const CancelToken& cancel,
   // degrades into queueing/shedding instead of a pool-wide pile-up.
   // (run_sweep on the shared pool would have workers blocking on
   // futures that need those same workers — deadlock by composition.)
+  // The fault hook fires once per point here, not per chunk.
   std::vector<SweepResult> results;
   results.reserve(points.size());
   for (const SweepPoint& pt : points) {
     if (faults) faults->on_chunk(results.size());
     cancel.checkpoint();
-    HierCacheSim sim(pt.cfg, pt.num_pes);
-    replay_checked(sim, *trace, cancel, /*faults=*/nullptr);
-    results.push_back(SweepResult{pt, sim.stats()});
+    ReplayJob job(*trace, pt.cfg, pt.num_pes);
+    job.run({.cancel = &cancel});
+    results.push_back(SweepResult{pt, job.traffic()});
   }
 
   JsonValue arr = JsonValue::array();

@@ -84,10 +84,13 @@ class Service {
 
  private:
   std::string execute(const Request& req);
+  /// Executes a `replay` or a `time` request (one ReplayJob, timed
+  /// for `time`). A snapshot stored by a cancelled earlier attempt of
+  /// the same run is resumed; on cancellation, the job's own snapshot
+  /// is stored under its config hash before rethrowing, so the
+  /// client's retry resumes instead of starting over.
   JsonValue run_replay(const Request& req, const CancelToken& cancel,
                        FaultInjector* faults);
-  JsonValue run_time(const Request& req, const CancelToken& cancel,
-                     FaultInjector* faults);
   JsonValue run_sweep_op(const Request& req, const CancelToken& cancel,
                          FaultInjector* faults);
   JsonValue run_golden(const Request& req, const CancelToken& cancel);
@@ -98,15 +101,6 @@ class Service {
   std::shared_ptr<const ChunkedTrace> acquire_trace(const Request& req,
                                                     const CancelToken& cancel,
                                                     unsigned& pes_out);
-
-  /// Replays chunks [start, num_chunks) with the per-chunk fault and
-  /// cancellation hooks; on cancellation, snapshots the simulator
-  /// under `key` (checkpoint_store) before rethrowing, so the
-  /// client's retry resumes instead of starting over.
-  template <typename Sim>
-  void replay_resumable(Sim& sim, const ChunkedTrace& trace, u64 start,
-                        const CancelToken& cancel, FaultInjector* faults,
-                        u64 key, bool timed);
 
   /// Bounded in-memory store of checkpoints from cancelled requests,
   /// keyed by the run's config hash (same config + trace = same key,

@@ -1,8 +1,26 @@
 #include "support/cli.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 
 namespace rapwam {
+
+i64 parse_int(const std::string& text, const std::string& what) {
+  i64 v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end)
+    fail(what + ": expected a whole decimal integer, got '" + text + "'");
+  return v;
+}
+
+u32 parse_u32(const std::string& text, const std::string& what) {
+  i64 v = parse_int(text, what);
+  if (v < 0 || v > std::numeric_limits<u32>::max())
+    fail(what + ": " + text + " is out of range (0.." +
+         std::to_string(std::numeric_limits<u32>::max()) + ")");
+  return static_cast<u32>(v);
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -32,8 +50,12 @@ std::string Cli::get(const std::string& name, const std::string& dflt) const {
 
 i64 Cli::get_int(const std::string& name, i64 dflt) const {
   auto it = flags_.find(name);
-  if (it == flags_.end()) return dflt;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == flags_.end() ? dflt : parse_int(it->second, "--" + name);
+}
+
+u32 Cli::get_u32(const std::string& name, u32 dflt) const {
+  auto it = flags_.find(name);
+  return it == flags_.end() ? dflt : parse_u32(it->second, "--" + name);
 }
 
 }  // namespace rapwam

@@ -1,7 +1,5 @@
 #include "trace/chunks.h"
 
-#include <algorithm>
-
 #include "support/atomic_file.h"
 
 namespace rapwam {
@@ -52,95 +50,6 @@ std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
   ChunkingSink sink(busy_only);
   if (!packed.empty()) sink.on_chunk(packed.data(), packed.size());
   return sink.take();
-}
-
-// --- ChunkStream ----------------------------------------------------------
-
-ChunkStream::ChunkStream(unsigned num_consumers, std::size_t window_chunks)
-    : taken_(num_consumers, 0), window_chunks_(std::max<std::size_t>(1, window_chunks)) {}
-
-void ChunkStream::release_consumed() {
-  // A chunk leaves the window once every (still-attached) consumer has
-  // read past it; detached consumers sit at u64(-1) and never hold the
-  // window back.
-  u64 min_taken = ~u64(0);
-  for (u64 t : taken_) min_taken = std::min(min_taken, t);
-  bool released = false;
-  while (!window_.empty() && base_seq_ < min_taken) {
-    window_.pop_front();
-    ++base_seq_;
-    released = true;
-  }
-  if (released) can_push_.notify_all();
-}
-
-void ChunkStream::push(std::vector<u64> chunk) {
-  std::unique_lock lk(mu_);
-  can_push_.wait(lk, [&] { return window_.size() < window_chunks_ || closed_; });
-  if (closed_) return;
-  window_.push_back(std::make_shared<const std::vector<u64>>(std::move(chunk)));
-  peak_ = std::max(peak_, window_.size());
-  release_consumed();  // no consumers at all: drop immediately
-  can_pop_.notify_all();
-}
-
-void ChunkStream::close() {
-  std::scoped_lock lk(mu_);
-  closed_ = true;
-  can_pop_.notify_all();
-  can_push_.notify_all();
-}
-
-std::shared_ptr<const std::vector<u64>> ChunkStream::next(unsigned id) {
-  std::unique_lock lk(mu_);
-  RW_CHECK(id < taken_.size(), "chunk stream: bad consumer id");
-  u64 seq = taken_[id];
-  can_pop_.wait(lk, [&] { return seq < base_seq_ + window_.size() || closed_; });
-  if (seq >= base_seq_ + window_.size()) return nullptr;  // closed and drained
-  std::shared_ptr<const std::vector<u64>> c = window_[seq - base_seq_];
-  taken_[id] = seq + 1;
-  release_consumed();
-  return c;
-}
-
-void ChunkStream::detach(unsigned id) {
-  std::scoped_lock lk(mu_);
-  RW_CHECK(id < taken_.size(), "chunk stream: bad consumer id");
-  taken_[id] = ~u64(0);
-  release_consumed();
-}
-
-std::size_t ChunkStream::peak_chunks_in_flight() const {
-  std::scoped_lock lk(mu_);
-  return peak_;
-}
-
-// --- StreamSink -----------------------------------------------------------
-
-StreamSink::StreamSink(ChunkStream& stream, bool busy_only)
-    : stream_(stream), busy_only_(busy_only) {
-  cur_.reserve(kChunkRefs);
-}
-
-StreamSink::~StreamSink() { finish(); }
-
-void StreamSink::on_chunk(const u64* packed, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (busy_only_ && !MemRef::unpack(packed[i]).busy) continue;
-    cur_.push_back(packed[i]);
-    if (cur_.size() == kChunkRefs) {
-      stream_.push(std::move(cur_));
-      cur_ = {};
-      cur_.reserve(kChunkRefs);
-    }
-  }
-}
-
-void StreamSink::finish() {
-  if (finished_) return;
-  finished_ = true;
-  if (!cur_.empty()) stream_.push(std::move(cur_));
-  stream_.close();
 }
 
 // --- FileTraceSink --------------------------------------------------------

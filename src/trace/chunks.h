@@ -1,21 +1,14 @@
-// Shared immutable chunk storage and streaming fan-out for the trace
-// pipeline (docs/DESIGN.md §8).
+// Shared immutable chunk storage for the trace pipeline
+// (docs/DESIGN.md §8).
 //
 // The generate-once/replay-many sweep path stores each generated trace
 // as a ChunkedTrace — fixed-size packed chunks plus generation-time
 // metadata (reference counters, PE span) — that any number of sweep
-// points replay concurrently without copying or rescanning. The
-// streaming path replaces storage entirely: a bounded single-producer
-// multi-consumer ChunkStream broadcasts chunks from the running
-// emulator to concurrent replay consumers, so peak memory is O(chunks
-// in flight) instead of O(trace length).
+// points replay concurrently without copying or rescanning.
 #pragma once
 
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -72,54 +65,6 @@ class ChunkingSink : public TraceSink {
   std::shared_ptr<ChunkedTrace> trace_;
 };
 
-/// Bounded single-producer multi-consumer broadcast of packed chunks.
-///
-/// Ordering: every consumer sees every chunk, in push order (the global
-/// trace order the emulator emitted). Backpressure: a chunk is released
-/// only once all consumers have taken it, and push() blocks while
-/// `window_chunks` chunks are outstanding, so the producer can run at
-/// most that far ahead of the slowest consumer and peak memory is
-/// O(window_chunks) regardless of trace length.
-class ChunkStream {
- public:
-  static constexpr std::size_t kDefaultWindow = 8;
-
-  explicit ChunkStream(unsigned num_consumers,
-                       std::size_t window_chunks = kDefaultWindow);
-
-  // -- producer side
-  /// Blocks while the window is full. No-op after close().
-  void push(std::vector<u64> chunk);
-  /// Marks end-of-stream; consumers drain the window then see null.
-  void close();
-
-  // -- consumer side
-  /// Next chunk for consumer `id` (0-based), or nullptr at end of
-  /// stream. The returned pointer stays valid for as long as the caller
-  /// holds it, even after the window slides past the chunk.
-  std::shared_ptr<const std::vector<u64>> next(unsigned id);
-  /// Permanently unsubscribes consumer `id` (e.g. its simulator threw)
-  /// so the window no longer waits for it.
-  void detach(unsigned id);
-
-  unsigned num_consumers() const { return static_cast<unsigned>(taken_.size()); }
-  /// Most chunks ever outstanding at once; <= window_chunks by
-  /// construction (the bounded-memory guarantee, pinned by tests).
-  std::size_t peak_chunks_in_flight() const;
-
- private:
-  void release_consumed();  // caller holds mu_
-
-  mutable std::mutex mu_;
-  std::condition_variable can_push_, can_pop_;
-  std::deque<std::shared_ptr<const std::vector<u64>>> window_;
-  u64 base_seq_ = 0;          ///< sequence number of window_.front()
-  std::vector<u64> taken_;    ///< per-consumer next sequence to read
-  std::size_t window_chunks_;
-  std::size_t peak_ = 0;
-  bool closed_ = false;
-};
-
 /// Forwards chunks to `inner`, checking a cancellation token first.
 /// Wrapping the sink of a generation run makes the *producer* side of
 /// the pipeline cancellable at chunk granularity — the emulator aborts
@@ -137,24 +82,6 @@ class CancelCheckSink : public TraceSink {
  private:
   TraceSink& inner_;
   const CancelToken* cancel_;
-};
-
-/// Re-chunks a reference stream (applying the busy-only filter) and
-/// pushes full chunks into a ChunkStream. finish() flushes the partial
-/// tail chunk and closes the stream; the destructor finishes too, so an
-/// exception on the producer side still unblocks the consumers.
-class StreamSink : public TraceSink {
- public:
-  explicit StreamSink(ChunkStream& stream, bool busy_only = true);
-  ~StreamSink() override;
-  void on_chunk(const u64* packed, std::size_t n) override;
-  void finish();
-
- private:
-  ChunkStream& stream_;
-  bool busy_only_;
-  bool finished_ = false;
-  std::vector<u64> cur_;
 };
 
 /// Loads a binary trace file (the save_trace format) into shared

@@ -60,9 +60,10 @@ inline bool packed_ref_valid(u64 v) {
 }
 
 /// References per pipeline chunk (64K refs = 512 KB of packed words):
-/// large enough that the virtual chunk handoff is negligible per
-/// reference, small enough that a bounded window of chunks in flight
-/// (streaming replay, trace/chunks.h) stays cache- and memory-friendly.
+/// large enough that the virtual chunk handoff and the per-chunk replay
+/// hooks (checkpoint/replay_job.h) are negligible per reference, small
+/// enough that a chunk stays cache-friendly and a cancellation or
+/// checkpoint lands within one chunk's replay time.
 inline constexpr std::size_t kChunkRefs = std::size_t(1) << 16;
 
 /// Sink interface the emulator writes references into.

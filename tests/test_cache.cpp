@@ -4,6 +4,7 @@
 
 #include "cache/multisim.h"
 #include "cache/sweep.h"
+#include "trace/chunks.h"
 
 namespace rapwam {
 namespace {
@@ -191,17 +192,33 @@ TEST(Traffic, LargeCacheAbsorbsWorkingSet) {
   EXPECT_LT(sim.stats().traffic_ratio(), 0.11);
 }
 
+TEST(CacheConfigCheck, ZeroLineCacheIsRejected) {
+  // A cache without a single line is a configuration error, not an
+  // all-miss cache.
+  EXPECT_THROW(MultiCacheSim(cfg(Protocol::WriteInBroadcast, 0), 2), Error);
+  EXPECT_THROW(MultiCacheSim(cfg(Protocol::Copyback, 0), 1), Error);
+  CacheConfig no_line = cfg(Protocol::Copyback, 64);
+  no_line.line_words = 0;
+  EXPECT_THROW(MultiCacheSim(no_line, 1), Error);
+  EXPECT_THROW(MultiCacheSim(cfg(Protocol::Copyback, 6), 1), Error);  // 6 % 4
+  // One line is the smallest valid cache.
+  MultiCacheSim one(cfg(Protocol::Copyback, 4), 1);
+  one.access(R(0, 0));
+  EXPECT_EQ(one.stats().misses, 1u);
+}
+
 TEST(Sweep, RunsPointsInParallel) {
   // Build a small synthetic trace.
-  std::vector<u64> trace;
-  for (u64 a = 0; a < 1000; ++a) trace.push_back(R(0, a % 128).pack());
+  ChunkingSink sink;
+  for (u64 a = 0; a < 1000; ++a) sink.on_ref(R(0, a % 128));
+  std::shared_ptr<const ChunkedTrace> trace = sink.take();
   ThreadPool pool(4);
   std::vector<SweepPoint> pts;
   for (u32 sz : {64u, 128u, 256u}) {
     SweepPoint p;
     p.cfg = cfg(Protocol::Copyback, sz);
     p.num_pes = 1;
-    p.trace = &trace;
+    p.chunks = trace.get();
     pts.push_back(p);
   }
   auto res = run_sweep(pool, pts);

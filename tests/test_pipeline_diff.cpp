@@ -1,17 +1,13 @@
-// Differential tests of the streaming trace pipeline (DESIGN.md §8):
-// the legacy materialize-then-replay path (TraceBuffer -> replay), the
+// Differential tests of the chunked trace pipeline (DESIGN.md §8): the
+// legacy materialize-then-replay path (TraceBuffer -> replay) and the
 // generate-once chunked-fanout path (ChunkingSink -> ChunkedTrace ->
-// replay) and the concurrent-streaming path (StreamSink -> ChunkStream
-// -> run_sweep_streaming) must produce bit-identical packed streams,
-// TrafficStats and TimingStats for all five protocols on randomized
-// traces — and for real emulator runs. Plus ChunkStream window /
-// backpressure / bounded-memory pinning.
+// replay) must produce bit-identical packed streams, TrafficStats and
+// TimingStats for all five protocols on randomized traces — and for
+// real emulator runs.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
-#include "cache/sweep.h"
 #include "harness/runner.h"
 #include "test_rand.h"
 #include "timing/timed_replay.h"
@@ -129,47 +125,6 @@ TEST(StreamingPipeline, TimedReplayOverChunksMatchesFlat) {
   }
 }
 
-/// The five protocols at two cache sizes, as a streaming-sweep grid.
-std::vector<SweepPoint> protocol_grid(unsigned pes) {
-  std::vector<SweepPoint> points;
-  int label = 0;
-  for (Protocol p : kAllProtocols) {
-    for (u32 sz : {256u, 1024u}) {
-      SweepPoint sp;
-      sp.cfg.protocol = p;
-      sp.cfg.size_words = sz;
-      sp.cfg.line_words = 4;
-      sp.cfg.write_allocate = true;
-      sp.num_pes = pes;
-      sp.label = label++;
-      points.push_back(sp);
-    }
-  }
-  return points;
-}
-
-TEST(StreamingPipeline, ConcurrentStreamingMatchesMaterializedReplay) {
-  for (unsigned pes : {2u, 8u}) {
-    std::vector<SweepPoint> points = protocol_grid(pes);
-    std::vector<SweepResult> streamed = run_sweep_streaming(
-        points,
-        [&](TraceSink& sink) { produce_random(sink, 0xBEE5 + pes, pes, 200000); },
-        /*busy_only=*/true, /*window_chunks=*/2);
-
-    // Reference: materialize the same stream, then replay per point.
-    TraceBuffer buf(true);
-    produce_random(buf, 0xBEE5 + pes, pes, 200000);
-    ASSERT_EQ(streamed.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(streamed[i].point.label, points[i].label);
-      TrafficStats want =
-          replay_traffic(points[i].cfg, points[i].num_pes, buf.packed());
-      EXPECT_EQ(streamed[i].stats, want)
-          << protocol_name(points[i].cfg.protocol) << "/" << pes << "pe point " << i;
-    }
-  }
-}
-
 TEST(StreamingPipeline, EngineChunkedSinkMatchesTraceBuffer) {
   // The emulator's chunk-granularity emission must hand every sink the
   // same stream the legacy per-ref TraceBuffer saw: run the same
@@ -184,153 +139,6 @@ TEST(StreamingPipeline, EngineChunkedSinkMatchesTraceBuffer) {
   EXPECT_EQ(trace->to_packed(), buffered.trace->packed());
   EXPECT_EQ(trace->counts().total, buffered.trace->counts().total);
   EXPECT_EQ(trace->num_pes(), buffered.trace->num_pes());
-}
-
-TEST(StreamingPipeline, EngineStreamingSweepMatchesFanout) {
-  // One Figure-4-style group: generate qsort/small at 4 PEs while five
-  // protocol points consume it, vs the stored-chunks fanout.
-  BenchProgram bp = bench_program("qsort", BenchScale::Small);
-  std::vector<SweepPoint> points = protocol_grid(4);
-  std::vector<SweepResult> streamed = run_sweep_streaming(
-      points, [&](TraceSink& sink) { run_into(bp, 4, /*strip=*/false, &sink); });
-
-  ChunkingSink sink(true);
-  run_into(bp, 4, /*strip=*/false, &sink);
-  std::shared_ptr<const ChunkedTrace> trace = sink.take();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(streamed[i].stats,
-              replay_traffic(points[i].cfg, points[i].num_pes, *trace))
-        << "point " << i;
-  }
-}
-
-TEST(StreamingPipeline, WindowBoundsChunksInFlight) {
-  // A fast producer against slow consumers must never get more than
-  // `window` chunks ahead — backpressure, not buffering.
-  for (std::size_t window : {1u, 2u, 4u}) {
-    ChunkStream stream(2, window);
-    std::thread producer([&] {
-      for (int i = 0; i < 64; ++i)
-        stream.push(std::vector<u64>(kChunkRefs, static_cast<u64>(i)));
-      stream.close();
-    });
-    std::vector<std::size_t> got(2, 0);
-    std::vector<std::thread> consumers;
-    for (unsigned id = 0; id < 2; ++id) {
-      consumers.emplace_back([&, id] {
-        while (std::shared_ptr<const std::vector<u64>> c = stream.next(id)) {
-          // Every consumer sees every chunk, in push order.
-          EXPECT_EQ((*c)[0], static_cast<u64>(got[id]));
-          ++got[id];
-        }
-      });
-    }
-    producer.join();
-    for (std::thread& t : consumers) t.join();
-    EXPECT_EQ(got[0], 64u);
-    EXPECT_EQ(got[1], 64u);
-    EXPECT_LE(stream.peak_chunks_in_flight(), window);
-  }
-}
-
-TEST(StreamingPipeline, DetachedConsumerReleasesWindow) {
-  ChunkStream stream(2, 1);
-  std::thread producer([&] {
-    for (int i = 0; i < 8; ++i) stream.push(std::vector<u64>{static_cast<u64>(i)});
-    stream.close();
-  });
-  // Consumer 1 reads one chunk then detaches; consumer 0 must still
-  // see the whole stream without the producer deadlocking.
-  EXPECT_NE(stream.next(1), nullptr);
-  stream.detach(1);
-  std::size_t seen = 0;
-  while (stream.next(0)) ++seen;
-  producer.join();
-  EXPECT_EQ(seen, 8u);
-}
-
-TEST(StreamingPipeline, EmptyStreamAndEmptyPoints) {
-  std::vector<SweepResult> none = run_sweep_streaming(
-      {}, [](TraceSink& sink) { (void)sink; });
-  EXPECT_TRUE(none.empty());
-
-  std::vector<SweepPoint> points = protocol_grid(2);
-  std::vector<SweepResult> rs =
-      run_sweep_streaming(points, [](TraceSink& sink) { (void)sink; });
-  ASSERT_EQ(rs.size(), points.size());
-  for (const SweepResult& r : rs) EXPECT_EQ(r.stats.refs, 0u);
-}
-
-TEST(StreamingPipeline, MixedChunkAndFlatSweepPointsAgree) {
-  ChunkingSink sink(true);
-  produce_random(sink, 0xD00D, 4, 80000);
-  std::shared_ptr<const ChunkedTrace> trace = sink.take();
-  std::vector<u64> flat = trace->to_packed();
-
-  std::vector<SweepPoint> points = protocol_grid(4);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (i % 2 == 0) points[i].chunks = trace.get();
-    else points[i].trace = &flat;
-  }
-  ThreadPool pool(2);
-  std::vector<SweepResult> rs = run_sweep(pool, points);
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_EQ(rs[i].stats, replay_traffic(points[i].cfg, 4, flat)) << i;
-  }
-}
-
-// Not under the Streaming* TSan filter on purpose: ten million
-// references through instrumented code is a job for the Release suite.
-TEST(ChunkBoundedMemory, TenMillionRefsNeverMaterialize) {
-  // Acceptance pin: streaming-mode peak memory is O(window), not
-  // O(trace length). 10M references (80 MB if materialized) flow
-  // through a 4-chunk window (2 MB) while two consumers replay them;
-  // the stream's high-water mark proves nothing accumulated.
-  constexpr std::size_t kRefs = 10'000'000;
-  constexpr std::size_t kWindow = 4;
-
-  ChunkStream stream(2, kWindow);
-  TrafficStats got[2];
-  CacheConfig cfg[2];
-  cfg[0].protocol = Protocol::WriteInBroadcast;
-  cfg[0].size_words = 256;
-  cfg[0].line_words = 4;
-  cfg[1] = cfg[0];
-  cfg[1].protocol = Protocol::Copyback;
-  std::vector<std::thread> consumers;
-  for (unsigned id = 0; id < 2; ++id) {
-    consumers.emplace_back([&, id] {
-      MultiCacheSim sim(cfg[id], 8);
-      while (std::shared_ptr<const std::vector<u64>> c = stream.next(id))
-        sim.replay(*c);
-      got[id] = sim.stats();
-    });
-  }
-  {
-    StreamSink sink(stream, /*busy_only=*/true);
-    produce_random(sink, 0xB16, 8, kRefs);
-    sink.finish();
-  }
-  for (std::thread& t : consumers) t.join();
-  EXPECT_LE(stream.peak_chunks_in_flight(), kWindow);
-
-  // Same counters as replaying the regenerated stream reference by
-  // reference — no materialized copy exists on either side.
-  for (unsigned id = 0; id < 2; ++id) {
-    MultiCacheSim ref(cfg[id], 8);
-    struct Direct : TraceSink {
-      MultiCacheSim& sim;
-      explicit Direct(MultiCacheSim& s) : sim(s) {}
-      void on_chunk(const u64* packed, std::size_t n) override {
-        for (std::size_t i = 0; i < n; ++i) {
-          MemRef r = MemRef::unpack(packed[i]);
-          if (r.busy) sim.access(r);
-        }
-      }
-    } direct(ref);
-    produce_random(direct, 0xB16, 8, kRefs);
-    EXPECT_EQ(got[id], ref.stats()) << "consumer " << id;
-  }
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 // never one suite silently.
 #pragma once
 
+#include <memory>
 #include <vector>
 
-#include "trace/memref.h"
+#include "trace/chunks.h"
 
 namespace rapwam {
 
@@ -45,6 +46,14 @@ inline std::vector<u64> random_trace(u64 seed, unsigned pes, std::size_t n) {
     out.push_back(r.pack());
   }
   return out;
+}
+
+/// `packed` as shared chunk storage with every reference kept — the
+/// trace form run_sweep and replay jobs take.
+inline std::shared_ptr<const ChunkedTrace> chunked(const std::vector<u64>& packed) {
+  ChunkingSink sink(/*busy_only=*/false);
+  sink.on_chunk(packed.data(), packed.size());
+  return sink.take();
 }
 
 }  // namespace rapwam

@@ -1,7 +1,6 @@
 // Robustness of the trace pipeline under failure (docs/DESIGN.md §10):
 // error-aware TraceLibrary memoization, crash-safe FileTraceSink
-// publication, ChunkStream consumer failure, and cooperative
-// cancellation through the sweep paths. Every scenario here is a way a
+// publication, and cooperative cancellation through the sweep path. Every scenario here is a way a
 // single bad request or unlucky run used to be able to wedge or poison
 // a long-lived process.
 #include <gtest/gtest.h>
@@ -138,62 +137,7 @@ TEST(FileTraceSinkSafety, ClosePublishesACompleteLoadableTrace) {
   fs::remove(path);
 }
 
-// --- ChunkStream consumer failure ------------------------------------------
-
-TEST(ChunkStreamDetach, ThrowingConsumerDoesNotDeadlockTheWindow) {
-  constexpr unsigned kConsumers = 2;
-  constexpr std::size_t kWindow = 2;   // much smaller than the chunk count
-  constexpr int kChunks = 32;
-  ChunkStream stream(kConsumers, kWindow);
-
-  std::atomic<int> survivor_chunks{0};
-  std::thread failing([&] {
-    try {
-      int taken = 0;
-      while (std::shared_ptr<const std::vector<u64>> c = stream.next(0)) {
-        if (++taken == 3) throw Error("simulated consumer failure");
-      }
-    } catch (const Error&) {
-      stream.detach(0);  // the contract: a dead consumer unsubscribes
-    }
-  });
-  std::thread healthy([&] {
-    while (std::shared_ptr<const std::vector<u64>> c = stream.next(1))
-      survivor_chunks.fetch_add(1);
-  });
-
-  // With consumer 0 dead after 3 chunks and a window of 2, the
-  // producer would deadlock on chunk ~5 if detach didn't release the
-  // window. Completing all pushes IS the assertion.
-  for (int i = 0; i < kChunks; ++i)
-    stream.push(std::vector<u64>(8, MemRef{}.pack()));
-  stream.close();
-  failing.join();
-  healthy.join();
-  EXPECT_EQ(survivor_chunks.load(), kChunks);  // unaffected by the failure
-}
-
-TEST(ChunkStreamDetach, StreamingSweepSurfacesConsumerFailureWithoutHanging) {
-  // One healthy point and one that cannot even build its simulator
-  // (kMaxPes + 1 exceeds the directory's PE cap). run_sweep_streaming
-  // must run the producer to completion, join everything, and rethrow
-  // the consumer's Error — not hang on the bounded window.
-  SweepPoint good;
-  good.cfg = paper_cache_config(Protocol::WriteInBroadcast, 1024);
-  good.num_pes = 2;
-  SweepPoint bad = good;
-  bad.num_pes = kMaxPes + 1;
-
-  EXPECT_THROW(
-      run_sweep_streaming(
-          {good, bad},
-          [](TraceSink& sink) {
-            run_into(bench_program("qsort", BenchScale::Small), 2, false, &sink);
-          }),
-      Error);
-}
-
-// --- cooperative cancellation through the sweep paths ----------------------
+// --- cooperative cancellation through the sweep path -----------------------
 
 TEST(SweepCancellation, PreCancelledTokenAbortsRunSweep) {
   TraceLibrary lib;
@@ -212,21 +156,6 @@ TEST(SweepCancellation, PreCancelledTokenAbortsRunSweep) {
   // left no shared state behind.
   std::vector<SweepResult> r = run_sweep(pool, {p});
   EXPECT_GT(r.at(0).stats.refs, 0u);
-}
-
-TEST(SweepCancellation, ExpiredDeadlineAbortsStreamingProducerAndConsumers) {
-  SweepPoint p;
-  p.cfg = paper_cache_config(Protocol::WriteInBroadcast, 1024);
-  p.num_pes = 2;
-  CancelToken expired = CancelToken::with_deadline(std::chrono::milliseconds(0));
-  EXPECT_THROW(
-      run_sweep_streaming(
-          {p, p},
-          [](TraceSink& sink) {
-            run_into(bench_program("qsort", BenchScale::Small), 2, false, &sink);
-          },
-          /*busy_only=*/true, ChunkStream::kDefaultWindow, &expired),
-      CancelledError);
 }
 
 TEST(SweepCancellation, NullTokenMatchesUncancelledReplayExactly) {

@@ -6,8 +6,10 @@
 // so any failure replays.
 #include <gtest/gtest.h>
 
+#include "harness/trace_lib.h"
 #include "server/json.h"
 #include "server/protocol.h"
+#include "server/service.h"
 
 namespace rapwam {
 namespace {
@@ -177,6 +179,31 @@ TEST(ParseRequest, RejectsInvalid) {
       R"({"op":"golden","pes":4})",                // golden pins its own grid
   };
   for (const char* b : bad) EXPECT_THROW(parse_request(b), Error) << b;
+}
+
+TEST(ParseRequest, SweepSizesMustBeLineMultiples) {
+  EXPECT_THROW(parse_request(R"({"op":"sweep","sizes":[18]})"), Error);
+  EXPECT_THROW(parse_request(R"({"op":"sweep","sizes":[256,18]})"), Error);
+  EXPECT_THROW(parse_request(R"({"op":"sweep","line":8,"sizes":[260]})"), Error);
+  Request r = parse_request(R"({"op":"sweep","line":8,"sizes":[256,1024]})");
+  EXPECT_EQ(r.sweep_sizes, (std::vector<u32>{256, 1024}));
+}
+
+TEST(ParseRequest, MisalignedSweepIsRejectedBeforeAnyGeneration) {
+  // The size check belongs to validation: a malformed sweep must cost
+  // no trace generation and count as rejected, not failed.
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service svc(cfg);
+  const std::size_t entries = TraceLibrary::instance().size();
+  Response r = Response::parse(svc.handle_line(
+      R"({"op":"sweep","bench":"tak","scale":"paper","pes":8,"sizes":[18]})"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, "bad_request");
+  EXPECT_EQ(TraceLibrary::instance().size(), entries);
+  ServiceCounters c = svc.counters();
+  EXPECT_EQ(c.rejected, 1u);
+  EXPECT_EQ(c.failed, 0u);
 }
 
 TEST(ParseRequest, FaultPlanParses) {

@@ -75,6 +75,48 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(cli.get_int("missing", 7), 7);
 }
 
+TEST(Cli, IntegersMustBeWholeDecimals) {
+  const char* argv[] = {"prog", "--size",  "abc", "--line", "4x",
+                        "--ways", "",      "--l2",  "-8",    "--pes=+4",
+                        "--n",    "-12"};
+  Cli cli(12, argv);
+  for (const char* flag : {"size", "line", "ways", "pes"}) {
+    try {
+      cli.get_int(flag, 0);
+      ADD_FAILURE() << flag << " parsed";
+    } catch (const Error& e) {
+      // The message names the flag, so the CLI's "error:" line is
+      // actionable.
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(cli.get_int("l2", 0), -8);
+  EXPECT_EQ(cli.get_int("n", 0), -12);
+}
+
+TEST(Cli, UnsignedFlagsRejectNegativesAndOverflow) {
+  const char* argv[] = {"prog", "--threads", "-1", "--every", "4294967296",
+                        "--max", "4294967295", "--zero", "0"};
+  Cli cli(9, argv);
+  EXPECT_THROW(cli.get_u32("threads", 4), Error);  // not 2^32-1 threads
+  EXPECT_THROW(cli.get_u32("every", 16), Error);
+  EXPECT_EQ(cli.get_u32("max", 0), 4294967295u);
+  EXPECT_EQ(cli.get_u32("zero", 7), 0u);
+  EXPECT_EQ(cli.get_u32("absent", 7), 7u);
+}
+
+TEST(Cli, ListEntriesParseLikeFlags) {
+  // rapwam_trace sweep checks each --sizes entry with the same parser.
+  EXPECT_EQ(parse_u32("1024", "--sizes"), 1024u);
+  EXPECT_THROW(parse_u32("abc", "--sizes"), Error);
+  EXPECT_THROW(parse_u32("-256", "--sizes"), Error);
+  EXPECT_THROW(parse_u32("256 ", "--sizes"), Error);
+  EXPECT_THROW(parse_int("", "--sizes"), Error);
+  EXPECT_EQ(parse_int("-3", "--x"), -3);
+}
+
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::vector<std::future<int>> futs;

@@ -16,8 +16,8 @@ namespace {
 
 /// A small but heterogeneous sweep: every protocol, two cache sizes,
 /// two PE counts, two traces — 40 points with distinct labels.
-std::vector<SweepPoint> make_points(const std::vector<u64>& t4,
-                                    const std::vector<u64>& t8) {
+std::vector<SweepPoint> make_points(const ChunkedTrace& t4,
+                                    const ChunkedTrace& t8) {
   const Protocol protos[] = {Protocol::WriteThrough, Protocol::WriteInBroadcast,
                              Protocol::WriteThroughBroadcast, Protocol::Hybrid,
                              Protocol::Copyback};
@@ -32,7 +32,7 @@ std::vector<SweepPoint> make_points(const std::vector<u64>& t4,
         sp.cfg.line_words = 4;
         sp.cfg.write_allocate = true;
         sp.num_pes = pes;
-        sp.trace = (pes == 4) ? &t4 : &t8;
+        sp.chunks = (pes == 4) ? &t4 : &t8;
         sp.label = label++;
         points.push_back(sp);
       }
@@ -42,9 +42,9 @@ std::vector<SweepPoint> make_points(const std::vector<u64>& t4,
 }
 
 TEST(SweepDeterminism, PoolResultsMatchSerialElementwise) {
-  std::vector<u64> t4 = random_trace(0xAB5EED, 4, 12000);
-  std::vector<u64> t8 = random_trace(0xAB5EEE, 8, 12000);
-  std::vector<SweepPoint> points = make_points(t4, t8);
+  std::shared_ptr<const ChunkedTrace> t4 = chunked(random_trace(0xAB5EED, 4, 12000));
+  std::shared_ptr<const ChunkedTrace> t8 = chunked(random_trace(0xAB5EEE, 8, 12000));
+  std::vector<SweepPoint> points = make_points(*t4, *t8);
 
   ThreadPool pool(4);
   std::vector<SweepResult> pooled = run_sweep(pool, points);
@@ -56,15 +56,15 @@ TEST(SweepDeterminism, PoolResultsMatchSerialElementwise) {
     EXPECT_EQ(pooled[i].point.num_pes, points[i].num_pes) << i;
     // Element-wise identical to a serial simulation of the same point.
     TrafficStats serial =
-        replay_traffic(points[i].cfg, points[i].num_pes, *points[i].trace);
+        replay_traffic(points[i].cfg, points[i].num_pes, *points[i].chunks);
     EXPECT_EQ(pooled[i].stats, serial) << "point " << i;
   }
 }
 
 TEST(SweepDeterminism, PoolSizeDoesNotChangeResults) {
-  std::vector<u64> t4 = random_trace(0xD1CE, 4, 12000);
-  std::vector<u64> t8 = random_trace(0xD1CF, 8, 12000);
-  std::vector<SweepPoint> points = make_points(t4, t8);
+  std::shared_ptr<const ChunkedTrace> t4 = chunked(random_trace(0xD1CE, 4, 12000));
+  std::shared_ptr<const ChunkedTrace> t8 = chunked(random_trace(0xD1CF, 8, 12000));
+  std::vector<SweepPoint> points = make_points(*t4, *t8);
 
   ThreadPool p1(1), p8(8);
   std::vector<SweepResult> serial = run_sweep(p1, points);
@@ -78,9 +78,9 @@ TEST(SweepDeterminism, PoolSizeDoesNotChangeResults) {
 }
 
 TEST(SweepDeterminism, RepeatedRunsAreIdentical) {
-  std::vector<u64> t4 = random_trace(0x9E9E, 4, 8000);
-  std::vector<u64> t8 = random_trace(0x9E9F, 8, 8000);
-  std::vector<SweepPoint> points = make_points(t4, t8);
+  std::shared_ptr<const ChunkedTrace> t4 = chunked(random_trace(0x9E9E, 4, 8000));
+  std::shared_ptr<const ChunkedTrace> t8 = chunked(random_trace(0x9E9F, 8, 8000));
+  std::vector<SweepPoint> points = make_points(*t4, *t8);
 
   ThreadPool pool(8);
   std::vector<SweepResult> a = run_sweep(pool, points);

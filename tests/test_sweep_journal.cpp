@@ -1,6 +1,5 @@
 // The sweep journal (checkpoint/journal.h): a write-ahead log of
-// completed sweep points that makes run_sweep / run_sweep_streaming
-// resumable. Pinned here:
+// completed sweep points that makes run_sweep resumable. Pinned here:
 //
 //   * resumed sweeps return journaled stats VERBATIM — proven by
 //     planting a sentinel record and observing run_sweep hand it back
@@ -9,10 +8,7 @@
 //     and the journal keeps appending cleanly afterwards;
 //   * a header mismatch — wrong magic, wrong version, a config hash
 //     from a different sweep — is a hard Error: results must never
-//     cross experiments;
-//   * the streaming fan-out detaches already-done points (they never
-//     consume the chunk window) and journals fresh ones only after a
-//     clean join.
+//     cross experiments.
 //
 // Layout facts used below: 16-byte header (magic, version, config
 // hash), fixed 172-byte records (magic + index + 19 x u64 stats +
@@ -155,28 +151,6 @@ TEST(SweepJournal, DonePointsAreNotResimulated) {
   TrafficStats want1 =
       replay_traffic(fx.points[1].cfg, fx.points[1].num_pes, *fx.trace);
   EXPECT_EQ(got[1].stats, want1);
-  EXPECT_EQ(j.done_count(), fx.points.size());
-}
-
-TEST(SweepJournal, StreamingDetachesDonePointsAndJournalsFreshOnes) {
-  SweepFixture fx(0x5E03);
-  std::vector<u64> packed = fx.trace->to_packed();
-  TempJournal tj("streaming");
-  SweepJournal j(tj.path, fx.hash);
-  j.record(0, sentinel_stats());
-
-  std::vector<SweepResult> got = run_sweep_streaming(
-      fx.points,
-      [&](TraceSink& s) { s.on_chunk(packed.data(), packed.size()); },
-      /*busy_only=*/true, ChunkStream::kDefaultWindow, nullptr, &j);
-
-  ASSERT_EQ(got.size(), fx.points.size());
-  EXPECT_EQ(got[0].stats, sentinel_stats());  // detached, returned verbatim
-  for (std::size_t i = 1; i < fx.points.size(); ++i) {
-    TrafficStats want =
-        replay_traffic(fx.points[i].cfg, fx.points[i].num_pes, *fx.trace);
-    EXPECT_EQ(got[i].stats, want) << "point " << i;
-  }
   EXPECT_EQ(j.done_count(), fx.points.size());
 }
 

@@ -1,4 +1,5 @@
 #include <map>
+#include <ostream>
 // Property tests on real emulator traces: parameterized sweeps over
 // protocols and cache sizes checking coherence invariants, LRU
 // inclusion (miss ratio monotone in cache size), determinism, and the
@@ -50,6 +51,17 @@ struct Param {
   u32 size;
   unsigned pes;
 };
+
+/// Prints a case as e.g. "Hybrid_512w_2pe"; ctest names each case by
+/// this value. gtest's fallback prints Param's raw bytes, padding
+/// included, so the names would change from one build to the next.
+void PrintTo(const Param& p, std::ostream* os) {
+  static const char* const kProto[] = {"WriteThrough", "WriteInBroadcast",
+                                       "WriteThroughBroadcast", "Hybrid",
+                                       "Copyback"};
+  *os << kProto[static_cast<int>(p.proto)] << '_' << p.size << "w_" << p.pes
+      << "pe";
+}
 
 class ProtocolSweep : public ::testing::TestWithParam<Param> {};
 

@@ -249,7 +249,8 @@ TEST(WidePeDiff, TimedReplayRunsAboveSixtyFourPes) {
 // --- threaded sweeps over the wide directory (TSan-covered) ----------------
 
 TEST(WidePeSweepDeterminism, PoolMatchesSerialAboveSixtyFourPes) {
-  std::vector<u64> t128 = random_trace(0x128AB, 128, 10000);
+  std::shared_ptr<const ChunkedTrace> t128 =
+      chunked(random_trace(0x128AB, 128, 10000));
   std::vector<SweepPoint> points;
   int label = 0;
   for (Protocol p : kAllProtocols) {
@@ -257,7 +258,7 @@ TEST(WidePeSweepDeterminism, PoolMatchesSerialAboveSixtyFourPes) {
       SweepPoint sp;
       sp.cfg = diff_cfg(p, sz);
       sp.num_pes = 128;
-      sp.trace = &t128;
+      sp.chunks = t128.get();
       sp.label = label++;
       points.push_back(sp);
     }
@@ -267,7 +268,7 @@ TEST(WidePeSweepDeterminism, PoolMatchesSerialAboveSixtyFourPes) {
   ASSERT_EQ(pooled.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     TrafficStats serial =
-        replay_traffic(points[i].cfg, points[i].num_pes, *points[i].trace);
+        replay_traffic(points[i].cfg, points[i].num_pes, *points[i].chunks);
     EXPECT_EQ(pooled[i].stats, serial) << "point " << i;
   }
 }

@@ -58,8 +58,8 @@
 #include "cache/hierarchy.h"
 #include "cache/queueing.h"
 #include "cache/sweep.h"
-#include "checkpoint/checkpoint.h"
 #include "checkpoint/journal.h"
+#include "checkpoint/replay_job.h"
 #include "harness/golden.h"
 #include "harness/runner.h"
 #include "server/client.h"
@@ -79,20 +79,20 @@ namespace {
 CacheConfig config_from_cli(const Cli& cli) {
   CacheConfig cfg;
   cfg.protocol = protocol_from_name(cli.get("protocol", "broadcast"));
-  cfg.size_words = static_cast<u32>(cli.get_int("size", 1024));
-  cfg.line_words = static_cast<u32>(cli.get_int("line", 4));
-  cfg.ways = static_cast<u32>(cli.get_int("ways", 0));
+  cfg.size_words = cli.get_u32("size", 1024);
+  cfg.line_words = cli.get_u32("line", 4);
+  cfg.ways = cli.get_u32("ways", 0);
   cfg.write_allocate =
       cli.has("no-allocate") ? false : paper_write_allocate(cfg.protocol, cfg.size_words);
-  cfg.l2.size_words = static_cast<u32>(cli.get_int("l2", 0));
-  cfg.l2.ways = static_cast<u32>(cli.get_int("l2-ways", 8));
+  cfg.l2.size_words = cli.get_u32("l2", 0);
+  cfg.l2.ways = cli.get_u32("l2-ways", 8);
   cfg.l2.inclusion = cli.has("l2-noninclusive") ? L2Config::Inclusion::NonInclusive
                                                 : L2Config::Inclusion::Inclusive;
   // Both fill latencies default to 0 (the paper model: everything
   // folded into the bus service time) so neither level looks slower
   // than the other unless the user models latency explicitly — pass
   // BOTH --l2-hit and --mem-extra, with --l2-hit the smaller.
-  cfg.l2.hit_extra_cycles = static_cast<u32>(cli.get_int("l2-hit", 0));
+  cfg.l2.hit_extra_cycles = cli.get_u32("l2-hit", 0);
   return cfg;
 }
 
@@ -127,64 +127,57 @@ std::unique_ptr<FaultInjector> faults_from_cli(const Cli& cli) {
       FaultPlan::from_json(json_parse(cli.get("fault", "{}"))));
 }
 
-/// Replays chunks [start, n) through `sim`, publishing a checkpoint
-/// frame every `every` chunk boundaries (none after the final chunk —
-/// the run is done). Progress lines all start with "checkpoint".
-template <typename Sim>
-void replay_checkpointed(Sim& sim, const ChunkedTrace& t, u64 start, u64 key,
-                         bool timed, CheckpointWriter* writer, u64 every,
-                         FaultInjector* faults) {
-  for (std::size_t i = start; i < t.num_chunks(); ++i) {
-    if (faults) faults->on_chunk(i);
-    const std::vector<u64>& c = t.chunk(i);
-    sim.replay(c.data(), c.size());
-    if (writer && every && (i + 1) % every == 0 && i + 1 < t.num_chunks()) {
-      CheckpointMeta meta;
-      meta.config_hash = key;
-      meta.chunk_index = i + 1;
-      meta.timed = timed;
-      if constexpr (std::is_same_v<Sim, TimedReplay>)
-        meta.refs_done = sim.traffic().refs;
-      else
-        meta.refs_done = sim.stats().refs;
-      writer->publish(checkpoint_serialize(meta, sim), faults);
-      std::printf("checkpoint: wrote %s at chunk %llu/%llu\n",
-                  writer->path().c_str(), (unsigned long long)(i + 1),
-                  (unsigned long long)t.num_chunks());
-      std::fflush(stdout);
-    }
-  }
-}
+/// Runs `job` under the checkpoint flags shared by replay and time:
+/// --resume continues from the newest valid snapshot at --checkpoint
+/// PATH, and a frame is published there every --checkpoint-every
+/// chunk boundaries (none after the final chunk — the run is done).
+/// Progress lines all start with "checkpoint".
+void run_checkpointed(const Cli& cli, ReplayJob& job) {
+  std::unique_ptr<FaultInjector> faults = faults_from_cli(cli);
+  std::string ckpt = cli.get("checkpoint", "");
+  u32 every = cli.get_u32("checkpoint-every", 16);
+  if (every == 0) fail("--checkpoint-every must be at least 1");
 
-/// Resume preamble shared by replay/time: returns the restored
-/// simulator (or null for a clean start) and the chunk to start from.
-std::optional<RestoredReplay> try_resume(const Cli& cli,
-                                         const std::string& ckpt_path,
-                                         const CacheConfig& cfg, unsigned pes,
-                                         const TimingParams* tp, u64 key,
-                                         std::size_t num_chunks) {
-  if (ckpt_path.empty() || !cli.has("resume")) return std::nullopt;
-  try {
-    std::optional<ResumeOutcome> res =
-        checkpoint_resume(ckpt_path, cfg, pes, DirRep::Auto, tp, key);
-    if (!res) {
-      std::printf("checkpoint: none found at %s; starting clean\n",
-                  ckpt_path.c_str());
-      return std::nullopt;
+  if (!ckpt.empty() && cli.has("resume")) {
+    try {
+      std::optional<ResumeOutcome> res =
+          checkpoint_resume(ckpt, job.cfg(), job.num_pes(), DirRep::Auto,
+                            job.timing_params(), job.config_hash());
+      if (!res) {
+        std::printf("checkpoint: none found at %s; starting clean\n",
+                    ckpt.c_str());
+      } else {
+        for (const std::string& e : res->errors)
+          std::printf("checkpoint: rejected %s\n", e.c_str());
+        std::printf("checkpoint: resumed from %s at chunk %llu/%llu\n",
+                    res->source.c_str(),
+                    (unsigned long long)res->restored.meta.chunk_index,
+                    (unsigned long long)job.num_chunks());
+        job.resume(std::move(res->restored));
+      }
+    } catch (const Error& e) {
+      // Every candidate was damaged: a corrupt checkpoint costs work,
+      // never correctness — fall back to a clean run.
+      std::printf("checkpoint: %s; starting clean\n", e.what());
     }
-    for (const std::string& e : res->errors)
-      std::printf("checkpoint: rejected %s\n", e.c_str());
-    std::printf("checkpoint: resumed from %s at chunk %llu/%llu\n",
-                res->source.c_str(),
-                (unsigned long long)res->restored.meta.chunk_index,
-                (unsigned long long)num_chunks);
-    return std::move(res->restored);
-  } catch (const Error& e) {
-    // Every candidate was damaged: a corrupt checkpoint costs work,
-    // never correctness — fall back to a clean run.
-    std::printf("checkpoint: %s; starting clean\n", e.what());
-    return std::nullopt;
   }
+
+  ReplayHooks hooks;
+  hooks.faults = faults.get();
+  std::optional<CheckpointWriter> writer;
+  if (!ckpt.empty()) {
+    writer.emplace(ckpt);
+    hooks.after_chunk = [&] {
+      std::size_t done = job.next_chunk();
+      if (done % every != 0 || done >= job.num_chunks()) return;
+      writer->publish(job.snapshot(), faults.get());
+      std::printf("checkpoint: wrote %s at chunk %llu/%llu\n",
+                  writer->path().c_str(), (unsigned long long)done,
+                  (unsigned long long)job.num_chunks());
+      std::fflush(stdout);
+    };
+  }
+  job.run(hooks);
 }
 
 /// Engine resource budgets from --max-heap-mb / --max-steps (0 = off).
@@ -216,7 +209,7 @@ EngineFaults engine_faults_from_cli(const Cli& cli) {
 
 int cmd_record(const Cli& cli) {
   std::string bench = cli.get("bench", "qsort");
-  unsigned pes = check_pes(static_cast<unsigned>(cli.get_int("pes", 4)));
+  unsigned pes = check_pes(cli.get_u32("pes", 4));
   std::string out = cli.get("out", bench + ".trc");
   BenchScale scale = cli.get("scale", "small") == "paper" ? BenchScale::Paper
                                                           : BenchScale::Small;
@@ -237,10 +230,10 @@ int cmd_record(const Cli& cli) {
 /// front end (budgets, timeout, engine faults) plus a RunStats summary.
 int cmd_run(const Cli& cli) {
   std::string bench = cli.get("bench", "qsort");
-  unsigned pes = check_pes(static_cast<unsigned>(cli.get_int("pes", 1)));
+  unsigned pes = check_pes(cli.get_u32("pes", 1));
   BenchScale scale = cli.get("scale", "small") == "paper" ? BenchScale::Paper
                                                           : BenchScale::Small;
-  unsigned sols = static_cast<unsigned>(cli.get_int("solutions", 1));
+  unsigned sols = cli.get_u32("solutions", 1);
   std::optional<CancelToken> deadline = timeout_from_cli(cli);
   RunResult res = run_into(bench_program(bench, scale), pes,
                            /*strip=*/cli.has("wam"), /*sink=*/nullptr, sols,
@@ -300,28 +293,10 @@ int cmd_replay(const Cli& cli) {
   std::shared_ptr<const ChunkedTrace> t =
       load_chunked_trace(cli.positional().at(1));
   CacheConfig cfg = config_from_cli(cli);
-  unsigned pes =
-      check_pes(static_cast<unsigned>(cli.get_int("pes", t->num_pes())));
-  std::unique_ptr<FaultInjector> faults = faults_from_cli(cli);
-  std::string ckpt = cli.get("checkpoint", "");
-  u64 every = static_cast<u64>(cli.get_int("checkpoint-every", 16));
-  u64 key = replay_config_hash(cfg, pes, resolve_wide(DirRep::Auto, pes),
-                               trace_fingerprint(*t));
-
-  std::unique_ptr<HierCacheSim> sim;
-  u64 start = 0;
-  if (std::optional<RestoredReplay> r =
-          try_resume(cli, ckpt, cfg, pes, nullptr, key, t->num_chunks())) {
-    sim = std::move(r->sim);
-    start = r->meta.chunk_index;
-  } else {
-    sim = std::make_unique<HierCacheSim>(cfg, pes);
-  }
-  std::optional<CheckpointWriter> writer;
-  if (!ckpt.empty()) writer.emplace(ckpt);
-  replay_checkpointed(*sim, *t, start, key, /*timed=*/false,
-                      writer ? &*writer : nullptr, every, faults.get());
-  const TrafficStats& s = sim->stats();
+  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
+  ReplayJob job(*t, cfg, pes);
+  run_checkpointed(cli, job);
+  const TrafficStats& s = job.traffic();
   std::printf("%s, %u words, %u-word lines, %s, %u PEs\n",
               protocol_name(cfg.protocol).c_str(), cfg.size_words, cfg.line_words,
               cfg.write_allocate ? "write-allocate" : "no-write-allocate", pes);
@@ -345,43 +320,24 @@ int cmd_time(const Cli& cli) {
   std::shared_ptr<const ChunkedTrace> t =
       load_chunked_trace(cli.positional().at(1));
   CacheConfig cfg = config_from_cli(cli);
-  unsigned pes =
-      check_pes(static_cast<unsigned>(cli.get_int("pes", t->num_pes())));
+  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
   TimingParams tp;
-  tp.cycles_per_ref = static_cast<u32>(cli.get_int("cpr", 1));
-  tp.bus_service_cycles = static_cast<u32>(cli.get_int("service", 1));
-  tp.interleave = static_cast<u32>(cli.get_int("interleave", 2));
-  tp.write_buffer_depth = static_cast<u32>(cli.get_int("wbuf", 4));
-  tp.mem_extra_cycles = static_cast<u32>(cli.get_int("mem-extra", 0));
-
-  std::unique_ptr<FaultInjector> faults = faults_from_cli(cli);
-  std::string ckpt = cli.get("checkpoint", "");
-  u64 every = static_cast<u64>(cli.get_int("checkpoint-every", 16));
-  u64 key = timed_config_hash(cfg, pes, resolve_wide(DirRep::Auto, pes), tp,
-                              trace_fingerprint(*t));
-
-  std::unique_ptr<TimedReplay> simp;
-  u64 start = 0;
-  if (std::optional<RestoredReplay> r =
-          try_resume(cli, ckpt, cfg, pes, &tp, key, t->num_chunks())) {
-    simp = std::move(r->timed);
-    start = r->meta.chunk_index;
-  } else {
-    simp = std::make_unique<TimedReplay>(cfg, pes, tp);
-  }
-  std::optional<CheckpointWriter> writer;
-  if (!ckpt.empty()) writer.emplace(ckpt);
-  replay_checkpointed(*simp, *t, start, key, /*timed=*/true,
-                      writer ? &*writer : nullptr, every, faults.get());
-  TimedReplay& sim = *simp;
-  TimingStats ts = sim.timing();
+  tp.cycles_per_ref = cli.get_u32("cpr", 1);
+  tp.bus_service_cycles = cli.get_u32("service", 1);
+  tp.interleave = cli.get_u32("interleave", 2);
+  tp.write_buffer_depth = cli.get_u32("wbuf", 4);
+  tp.mem_extra_cycles = cli.get_u32("mem-extra", 0);
+  ReplayJob job(*t, cfg, pes, &tp);
+  run_checkpointed(cli, job);
+  const TrafficStats& traffic = job.traffic();
+  TimingStats ts = job.timing();
 
   std::printf("%s, %u words, %u-word lines, %u PEs; bus %u cycle(s)/word, "
               "%u-way interleave, %u-deep write buffers\n",
               protocol_name(cfg.protocol).c_str(), cfg.size_words, cfg.line_words,
               pes, tp.bus_service_cycles, tp.interleave, tp.write_buffer_depth);
   std::printf("  traffic ratio   %.4f   miss ratio %.4f\n",
-              sim.traffic().traffic_ratio(), sim.traffic().miss_ratio());
+              traffic.traffic_ratio(), traffic.miss_ratio());
   std::printf("  makespan        %llu cycles\n", (unsigned long long)ts.makespan);
   std::printf("  speedup         x%.2f  (efficiency %.3f)\n", ts.speedup(),
               ts.efficiency());
@@ -392,7 +348,7 @@ int cmd_time(const Cli& cli) {
   std::printf("  demand fills    cache %llu / L2 %llu / memory %llu\n",
               (unsigned long long)ts.cache_fills,
               (unsigned long long)ts.l2_fills, (unsigned long long)ts.mem_fills);
-  print_l2_stats(cfg, sim.traffic());
+  print_l2_stats(cfg, traffic);
 
   TextTable per_pe("per PE");
   per_pe.header({"PE", "refs", "busy cycles", "stall cycles", "stall %", "retired at"});
@@ -408,7 +364,7 @@ int cmd_time(const Cli& cli) {
   std::fputs(per_pe.str().c_str(), stdout);
 
   BusEstimate e =
-      bus_contention(pes, sim.traffic().traffic_ratio(), BusParams{tp.effective_service()});
+      bus_contention(pes, traffic.traffic_ratio(), BusParams{tp.effective_service()});
   std::printf("analytic M/D/1 at the same traffic ratio: speedup x%.2f, "
               "efficiency %.3f, utilization %.3f\n",
               e.aggregate_speedup, e.pe_efficiency, e.utilization);
@@ -433,16 +389,15 @@ std::vector<std::string> split_list(const std::string& s) {
 int cmd_sweep(const Cli& cli) {
   std::shared_ptr<const ChunkedTrace> t =
       load_chunked_trace(cli.positional().at(1), /*busy_only=*/true);
-  unsigned pes =
-      check_pes(static_cast<unsigned>(cli.get_int("pes", t->num_pes())));
-  u32 line = static_cast<u32>(cli.get_int("line", 4));
+  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
+  u32 line = cli.get_u32("line", 4);
 
   std::vector<SweepPoint> points;
   for (const std::string& pname :
        split_list(cli.get("protocols", "wt,broadcast,update,hybrid"))) {
     Protocol p = protocol_from_name(pname);
     for (const std::string& sz : split_list(cli.get("sizes", "256,512,1024,2048"))) {
-      u32 size = static_cast<u32>(std::stoul(sz));
+      u32 size = parse_u32(sz, "--sizes");
       if (size % line)
         fail("sweep size " + sz + " is not a multiple of the line size");
       SweepPoint pt;
@@ -470,7 +425,7 @@ int cmd_sweep(const Cli& cli) {
                     : "");
   }
 
-  ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 4)));
+  ThreadPool pool(cli.get_u32("threads", 4));
   std::vector<SweepResult> results =
       run_sweep(pool, points, nullptr, journal ? &*journal : nullptr);
 
@@ -534,9 +489,9 @@ extern "C" void serve_signal_handler(int) {
 int cmd_serve(const Cli& cli) {
   Endpoint ep = Endpoint::parse(cli.get("socket", "unix:/tmp/rapwam.sock"));
   ServiceConfig cfg;
-  cfg.workers = static_cast<unsigned>(cli.get_int("workers", 4));
-  cfg.queue_limit = static_cast<std::size_t>(cli.get_int("queue", 16));
-  cfg.default_deadline_ms = static_cast<u32>(cli.get_int("deadline", 0));
+  cfg.workers = cli.get_u32("workers", 4);
+  cfg.queue_limit = cli.get_u32("queue", 16);
+  cfg.default_deadline_ms = cli.get_u32("deadline", 0);
   cfg.enable_faults = cli.has("enable-faults");
 
   Server server(ep, cfg);
@@ -616,6 +571,13 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string& cmd = cli.positional()[0];
+    if ((cmd == "stats" || cmd == "replay" || cmd == "time" || cmd == "sweep" ||
+         cmd == "dump") &&
+        cli.positional().size() < 2) {
+      std::fprintf(stderr, "usage: rapwam_trace %s TRACE ... (see source header)\n",
+                   cmd.c_str());
+      return 2;
+    }
     if (cmd == "record") return cmd_record(cli);
     if (cmd == "run") return cmd_run(cli);
     if (cmd == "stats") return cmd_stats(cli);
@@ -639,7 +601,7 @@ int main(int argc, char** argv) {
                  e.deadline_exceeded() ? "deadline_exceeded" : "cancelled",
                  e.what());
     return 1;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
