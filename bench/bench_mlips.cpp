@@ -1,15 +1,8 @@
 // Regenerates the paper's §3.3 back-of-the-envelope: the bus bandwidth
 // a 2-MLIPS shared-memory machine would need, computed from *measured*
 // instructions/inference, references/instruction and cache capture
-// rate instead of the paper's round numbers.
-//
-// Also archives the measured numbers — plus host-side engine
-// throughput (simulated instructions/sec and trace-generation
-// refs/sec through the chunked sink pipeline) and whether the
-// computed-goto interpreter core was selected — to BENCH_engine.json,
-// so the emulator's perf trajectory is tracked across PRs alongside
-// BENCH_cache.json. Same conventions as bench_micro_cache: written on
-// a bare invocation or with --json-out=PATH, suppressed by --no-json.
+// rate instead of the paper's round numbers. Host-speed numbers come
+// from pipebench (python3 pipebench/run.py --workload W --trace 1).
 //
 //   --scale small|paper   workload size (default paper)
 //   --profile-ops         dump the dynamic (op, next-op) pair ranking
@@ -19,137 +12,18 @@
 //   --fuse-smoke          run the four paper benchmarks at 1 PE with
 //                         fusion on and off, print the golden stats for
 //                         both, and exit non-zero if any differ (CI)
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "compiler/instr.h"
 #include "harness/reports.h"
 #include "harness/runner.h"
-#include "trace/chunks.h"
-
 #include "support/cli.h"
 
 namespace {
 
 using namespace rapwam;
-
-/// Host throughput of the emulator front end: best-of-3 qsort run at
-/// 8 PEs with a ChunkingSink attached (the generate-once pipeline).
-struct EngineRates {
-  double sim_instr_per_sec = 0;
-  double gen_refs_per_sec = 0;
-};
-
-/// One timed 1-PE measurement window of a benchmark with fusion forced
-/// on or off, no trace sink attached: the raw interpreter dispatch
-/// rate, which is what superinstruction fusion targets (docs/DESIGN.md
-/// §13). The window repeats the solve until >=100ms of solve time has
-/// accumulated — a single Paper-scale solve is a few ms, far too short
-/// to time on its own.
-double one_pe_window(Program& prog, const std::string& goal, bool fuse) {
-  MachineConfig cfg;
-  cfg.num_pes = 1;
-  cfg.sizes = bench_area_sizes();
-  cfg.fuse = fuse;
-  Machine m(prog, cfg);
-  u64 instr = 0;
-  double dt = 0;
-  while (dt < 0.1) {
-    auto t0 = std::chrono::steady_clock::now();
-    RunResult r = m.solve(goal);
-    dt += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-    instr += r.stats.instructions;
-  }
-  return static_cast<double>(instr) / dt;
-}
-
-/// Fused-vs-unfused dispatch rate on the 1-PE hot loop, measured on
-/// qsort — the same benchmark the 8-PE sim_instr_per_sec figure uses.
-/// Trials interleave the two sides (off, on, off, on, ...) so load
-/// drift on the host hits both equally; best-of-N per side.
-struct FusionRates {
-  double fused_instr_per_sec = 0;
-  double unfused_instr_per_sec = 0;
-  int best_of = 0;
-};
-
-FusionRates fusion_rates(BenchScale scale, int trials) {
-  BenchProgram bp = bench_program("qsort", scale);
-  Program prog;
-  prog.consult(bp.source);
-  const std::string goal = bp.goal + ".";
-  FusionRates out;
-  out.best_of = trials;
-  for (int t = 0; t < trials; ++t) {
-    out.unfused_instr_per_sec =
-        std::max(out.unfused_instr_per_sec, one_pe_window(prog, goal, false));
-    out.fused_instr_per_sec =
-        std::max(out.fused_instr_per_sec, one_pe_window(prog, goal, true));
-  }
-  return out;
-}
-
-EngineRates engine_rates(BenchScale scale) {
-  BenchProgram bp = bench_program("qsort", scale);
-  double best = 1e300;
-  u64 instr = 0, refs = 0;
-  for (int trial = 0; trial < 3; ++trial) {
-    ChunkingSink sink(/*busy_only=*/true);
-    auto t0 = std::chrono::steady_clock::now();
-    RunResult r = run_into(bp, 8, /*strip=*/false, &sink);
-    double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    best = std::min(best, dt);
-    instr = r.stats.instructions;
-    refs = sink.take()->counts().total;
-  }
-  EngineRates out;
-  out.sim_instr_per_sec = static_cast<double>(instr) / best;
-  out.gen_refs_per_sec = static_cast<double>(refs) / best;
-  return out;
-}
-
-void emit_json(const std::string& path, const ReportOptions& opt,
-               const MlipsNumbers& m, const FusionRates& fr) {
-  EngineRates er = engine_rates(opt.scale);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_mlips: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"engine_mlips\",\n");
-  std::fprintf(f, "  \"scale\": \"%s\",\n",
-               opt.scale == BenchScale::Small ? "small" : "paper");
-  std::fprintf(f, "  \"threaded_dispatch\": %s,\n",
-               threaded_dispatch_enabled() ? "true" : "false");
-  std::fprintf(f, "  \"instr_per_inference\": %.2f,\n", m.instr_per_inference);
-  std::fprintf(f, "  \"refs_per_instr\": %.2f,\n", m.refs_per_instr);
-  std::fprintf(f, "  \"bytes_per_inference\": %.1f,\n", m.bytes_per_inference);
-  std::fprintf(f, "  \"demand_mb_per_sec\": %.1f,\n", m.demand_mb_per_sec);
-  std::fprintf(f, "  \"traffic_ratio_8pe_1024w\": %.4f,\n", m.traffic_ratio);
-  std::fprintf(f, "  \"bus_mb_per_sec\": %.1f,\n", m.bus_mb_per_sec);
-  std::fprintf(f, "  \"sim_instr_per_sec\": %.0f,\n", er.sim_instr_per_sec);
-  std::fprintf(f, "  \"gen_refs_per_sec\": %.0f,\n", er.gen_refs_per_sec);
-  std::fprintf(f, "  \"fused_dispatch\": true,\n");
-  std::fprintf(f, "  \"fusion_bench\": \"qsort, 1 PE, no sink, best of %d\",\n",
-               fr.best_of);
-  std::fprintf(f, "  \"sim_instr_per_sec_1pe_unfused\": %.0f,\n",
-               fr.unfused_instr_per_sec);
-  std::fprintf(f, "  \"sim_instr_per_sec_1pe_fused\": %.0f,\n",
-               fr.fused_instr_per_sec);
-  std::fprintf(f, "  \"fusion_speedup_1pe\": %.3f\n}\n",
-               fr.fused_instr_per_sec / fr.unfused_instr_per_sec);
-  std::fclose(f);
-  std::printf("host engine: %.2f M simulated instr/s, %.2f M refs/s generated\n",
-              er.sim_instr_per_sec / 1e6, er.gen_refs_per_sec / 1e6);
-  std::printf("1-PE hot loop: %.2f M instr/s unfused, %.2f M instr/s fused "
-              "(%.3fx, best of %d)\n",
-              fr.unfused_instr_per_sec / 1e6, fr.fused_instr_per_sec / 1e6,
-              fr.fused_instr_per_sec / fr.unfused_instr_per_sec, fr.best_of);
-  std::printf("wrote %s\n", path.c_str());
-}
 
 /// Runs the four paper benchmarks at 1 PE with the pair profiler on
 /// (fusion off, so the ranking is over the raw opcode stream) and
@@ -243,20 +117,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cli.has("fuse-smoke")) return fuse_smoke(opt.scale);
-  bool bare = argc == 1;
-  bool want_json = !cli.has("no-json") && (bare || cli.has("json-out"));
-  // Superinstruction fusion only applies to single-PE machines
-  // (multi-PE interleaving must match the unfused trace, DESIGN.md
-  // §13), so its before/after is measured on the 1-PE hot loop: qsort,
-  // no trace sink, best-of-N wall time per side. Measured first, on a
-  // quiet process — the 8-PE generate-once library heats the host and
-  // compresses the ratio.
-  FusionRates fr;
-  if (want_json) fr = fusion_rates(opt.scale, /*trials=*/12);
-  rapwam::MlipsNumbers m = rapwam::mlips_numbers(opt);
-  std::fputs(rapwam::mlips_report(m).str().c_str(), stdout);
-  if (want_json) {
-    emit_json(cli.get("json-out", "BENCH_engine.json"), opt, m, fr);
-  }
+  std::fputs(rapwam::mlips_report(opt).str().c_str(), stdout);
   return 0;
 }

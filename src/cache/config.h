@@ -113,8 +113,9 @@ inline CacheConfig paper_cache_config(Protocol p, u32 size_words = 1024) {
 
 /// The standard hierarchy measurement point — the paper point plus a
 /// 4096-word 8-way shared L2 with a 2-cycle hit latency — shared by
-/// the golden corpus and bench_micro_cache so they keep describing the
-/// same configuration. Pair its hit_extra_cycles with a larger
+/// the golden corpus and pipebench's sweep workload (the L2 points and
+/// `cache.hier_refs_per_s.*`) so they keep describing the same
+/// configuration. Pair its hit_extra_cycles with a larger
 /// TimingParams::mem_extra_cycles when timing it, or the L2 would look
 /// slower than memory.
 inline CacheConfig paper_hier_config(

@@ -7,8 +7,8 @@
 // that
 //   * the differential test suite can replay randomized traces through
 //     both simulators and assert bit-identical TrafficStats, and
-//   * bench_micro_cache can report the directory speedup against the
-//     broadcast baseline on the same trace.
+//   * pipebench's sweep workload can check a seeded sample of its
+//     points against the broadcast baseline.
 // Keep its protocol logic in lockstep with docs/DESIGN.md §3; it is
 // deliberately not optimised.
 #pragma once

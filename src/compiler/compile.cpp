@@ -363,28 +363,6 @@ class ClauseCompiler {
   // keeps fresh integer results out of the heap entirely when the
   // target is a first-occurrence temporary.
 
-  static std::optional<MathFn> binary_math(const std::string& n) {
-    if (n == "+") return MathFn::Add;
-    if (n == "-") return MathFn::Sub;
-    if (n == "*") return MathFn::Mul;
-    if (n == "//" || n == "/") return MathFn::Div;
-    if (n == "mod") return MathFn::Mod;
-    if (n == "rem") return MathFn::Rem;
-    if (n == "min") return MathFn::Min;
-    if (n == "max") return MathFn::Max;
-    if (n == "/\\") return MathFn::And;
-    if (n == "\\/") return MathFn::Or;
-    if (n == "<<") return MathFn::Shl;
-    if (n == ">>") return MathFn::Shr;
-    return std::nullopt;
-  }
-  static std::optional<MathFn> unary_math(const std::string& n) {
-    if (n == "-") return MathFn::Neg;
-    if (n == "abs") return MathFn::Abs;
-    if (n == "+") return std::nullopt;  // handled as identity elsewhere
-    return std::nullopt;
-  }
-
   bool arith_supported(const Term* t) const {
     switch (t->tag) {
       case TermTag::Int:
@@ -396,7 +374,7 @@ class ClauseCompiler {
         const std::string& n = atoms_.name(t->name);
         if (t->arity() == 2 && binary_math(n))
           return arith_supported(t->args[0]) && arith_supported(t->args[1]);
-        if (t->arity() == 1 && (n == "-" || n == "abs" || n == "+"))
+        if (t->arity() == 1 && (n == "+" || unary_math(n)))
           return arith_supported(t->args[0]);
         return false;
       }
@@ -425,7 +403,7 @@ class ClauseCompiler {
           if (n == "+") return emit_arith(t->args[0]);
           int c = emit_arith(t->args[0]);
           int r = fresh_build_x();
-          MathFn fn = (n == "-") ? MathFn::Neg : MathFn::Abs;
+          MathFn fn = *unary_math(n);
           code_.emit({Op::MathRR, static_cast<i32>(fn), r, c, 0});
           return r;
         }

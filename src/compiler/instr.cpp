@@ -105,6 +105,28 @@ const char* op_name(Op op) {
   return "?";
 }
 
+std::optional<MathFn> binary_math(const std::string& n) {
+  if (n == "+") return MathFn::Add;
+  if (n == "-") return MathFn::Sub;
+  if (n == "*") return MathFn::Mul;
+  if (n == "//" || n == "/") return MathFn::Div;
+  if (n == "mod") return MathFn::Mod;
+  if (n == "rem") return MathFn::Rem;
+  if (n == "min") return MathFn::Min;
+  if (n == "max") return MathFn::Max;
+  if (n == "/\\") return MathFn::And;
+  if (n == "\\/") return MathFn::Or;
+  if (n == "<<") return MathFn::Shl;
+  if (n == ">>") return MathFn::Shr;
+  return std::nullopt;
+}
+
+std::optional<MathFn> unary_math(const std::string& n) {
+  if (n == "-") return MathFn::Neg;
+  if (n == "abs") return MathFn::Abs;
+  return std::nullopt;
+}
+
 const char* builtin_name(BuiltinId b) {
   switch (b) {
     case BuiltinId::Unify: return "=";

@@ -12,6 +12,7 @@
 // `imm` carries 64-bit integer immediates and the fourth switch target.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,10 +158,15 @@ enum class BuiltinId : u8 {
   kCount
 };
 
-/// Arithmetic functions for MathRR/MathRI.
+/// Arithmetic functions for MathRR/MathRI. Machine::math_apply is
+/// their one definition, for compiled and interpreted arithmetic alike.
 enum class MathFn : u8 {
   Add, Sub, Mul, Div, Mod, Rem, Min, Max, And, Or, Shl, Shr, Neg, Abs
 };
+/// The evaluable functor `name`/2 or `name`/1, if there is one. Unary
+/// `+` is the identity and has no MathFn; callers handle it.
+std::optional<MathFn> binary_math(const std::string& name);
+std::optional<MathFn> unary_math(const std::string& name);
 /// Comparison kinds for MathCmp.
 enum class CmpFn : u8 { Lt, Gt, Le, Ge, Eq, Ne };
 

@@ -15,7 +15,7 @@ enum class Tag : u8 {
   Str,      ///< payload = address of functor cell
   Lis,      ///< payload = address of 2-cell [head, tail] pair
   Con,      ///< constant atom; payload = atom id
-  Int,      ///< 56-bit signed integer
+  Int,      ///< 56-bit signed integer in [kIntMin, kIntMax]
   Fun,      ///< functor cell; payload = (atom id << 16) | arity
   Raw,      ///< untyped machine word (control fields, counters, locks)
 };
@@ -43,6 +43,8 @@ constexpr i64 int_val(u64 c) {
   u64 v = cell_val(c);
   return static_cast<i64>(v << 8) >> 8;
 }
+static_assert(int_val(make_int(kIntMin)) == kIntMin &&
+              int_val(make_int(kIntMax)) == kIntMax);
 
 constexpr u32 fun_name(u64 c) { return static_cast<u32>(cell_val(c) >> 16); }
 constexpr u32 fun_arity(u64 c) { return static_cast<u32>(cell_val(c) & 0xFFFF); }

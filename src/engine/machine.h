@@ -44,7 +44,8 @@ bool threaded_dispatch_enabled();
 /// Per-query resource budgets (0 = uncapped). Area caps lower the
 /// per-PE area limits cached at reset time, so enforcement adds
 /// nothing to the hot path; the step budget is checked once per
-/// virtual cycle (overshoot bounded by num_pes instructions).
+/// virtual cycle (overshoot bounded by num_pes instructions), and
+/// against the pop count of a single unification every 1024 pops.
 /// Tripping any budget throws ResourceExhaustedError naming the
 /// budget that fired; the machine stays reusable — the next solve
 /// resets all per-run state.
@@ -75,7 +76,9 @@ struct EngineFaults {
 struct MachineConfig {
   unsigned num_pes = 1;
   AreaSizes sizes{};
-  u64 max_cycles = 2'000'000'000;  ///< watchdog against runaway queries
+  /// Watchdog against runaway queries: caps the virtual cycles of a
+  /// run, and the PDL pops of any one unification.
+  u64 max_cycles = 2'000'000'000;
   unsigned max_solutions = 1;
   ResourceLimits limits{};         ///< resource budgets (0 = uncapped)
   EngineFaults faults{};           ///< engine-side fault injection
@@ -170,9 +173,10 @@ class Machine {
   /// and statistics. An optional sink receives the reference stream.
   /// A non-null `cancel` token is checkpointed inside the cycle loop
   /// (every 1024 cycles, covering call/backtrack/parcall boundaries in
-  /// both dispatch cores), so a deadline or explicit cancel interrupts
-  /// the run mid-generation with CancelledError; the machine stays
-  /// reusable afterwards.
+  /// both dispatch cores) and inside unification (every 1024 PDL
+  /// pops), so a deadline or explicit cancel interrupts the run
+  /// mid-generation with CancelledError; the machine stays reusable
+  /// afterwards.
   RunResult solve(const std::string& goal_text, TraceSink* sink = nullptr,
                   const CancelToken* cancel = nullptr);
   RunResult solve_term(const Term* goal, TraceSink* sink = nullptr,
@@ -258,6 +262,7 @@ class Machine {
   void untrail_to(Worker& w, u64 target_tr);
   void untrail_range(Worker& w, u8 payer, u64 from, u64 to);
   bool unify(Worker& w, u64 c1, u64 c2);              // unify.cpp
+  void unify_checkpoint(u64 pops);                    // every 1024 PDL pops
   bool ground_cell(Worker& w, u64 cell);              // builtin.cpp helpers
   bool indep_cells(Worker& w, u64 a, u64 b);
   bool struct_eq(Worker& w, u64 a, u64 b);

@@ -269,7 +269,7 @@ TextTable table3_report(const ReportOptions& opt) {
   return t;
 }
 
-MlipsNumbers mlips_numbers(const ReportOptions& opt) {
+TextTable mlips_report(const ReportOptions& opt) {
   // Aggregate instruction/reference ratios over the four benchmarks;
   // every trace comes from the generate-once library (one emulator run
   // per benchmark in the whole process, shared with Figure 4 etc).
@@ -284,40 +284,29 @@ MlipsNumbers mlips_numbers(const ReportOptions& opt) {
     if (n == "qsort") trace8 = g;  // one trace for the capture rate
   }
 
-  MlipsNumbers out;
-  out.instr_per_inference = instr / calls;
-  out.refs_per_instr = refs / instr;
-  out.traffic_ratio =
+  const double instr_per_inference = instr / calls;
+  const double refs_per_instr = refs / instr;
+  const double traffic_ratio =
       replay_traffic(paper_cache_config(Protocol::WriteInBroadcast), 8,
                      *trace8->trace)
           .traffic_ratio();
-
   const double mlips = 2e6;
-  out.bytes_per_inference = out.instr_per_inference * out.refs_per_instr * 4.0;
-  double demand = mlips * out.bytes_per_inference;  // bytes/sec at 2 MLIPS
-  out.demand_mb_per_sec = demand / 1e6;
-  out.bus_mb_per_sec = demand * out.traffic_ratio / 1e6;
-  return out;
-}
+  const double bytes_per_inference = instr_per_inference * refs_per_instr * 4.0;
+  const double demand = mlips * bytes_per_inference;  // bytes/sec at 2 MLIPS
 
-TextTable mlips_report(const ReportOptions& opt) {
-  return mlips_report(mlips_numbers(opt));
-}
-
-TextTable mlips_report(const MlipsNumbers& m) {
   TextTable t("Section 3.3: 2-MLIPS back-of-the-envelope, from measured numbers");
   t.header({"quantity", "value"});
-  t.row({"instructions / inference (paper: ~15)", fmt(m.instr_per_inference, 2)});
-  t.row({"references / instruction (paper: ~3)", fmt(m.refs_per_instr, 2)});
-  t.row({"bytes / inference (paper: ~180)", fmt(m.bytes_per_inference, 1)});
+  t.row({"instructions / inference (paper: ~15)", fmt(instr_per_inference, 2)});
+  t.row({"references / instruction (paper: ~3)", fmt(refs_per_instr, 2)});
+  t.row({"bytes / inference (paper: ~180)", fmt(bytes_per_inference, 1)});
   t.row({"demand bandwidth @2 MLIPS (paper: 360 MB/s)",
-         fmt(m.demand_mb_per_sec, 1) + " MB/s"});
+         fmt(demand / 1e6, 1) + " MB/s"});
   t.row({"traffic ratio, 8PE 1024w write-in bcast (paper: <0.3)",
-         fmt(m.traffic_ratio, 3)});
+         fmt(traffic_ratio, 3)});
   t.row({"traffic captured by caches (paper: >70%)",
-         fmt_pct(1.0 - m.traffic_ratio, 1)});
+         fmt_pct(1.0 - traffic_ratio, 1)});
   t.row({"required bus bandwidth (paper: ~108 MB/s)",
-         fmt(m.bus_mb_per_sec, 1) + " MB/s"});
+         fmt(demand * traffic_ratio / 1e6, 1) + " MB/s"});
   return t;
 }
 

@@ -65,24 +65,9 @@ TextTable l2_report(const ReportOptions& opt);
 /// (copyback traffic ratios at 512/1024 words; z-scores).
 TextTable table3_report(const ReportOptions& opt);
 
-/// The measured quantities behind mlips_report, exposed so the bench
-/// binary can archive them alongside host-side engine throughput
-/// (BENCH_engine.json).
-struct MlipsNumbers {
-  double instr_per_inference = 0;
-  double refs_per_instr = 0;
-  double bytes_per_inference = 0;
-  double demand_mb_per_sec = 0;  ///< bytes demanded per second at 2 MLIPS
-  double traffic_ratio = 0;      ///< 8 PE, 1024-word write-in broadcast
-  double bus_mb_per_sec = 0;     ///< demand bandwidth after cache capture
-};
-MlipsNumbers mlips_numbers(const ReportOptions& opt);
-
 /// §3.3: the 2-MLIPS bandwidth estimate recomputed from measured
-/// instruction/reference/traffic numbers. The MlipsNumbers overload
-/// lets a caller that also archives the numbers measure them once.
+/// instruction/reference/traffic numbers.
 TextTable mlips_report(const ReportOptions& opt);
-TextTable mlips_report(const MlipsNumbers& m);
 
 /// Timed replay vs. the analytic M/D/1 model: for each of the four
 /// paper benchmarks, measured speedup / efficiency / bus utilization

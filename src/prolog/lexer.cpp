@@ -91,7 +91,11 @@ Token Lexer::next() {
   if (std::isdigit(static_cast<unsigned char>(c))) {
     i64 v = 0;
     while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-      v = v * 10 + (advance() - '0');
+      i64 d = peek() - '0';
+      if (v > (kIntMax - d) / 10)
+        err("integer literal out of range (above " + std::to_string(kIntMax) + ")");
+      v = v * 10 + d;
+      advance();
     }
     if (!eof() && (is_alnum_(peek()))) err("bad number suffix");
     t.kind = TokKind::Int;

@@ -19,6 +19,12 @@ using u64 = std::uint64_t;
 using i32 = std::int32_t;
 using i64 = std::int64_t;
 
+/// Range of a Prolog integer: the 56-bit signed payload of an Int cell
+/// (engine/cell.h). The lexer rejects literals above kIntMax, and
+/// arithmetic rejects results outside [kIntMin, kIntMax].
+inline constexpr i64 kIntMin = -(i64(1) << 55);
+inline constexpr i64 kIntMax = (i64(1) << 55) - 1;
+
 /// Error thrown for user-visible failures: syntax errors, compile
 /// errors, engine resource exhaustion, bad CLI arguments.
 class Error : public std::runtime_error {

@@ -177,6 +177,74 @@ TEST(CompiledArith, FallbackForUnknownFunctor) {
   EXPECT_TRUE(saw_builtin);
 }
 
+/// Runs `goal` expecting a structured Error whose text contains `what`.
+void expect_error(Env& e, const std::string& goal, const std::string& what) {
+  SCOPED_TRACE(goal);
+  try {
+    e.run(goal);
+    FAIL() << "expected \"" << what << "\"";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find(what), std::string::npos) << err.what();
+  }
+}
+
+TEST(ArithRange, ShiftCountOutsideZeroTo63IsAnError) {
+  // Compiled (MathRI) and runtime (eval_arith) paths: 1 << 70 used to
+  // shift an i64 by 70 (UB) and answer 64.
+  Env e("t.");
+  const std::string msg = "arithmetic: shift count out of range";
+  expect_error(e, "X is 1 << 70.", msg);
+  expect_error(e, "E = 1 << 70, X is E.", msg);
+  expect_error(e, "X is 1 >> -1.", msg);
+  expect_error(e, "E = 1 >> 64, X is E.", msg);
+  EXPECT_EQ(binding(e.run("X is 1 << 54."), "X"), "18014398509481984");
+  EXPECT_EQ(binding(e.run("E = -1 >> 63, X is E."), "X"), "-1");
+}
+
+TEST(ArithRange, ResultsOutsideTheCellAreOverflowErrors) {
+  // kIntMax + 1 used to wrap silently to kIntMin.
+  Env e("t.");
+  const std::string msg = "arithmetic: integer overflow";
+  expect_error(e, "X is 36028797018963967 + 1.", msg);
+  expect_error(e, "E = 36028797018963967 + 1, X is E.", msg);
+  expect_error(e, "X is -36028797018963967 - 2.", msg);
+  expect_error(e, "X is 1 << 55.", msg);
+  expect_error(e, "E = -1 << 56, X is E.", msg);
+  EXPECT_EQ(binding(e.run("X is -36028797018963967 - 1."), "X"),
+            std::to_string(kIntMin));
+  EXPECT_EQ(binding(e.run("X is 36028797018963966 + 1."), "X"),
+            std::to_string(kIntMax));
+}
+
+TEST(ArithRange, MultiplyNegateAndAbsAtTheBounds) {
+  Env e("t.");
+  const std::string msg = "arithmetic: integer overflow";
+  // `*`: compiled with an immediate, compiled register-register, and
+  // runtime; the last overflows i64 itself, not just the cell.
+  expect_error(e, "X is 18014398509481984 * 2.", msg);
+  expect_error(e, "A = 18014398509481984, B = 2, X is A * B.", msg);
+  expect_error(e, "E = 36028797018963967 * 36028797018963967, X is E.", msg);
+  EXPECT_EQ(binding(e.run("X is -18014398509481984 * 2."), "X"),
+            std::to_string(kIntMin));
+  EXPECT_EQ(binding(e.run("E = 36028797018963967 * -1, X is E."), "X"),
+            std::to_string(-kIntMax));
+  // Unary `-` and abs of kIntMin have no 56-bit answer.
+  expect_error(e, "X is -(-36028797018963967 - 1).", msg);
+  expect_error(e, "E = -(-36028797018963967 - 1), X is E.", msg);
+  expect_error(e, "X is abs(-36028797018963967 - 1).", msg);
+  expect_error(e, "E = abs(-36028797018963967 - 1), X is E.", msg);
+  EXPECT_EQ(binding(e.run("X is abs(-36028797018963967)."), "X"),
+            std::to_string(kIntMax));
+  EXPECT_EQ(binding(e.run("E = -(36028797018963967), X is E."), "X"),
+            std::to_string(-kIntMax));
+}
+
+TEST(ArithRange, QueryLiteralPastTheCellIsRejected) {
+  // Used to answer X = -1: the literal fits i64 but not the Int cell.
+  Env e("t.");
+  expect_error(e, "X = 1152921504606846975.", "integer literal out of range");
+}
+
 TEST(InterpretedArith, EvalAgreesWithCompiled) {
   // Force the interpreted path via meta-arithmetic and compare.
   Env e("both(E, C, I) :- C is E, X = E, I is X.");

@@ -218,6 +218,65 @@ TEST(EngineLimits, DeadlineCancelsMidRunAndMachineStaysReusable) {
   EXPECT_TRUE(r.success);
 }
 
+// Two cyclic terms unified with each other: each PDL pop re-pushes the
+// same pair, so the PDL never overflows and the loop never leaves one
+// instruction. The unification itself must check the deadline and the
+// budgets; each of these tests finishes well within 2 s.
+constexpr const char* kCyclicUnify = "X = f(X), Y = f(Y), X = Y.";
+
+long long elapsed_ms(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(EngineLimits, DeadlineStopsCyclicUnification) {
+  Program prog;
+  prog.consult("t.");
+  Machine m(prog, base_config(1));
+  auto t0 = std::chrono::steady_clock::now();
+  CancelToken token = CancelToken::with_deadline(std::chrono::milliseconds(100));
+  try {
+    m.solve(kCyclicUnify, nullptr, &token);
+    FAIL() << "expected the deadline to cancel the unification";
+  } catch (const CancelledError& e) {
+    EXPECT_TRUE(e.deadline_exceeded()) << e.what();
+  }
+  EXPECT_LT(elapsed_ms(t0), 2000) << "cancellation was not prompt";
+  EXPECT_TRUE(m.solve("X = f(a), X = f(Y).").success);  // still reusable
+}
+
+TEST(EngineLimits, StepBudgetStopsCyclicUnification) {
+  Program prog;
+  prog.consult("t.");
+  MachineConfig cfg = base_config(1);
+  cfg.limits.max_steps = 1000;
+  Machine m(prog, cfg);
+  auto t0 = std::chrono::steady_clock::now();
+  expect_budget_trip(m, kCyclicUnify, "steps");
+  EXPECT_LT(elapsed_ms(t0), 2000);
+}
+
+TEST(EngineLimits, CycleWatchdogStopsCyclicUnification) {
+  Program prog;
+  prog.consult("t.");
+  MachineConfig cfg = base_config(1);
+  cfg.max_cycles = 1000;
+  Machine m(prog, cfg);
+  auto t0 = std::chrono::steady_clock::now();
+  try {
+    m.solve(kCyclicUnify);
+    FAIL() << "expected the cycle watchdog to fire";
+  } catch (const ResourceExhaustedError& e) {
+    FAIL() << "the watchdog is not a resource budget: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cycle watchdog exceeded (1000)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(elapsed_ms(t0), 2000);
+}
+
 TEST(EngineLimits, ExplicitCancelIsDistinguishedFromDeadline) {
   Program prog;
   prog.consult(bench_program("qsort", BenchScale::Small).source + kRunaway);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "prolog/lexer.h"
+#include "prolog/program.h"
 
 namespace rapwam {
 namespace {
@@ -100,6 +101,39 @@ TEST(Lexer, ErrorsCarryLineInfo) {
     FAIL() << "expected syntax error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+}
+
+TEST(Lexer, IntegerLiteralPastTheCellIsAStructuredError) {
+  auto t = lex("36028797018963967.");
+  EXPECT_EQ(t[0].kind, TokKind::Int);
+  EXPECT_EQ(t[0].value, kIntMax);
+  // One past the 56-bit Int cell, a literal that fits i64 but used to
+  // wrap in the cell (to -1), and one that overflowed i64 itself
+  // (signed-overflow UB that read back as 32616936441318098).
+  for (const char* lit : {"36028797018963968", "1152921504606846975",
+                          "123456789012345678901234567890"}) {
+    SCOPED_TRACE(lit);
+    try {
+      lex(std::string("a.\nX = ") + lit + ".");
+      FAIL() << "expected an out-of-range literal error";
+    } catch (const Error& e) {
+      std::string msg = e.what();
+      EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("integer literal out of range"), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(Lexer, ConsultRejectsOutOfRangeLiteral) {
+  Program p;
+  try {
+    p.consult("small(36028797018963967).\nbig(1152921504606846975).\n");
+    FAIL() << "expected the consult to reject the literal";
+  } catch (const Error& e) {
+    std::string msg = e.what();
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("integer literal out of range"), std::string::npos) << msg;
   }
 }
 

@@ -26,14 +26,21 @@
 namespace rapwam {
 namespace {
 
-std::unique_ptr<CodeStore> compile_bench(const std::string& name, bool fuse,
-                                         BenchScale scale = BenchScale::Small) {
-  BenchProgram bp = bench_program(name, scale);
+/// A compiled benchmark. The store's Interner& points into `prog`, so
+/// `prog` is declared first and outlives `code`.
+struct CompiledBench {
   Program prog;
-  prog.consult(bp.source);
+  std::unique_ptr<CodeStore> code;
+};
+
+CompiledBench compile_bench(const std::string& name, bool fuse,
+                            BenchScale scale = BenchScale::Small) {
+  CompiledBench out;
+  out.prog.consult(bench_program(name, scale).source);
   CompileOptions opts;
   opts.fuse = fuse;
-  return compile_program(prog, opts);
+  out.code = compile_program(out.prog, opts);
+  return out;
 }
 
 /// Runs the verifier expecting a rejection whose message carries the
@@ -295,7 +302,7 @@ TEST(VerifierCorpus, AcceptsCompiledPaperBenchmarks) {
   for (const char* name : {"qsort", "deriv", "matrix", "tak"}) {
     for (bool fuse : {false, true}) {
       SCOPED_TRACE(std::string(name) + (fuse ? "/fused" : "/plain"));
-      auto code = compile_bench(name, fuse);
+      auto [prog, code] = compile_bench(name, fuse);
       EXPECT_NO_THROW(verify_code(*code));
     }
   }
@@ -316,7 +323,7 @@ TEST(VerifierCorpus, AcceptsPaperScaleAndStrippedCompilation) {
 TEST(VerifierCorpus, AcceptsFusePassAppliedDirectly) {
   // The differential path tests run fuse_code on stores compiled with
   // fusion off; that combination must stay verifiable too.
-  auto code = compile_bench("deriv", /*fuse=*/false);
+  auto [prog, code] = compile_bench("deriv", /*fuse=*/false);
   fuse_code(*code);
   EXPECT_NO_THROW(verify_code(*code));
 }
@@ -333,7 +340,7 @@ std::vector<Instr> snapshot(const CodeStore& code) {
 }
 
 TEST(VerifierFuzz, TruncatedStoresAlwaysRejected) {
-  auto code = compile_bench("qsort", /*fuse=*/true);
+  auto [prog, code] = compile_bench("qsort", /*fuse=*/true);
   const std::vector<Instr> full = snapshot(*code);
   // Any cut at or below the highest proc entry leaves that entry
   // dangling, so every such truncation is guaranteed-invalid.
@@ -353,7 +360,7 @@ TEST(VerifierFuzz, TruncatedStoresAlwaysRejected) {
 }
 
 TEST(VerifierFuzz, ForgedOpcodeBytesAlwaysRejected) {
-  auto code = compile_bench("deriv", /*fuse=*/true);
+  auto [prog, code] = compile_bench("deriv", /*fuse=*/true);
   const std::vector<Instr> full = snapshot(*code);
   Lcg rng(0xBADC0DEu);
   for (int i = 0; i < 64; ++i) {
@@ -369,7 +376,7 @@ TEST(VerifierFuzz, ForgedOpcodeBytesAlwaysRejected) {
 TEST(VerifierFuzz, ForgedOperandOverflowsAlwaysRejected) {
   // Walk a real fused program and, per opcode, plant an operand the
   // rule table guarantees is invalid. Every plant must reject.
-  auto code = compile_bench("qsort", /*fuse=*/true);
+  auto [prog, code] = compile_bench("qsort", /*fuse=*/true);
   const std::vector<Instr> full = snapshot(*code);
   int planted = 0;
   for (i32 at = 3; at < code->size(); ++at) {
@@ -439,7 +446,7 @@ TEST(VerifierFuzz, RandomBitFlipsRejectStructuredOrPassClean) {
   // Arbitrary single-bit corruption: the verifier must either throw a
   // structured "verify:" Error or accept the store — never crash or
   // index out of bounds itself (the ASan shard enforces the latter).
-  auto code = compile_bench("matrix", /*fuse=*/true);
+  auto [prog, code] = compile_bench("matrix", /*fuse=*/true);
   const std::vector<Instr> full = snapshot(*code);
   Lcg rng(0xF11BB5EEu);
   int rejected = 0;
