@@ -19,7 +19,7 @@ using namespace rapwam;
 
 namespace {
 
-TrafficStats simulate(const std::vector<u64>& trace, Protocol p, u32 size,
+TrafficStats simulate(const ChunkedTrace& trace, Protocol p, u32 size,
                       u32 line, bool walloc, unsigned pes, u32 ways = 0) {
   CacheConfig cfg;
   cfg.protocol = p;
@@ -40,14 +40,15 @@ int main(int argc, char** argv) {
                                                           : BenchScale::Paper;
 
   BenchProgram qs = bench_program("qsort", scale);
-  BenchRun run8 = run_parallel(qs, 8, /*want_trace=*/true);
-  const std::vector<u64>& trace = run8.trace->packed();
+  ChunkingSink sink;
+  run_into(qs, 8, /*strip=*/false, &sink);
+  const std::shared_ptr<const ChunkedTrace> trace = sink.take();
 
   {
     TextTable t("Ablation A: line size (qsort, 8 PEs, write-in broadcast, 1024 words)");
     t.header({"line words", "traffic ratio", "miss ratio"});
     for (u32 line : {1u, 2u, 4u, 8u, 16u}) {
-      TrafficStats s = simulate(trace, Protocol::WriteInBroadcast, 1024, line,
+      TrafficStats s = simulate(*trace, Protocol::WriteInBroadcast, 1024, line,
                                 /*walloc=*/true, 8);
       t.row({std::to_string(line), fmt(s.traffic_ratio(), 4), fmt(s.miss_ratio(), 4)});
     }
@@ -59,8 +60,8 @@ int main(int argc, char** argv) {
     TextTable t("Ablation B: write-allocate policy (qsort, 8 PEs, write-in broadcast)");
     t.header({"cache words", "allocate", "no-allocate", "paper picks"});
     for (u32 sz : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
-      TrafficStats a = simulate(trace, Protocol::WriteInBroadcast, sz, 4, true, 8);
-      TrafficStats n = simulate(trace, Protocol::WriteInBroadcast, sz, 4, false, 8);
+      TrafficStats a = simulate(*trace, Protocol::WriteInBroadcast, sz, 4, true, 8);
+      TrafficStats n = simulate(*trace, Protocol::WriteInBroadcast, sz, 4, false, 8);
       t.row({std::to_string(sz), fmt(a.traffic_ratio(), 4), fmt(n.traffic_ratio(), 4),
              paper_write_allocate(Protocol::WriteInBroadcast, sz) ? "allocate"
                                                                   : "no-allocate"});
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
     for (Protocol p : {Protocol::Copyback, Protocol::WriteInBroadcast,
                        Protocol::WriteThroughBroadcast, Protocol::Hybrid,
                        Protocol::WriteThrough}) {
-      TrafficStats s = simulate(trace, p, 1024, 4,
+      TrafficStats s = simulate(*trace, p, 1024, 4,
                                 paper_write_allocate(p, 1024), 8);
       t.row({protocol_name(p), fmt(s.traffic_ratio(), 4), std::to_string(s.bus_words)});
     }
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
     TextTable t("Ablation E: associativity (qsort, 8 PEs, write-in broadcast, 1024 words)");
     t.header({"ways", "traffic ratio", "miss ratio"});
     for (u32 ways : {1u, 2u, 4u, 8u, 0u}) {
-      TrafficStats s = simulate(trace, Protocol::WriteInBroadcast, 1024, 4,
+      TrafficStats s = simulate(*trace, Protocol::WriteInBroadcast, 1024, 4,
                                 /*walloc=*/true, 8, ways);
       t.row({ways == 0 ? "full (paper)" : std::to_string(ways),
              fmt(s.traffic_ratio(), 4), fmt(s.miss_ratio(), 4)});
@@ -100,11 +101,9 @@ int main(int argc, char** argv) {
   {
     TextTable t("Ablation D: scheduling balance (qsort)");
     t.header({"PEs", "cycles", "speedup", "goals stolen", "goals local", "kills"});
-    BenchRun base = run_parallel(qs, 1, false);
-    double c1 = static_cast<double>(base.result.stats.cycles);
+    double c1 = static_cast<double>(run_parallel(qs, 1).stats.cycles);
     for (unsigned pes : {1u, 2u, 4u, 8u, 16u}) {
-      BenchRun r = run_parallel(qs, pes, false);
-      const RunStats& s = r.result.stats;
+      const RunStats s = run_parallel(qs, pes).stats;
       t.row({std::to_string(pes), std::to_string(s.cycles),
              fmt(c1 / static_cast<double>(s.cycles), 2),
              std::to_string(s.goals_stolen), std::to_string(s.goals_local),

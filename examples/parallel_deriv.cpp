@@ -20,18 +20,17 @@ int main(int argc, char** argv) {
   std::string src = bench_program("deriv", BenchScale::Small).source;
   BenchProgram bp{"deriv", src, "d(" + gen_deriv_expr(nodes, 42) + ",x,D)"};
 
-  BenchRun wam = run_wam(bp, false);
-  double wam_work = static_cast<double>(wam.result.stats.work_refs());
-  double wam_cycles = static_cast<double>(wam.result.stats.cycles);
+  RunResult wam = run_wam(bp);
+  double wam_work = static_cast<double>(wam.stats.work_refs());
+  double wam_cycles = static_cast<double>(wam.stats.cycles);
   std::printf("deriv over %d operators; plain WAM: %llu work refs, %llu cycles\n\n",
-              nodes, static_cast<unsigned long long>(wam.result.stats.work_refs()),
-              static_cast<unsigned long long>(wam.result.stats.cycles));
+              nodes, static_cast<unsigned long long>(wam.stats.work_refs()),
+              static_cast<unsigned long long>(wam.stats.cycles));
 
   TextTable t;
   t.header({"PEs", "work (% of WAM)", "speedup", "goals stolen"});
   for (unsigned pes = 1; pes <= max_pes; pes *= 2) {
-    BenchRun r = run_parallel(bp, pes, false);
-    const RunStats& s = r.result.stats;
+    const RunStats s = run_parallel(bp, pes).stats;
     t.row({std::to_string(pes),
            fmt_pct(static_cast<double>(s.work_refs()) / wam_work, 1),
            fmt(wam_cycles / static_cast<double>(s.cycles), 2),

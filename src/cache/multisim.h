@@ -32,7 +32,6 @@
 #include "cache/peset.h"
 #include "support/flat_table.h"
 #include "trace/chunks.h"
-#include "trace/tracebuf.h"
 
 namespace rapwam {
 

@@ -8,14 +8,22 @@ namespace rapwam {
 
 using namespace frames;
 
-bool Machine::ground_cell(Worker& w, u64 cell) {
+/// Visits the unbound variables of the term at `cell`, calling
+/// `on_var(address)` for each until it returns false (then returns
+/// false). Cells are read in the order ground/1, indep/2 and the
+/// compiled CGE checks have always read them: an explicit stack, list
+/// head before tail and arguments in order when pushed.
+template <typename OnVar>
+bool Machine::each_var(Worker& w, u64 cell, OnVar on_var) {
   std::vector<u64> stack{cell};
-  while (!stack.empty()) {
+  for (u64 steps = 1; !stack.empty(); ++steps) {
+    if ((steps & 1023) == 0) [[unlikely]] walk_checkpoint(steps);
     u64 c = deref(w, stack.back());
     stack.pop_back();
     switch (cell_tag(c)) {
       case Tag::Ref:
-        return false;
+        if (!on_var(cell_val(c))) return false;
+        break;
       case Tag::Lis: {
         u64 p = cell_val(c);
         stack.push_back(rd(w, p, ObjClass::HeapTerm));
@@ -34,97 +42,66 @@ bool Machine::ground_cell(Worker& w, u64 cell) {
     }
   }
   return true;
+}
+
+bool Machine::ground_cell(Worker& w, u64 cell) {
+  return each_var(w, cell, [](u64) { return false; });
 }
 
 bool Machine::indep_cells(Worker& w, u64 a, u64 b) {
   // indep(A, B): A and B share no unbound variable.
   std::unordered_set<u64> va;
-  std::vector<u64> stack{a};
-  while (!stack.empty()) {
-    u64 c = deref(w, stack.back());
-    stack.pop_back();
-    switch (cell_tag(c)) {
-      case Tag::Ref:
-        va.insert(cell_val(c));
-        break;
-      case Tag::Lis: {
-        u64 p = cell_val(c);
-        stack.push_back(rd(w, p, ObjClass::HeapTerm));
-        stack.push_back(rd(w, p + 1, ObjClass::HeapTerm));
-        break;
-      }
-      case Tag::Str: {
-        u64 p = cell_val(c);
-        u64 f = rd(w, p, ObjClass::HeapTerm);
-        for (u32 i = 1; i <= fun_arity(f); ++i)
-          stack.push_back(rd(w, p + i, ObjClass::HeapTerm));
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  if (va.empty()) return true;
-  stack.push_back(b);
-  while (!stack.empty()) {
-    u64 c = deref(w, stack.back());
-    stack.pop_back();
-    switch (cell_tag(c)) {
-      case Tag::Ref:
-        if (va.count(cell_val(c))) return false;
-        break;
-      case Tag::Lis: {
-        u64 p = cell_val(c);
-        stack.push_back(rd(w, p, ObjClass::HeapTerm));
-        stack.push_back(rd(w, p + 1, ObjClass::HeapTerm));
-        break;
-      }
-      case Tag::Str: {
-        u64 p = cell_val(c);
-        u64 f = rd(w, p, ObjClass::HeapTerm);
-        for (u32 i = 1; i <= fun_arity(f); ++i)
-          stack.push_back(rd(w, p + i, ObjClass::HeapTerm));
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return true;
+  each_var(w, a, [&](u64 v) {
+    va.insert(v);
+    return true;
+  });
+  return va.empty() || each_var(w, b, [&](u64 v) { return va.count(v) == 0; });
 }
 
+// struct_eq and term_compare walk depth first, left to right, with the
+// reads and early exits of the recursive definitions, but on a stack of
+// ArgRuns: deep lists and cyclic terms cannot overflow the C++ stack,
+// and a cyclic walk stops at a walk checkpoint. Each argument pair is
+// read b's word first, the order GCC gave the recursive calls'
+// arguments, so traces are unchanged.
+namespace {
+struct ArgRun { u64 a, b; u32 left; };  ///< `left` pairs at `a`, `b` to go
+}  // namespace
+
 bool Machine::struct_eq(Worker& w, u64 a, u64 b) {
-  a = deref(w, a);
-  b = deref(w, b);
-  if (a == b) return true;
-  if (cell_tag(a) != cell_tag(b)) return false;
-  switch (cell_tag(a)) {
-    case Tag::Lis: {
+  std::vector<ArgRun> todo;
+  for (u64 steps = 1;; ++steps) {
+    if ((steps & 1023) == 0) [[unlikely]] walk_checkpoint(steps);
+    a = deref(w, a);
+    b = deref(w, b);
+    if (a != b) {
+      if (cell_tag(a) != cell_tag(b)) return false;
       u64 pa = cell_val(a), pb = cell_val(b);
-      return struct_eq(w, rd(w, pa, ObjClass::HeapTerm), rd(w, pb, ObjClass::HeapTerm)) &&
-             struct_eq(w, rd(w, pa + 1, ObjClass::HeapTerm),
-                       rd(w, pb + 1, ObjClass::HeapTerm));
+      switch (cell_tag(a)) {
+        case Tag::Lis:
+          todo.push_back({pa, pb, 2});
+          break;
+        case Tag::Str: {
+          u64 fa = rd(w, pa, ObjClass::HeapTerm);
+          if (fa != rd(w, pb, ObjClass::HeapTerm)) return false;
+          if (fun_arity(fa) != 0) todo.push_back({pa + 1, pb + 1, fun_arity(fa)});
+          break;
+        }
+        default:
+          return false;  // unequal Con/Int cells, or distinct unbound vars
+      }
     }
-    case Tag::Str: {
-      u64 pa = cell_val(a), pb = cell_val(b);
-      u64 fa = rd(w, pa, ObjClass::HeapTerm);
-      if (fa != rd(w, pb, ObjClass::HeapTerm)) return false;
-      for (u32 i = 1; i <= fun_arity(fa); ++i)
-        if (!struct_eq(w, rd(w, pa + i, ObjClass::HeapTerm),
-                       rd(w, pb + i, ObjClass::HeapTerm)))
-          return false;
-      return true;
-    }
-    default:
-      return false;  // unequal Con/Int cells, or distinct unbound vars
+    if (todo.empty()) return true;
+    ArgRun& next = todo.back();
+    b = rd(w, next.b++, ObjClass::HeapTerm);
+    a = rd(w, next.a++, ObjClass::HeapTerm);
+    if (--next.left == 0) todo.pop_back();
   }
 }
 
 /// Standard order of terms: Var < Int < Atom < Compound; compounds by
 /// arity, then functor name, then args left to right. Returns -1/0/+1.
 int Machine::term_compare(Worker& w, u64 a, u64 b) {
-  a = deref(w, a);
-  b = deref(w, b);
   auto rank = [](Tag t) {
     switch (t) {
       case Tag::Ref: return 0;
@@ -133,106 +110,137 @@ int Machine::term_compare(Worker& w, u64 a, u64 b) {
       default: return 3;  // Lis/Str
     }
   };
-  int ra = rank(cell_tag(a)), rb = rank(cell_tag(b));
-  if (ra != rb) return ra < rb ? -1 : 1;
-  switch (cell_tag(a)) {
-    case Tag::Ref: {
-      u64 va = cell_val(a), vb = cell_val(b);
-      return va < vb ? -1 : (va > vb ? 1 : 0);
-    }
-    case Tag::Int: {
-      i64 va = int_val(a), vb = int_val(b);
-      return va < vb ? -1 : (va > vb ? 1 : 0);
-    }
-    case Tag::Con: {
-      if (a == b) return 0;
-      const std::string& na = prog_.atoms().name(static_cast<u32>(cell_val(a)));
-      const std::string& nb = prog_.atoms().name(static_cast<u32>(cell_val(b)));
-      return na < nb ? -1 : 1;
-    }
-    default: {
-      // Read functor cells ('.'/2 for list cells).
-      u32 fa, aa, fb, ab;
-      u64 pa = cell_val(a), pb = cell_val(b);
-      if (cell_tag(a) == Tag::Lis) {
-        fa = prog_.atoms().intern(".");
-        aa = 2;
-      } else {
-        u64 f = rd(w, pa, ObjClass::HeapTerm);
-        fa = fun_name(f);
-        aa = fun_arity(f);
-        pa += 1;
+  std::vector<ArgRun> todo;
+  for (u64 steps = 1;; ++steps) {
+    if ((steps & 1023) == 0) [[unlikely]] walk_checkpoint(steps);
+    a = deref(w, a);
+    b = deref(w, b);
+    int ra = rank(cell_tag(a)), rb = rank(cell_tag(b));
+    if (ra != rb) return ra < rb ? -1 : 1;
+    switch (cell_tag(a)) {
+      case Tag::Ref: {
+        u64 va = cell_val(a), vb = cell_val(b);
+        if (va != vb) return va < vb ? -1 : 1;
+        break;
       }
-      if (cell_tag(b) == Tag::Lis) {
-        fb = prog_.atoms().intern(".");
-        ab = 2;
-      } else {
-        u64 f = rd(w, pb, ObjClass::HeapTerm);
-        fb = fun_name(f);
-        ab = fun_arity(f);
-        pb += 1;
+      case Tag::Int: {
+        i64 va = int_val(a), vb = int_val(b);
+        if (va != vb) return va < vb ? -1 : 1;
+        break;
       }
-      if (aa != ab) return aa < ab ? -1 : 1;
-      if (fa != fb) {
-        const std::string& na = prog_.atoms().name(fa);
-        const std::string& nb = prog_.atoms().name(fb);
+      case Tag::Con: {
+        if (a == b) break;
+        const std::string& na = prog_.atoms().name(static_cast<u32>(cell_val(a)));
+        const std::string& nb = prog_.atoms().name(static_cast<u32>(cell_val(b)));
         return na < nb ? -1 : 1;
       }
-      if (cell_tag(a) == Tag::Lis) pa = cell_val(a);
-      if (cell_tag(b) == Tag::Lis) pb = cell_val(b);
-      for (u32 i = 0; i < aa; ++i) {
-        int c = term_compare(w, rd(w, pa + i, ObjClass::HeapTerm),
-                             rd(w, pb + i, ObjClass::HeapTerm));
-        if (c != 0) return c;
+      default: {
+        // Read functor cells ('.'/2 for list cells).
+        u32 fa, aa, fb, ab;
+        u64 pa = cell_val(a), pb = cell_val(b);
+        if (cell_tag(a) == Tag::Lis) {
+          fa = prog_.atoms().intern(".");
+          aa = 2;
+        } else {
+          u64 f = rd(w, pa, ObjClass::HeapTerm);
+          fa = fun_name(f);
+          aa = fun_arity(f);
+          pa += 1;
+        }
+        if (cell_tag(b) == Tag::Lis) {
+          fb = prog_.atoms().intern(".");
+          ab = 2;
+        } else {
+          u64 f = rd(w, pb, ObjClass::HeapTerm);
+          fb = fun_name(f);
+          ab = fun_arity(f);
+          pb += 1;
+        }
+        if (aa != ab) return aa < ab ? -1 : 1;
+        if (fa != fb) {
+          const std::string& na = prog_.atoms().name(fa);
+          const std::string& nb = prog_.atoms().name(fb);
+          return na < nb ? -1 : 1;
+        }
+        if (aa != 0) todo.push_back({pa, pb, aa});
+        break;
       }
-      return 0;
     }
+    if (todo.empty()) return 0;
+    ArgRun& next = todo.back();
+    b = rd(w, next.b++, ObjClass::HeapTerm);
+    a = rd(w, next.a++, ObjClass::HeapTerm);
+    if (--next.left == 0) todo.pop_back();
   }
 }
 
 /// Copies a term to the top of the heap with fresh variables
-/// (copy_term/2). The varmap keeps sharing between occurrences.
+/// (copy_term/2). The varmap keeps sharing between occurrences. As in
+/// the recursive definition, a compound's functor is read first, its
+/// arguments are copied left to right, each completely, and only then
+/// are its own cells pushed — but on an explicit stack of open
+/// compounds, with their finished argument copies in `done`.
 u64 Machine::copy_term_cell(Worker& w, u64 cell,
                             std::unordered_map<u64, u64>& varmap) {
-  u64 d = deref(w, cell);
-  switch (cell_tag(d)) {
-    case Tag::Ref: {
-      u64 addr = cell_val(d);
-      auto it = varmap.find(addr);
-      if (it != varmap.end()) return make_ref(it->second);
-      u64 na = w.h;
-      heap_push(w, make_ref(na));
-      varmap.emplace(addr, na);
-      return make_ref(na);
+  struct Open {
+    u64 args;     ///< address of the first argument word
+    u64 functor;  ///< the functor cell; 0 for a list cell
+    u32 arity, next;
+  };
+  std::vector<Open> open;
+  std::vector<u64> done;
+  for (u64 steps = 1;; ++steps) {
+    if ((steps & 1023) == 0) [[unlikely]] walk_checkpoint(steps);
+    u64 d = deref(w, cell);
+    switch (cell_tag(d)) {
+      case Tag::Ref: {
+        u64 addr = cell_val(d);
+        auto it = varmap.find(addr);
+        if (it != varmap.end()) {
+          done.push_back(make_ref(it->second));
+          break;
+        }
+        u64 na = w.h;
+        heap_push(w, make_ref(na));
+        varmap.emplace(addr, na);
+        done.push_back(make_ref(na));
+        break;
+      }
+      case Tag::Con:
+      case Tag::Int:
+        done.push_back(d);
+        break;
+      case Tag::Lis:
+        open.push_back({cell_val(d), 0, 2, 0});
+        break;
+      case Tag::Str: {
+        u64 p = cell_val(d);
+        u64 f = rd(w, p, ObjClass::HeapTerm);
+        open.push_back({p + 1, f, fun_arity(f), 0});
+        break;
+      }
+      default:
+        RW_CHECK(false, "copy of raw cell");
     }
-    case Tag::Con:
-    case Tag::Int:
-      return d;
-    case Tag::Lis: {
-      u64 p = cell_val(d);
-      u64 hc = copy_term_cell(w, rd(w, p, ObjClass::HeapTerm), varmap);
-      u64 tc = copy_term_cell(w, rd(w, p + 1, ObjClass::HeapTerm), varmap);
+    // Close every compound whose arguments are all copied.
+    while (!open.empty() && open.back().next == open.back().arity) {
+      Open c = open.back();
+      open.pop_back();
       u64 na = w.h;
-      heap_push(w, hc);
-      heap_push(w, tc);
-      return make_lis(na);
+      if (c.functor) heap_push(w, c.functor);
+      for (std::size_t i = done.size() - c.arity; i < done.size(); ++i)
+        heap_push(w, done[i]);
+      done.resize(done.size() - c.arity);
+      done.push_back(c.functor ? make_str(na) : make_lis(na));
     }
-    case Tag::Str: {
-      u64 p = cell_val(d);
-      u64 f = rd(w, p, ObjClass::HeapTerm);
-      u32 n = fun_arity(f);
-      std::vector<u64> args;
-      args.reserve(n);
-      for (u32 i = 1; i <= n; ++i)
-        args.push_back(copy_term_cell(w, rd(w, p + i, ObjClass::HeapTerm), varmap));
-      u64 na = w.h;
-      heap_push(w, f);
-      for (u64 c : args) heap_push(w, c);
-      return make_str(na);
-    }
-    default:
-      RW_CHECK(false, "copy of raw cell");
-      return 0;
+    if (open.empty()) return done.back();
+    // Each still-open compound has an argument left, so it will push at
+    // least two cells: if they cannot all fit, the copy must overflow
+    // the heap. Say so now, before a cyclic term grows `open` unbounded.
+    if (2 * open.size() > w.heap_limit - w.h)
+      throw ResourceExhaustedError(
+          "heap", "resource_exhausted: heap overflow on PE " + std::to_string(w.pe));
+    cell = rd(w, open.back().args + open.back().next++, ObjClass::HeapTerm);
   }
 }
 

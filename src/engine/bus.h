@@ -2,10 +2,13 @@
 //
 // Every read/write goes through MemBus, which tags the reference with
 // the issuing PE, the Table-1 object class and the busy flag, updates
-// the aggregate counters and appends the packed reference to a
-// fixed-size chunk; the configured TraceSink is invoked once per full
-// chunk (plus a final flush), never per reference — the per-reference
-// path is fully inlined with no virtual dispatch (docs/DESIGN.md §8).
+// the aggregate counters and, if the configured TraceSink keeps it
+// (a busy-only sink keeps only busy references), appends the packed
+// reference to a fixed-size chunk. The bus is the one place references
+// are counted and filtered: the sink is invoked once per full chunk
+// (plus a final flush, then once with the run's counters), never per
+// reference — the per-reference path is fully inlined with no virtual
+// dispatch (docs/DESIGN.md §8).
 // `peek`/`poke` bypass instrumentation (used for post-run inspection
 // and pre-run initialisation only — never from instruction execution).
 //
@@ -21,7 +24,7 @@
 
 #include "engine/cell.h"
 #include "engine/layout.h"
-#include "trace/tracebuf.h"
+#include "trace/memref.h"
 
 namespace rapwam {
 
@@ -38,14 +41,13 @@ class MemBus {
     if (sink_ && !chunk_) chunk_ = std::make_unique<u64[]>(kChunkRefs);
   }
 
-  /// Hands any buffered references to the sink. The machine calls this
-  /// when a run ends; callers inspecting the sink mid-run (tests) may
-  /// call it too.
-  void flush_sink() {
-    if (sink_ && chunk_len_ != 0) {
-      sink_->on_chunk(chunk_.get(), chunk_len_);
-      chunk_len_ = 0;
-    }
+  /// Ends the run: hands the buffered references, then the counters
+  /// over every reference emitted, to the sink.
+  void finish() {
+    if (!sink_) return;
+    if (chunk_len_ != 0) sink_->on_chunk(chunk_.get(), chunk_len_);
+    chunk_len_ = 0;
+    sink_->on_counts(counts_);
   }
 
   u64 read(u8 pe, u64 addr, ObjClass cls, bool busy) {
@@ -72,9 +74,12 @@ class MemBus {
     r.write = write;
     r.busy = busy;
     counts_.add(r);
-    if (sink_) {
+    if (sink_ && (busy || !sink_->busy_only())) {
       chunk_[chunk_len_++] = r.pack();
-      if (chunk_len_ == kChunkRefs) flush_sink();
+      if (chunk_len_ == kChunkRefs) {
+        sink_->on_chunk(chunk_.get(), kChunkRefs);
+        chunk_len_ = 0;
+      }
     }
   }
 

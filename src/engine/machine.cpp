@@ -265,7 +265,7 @@ RunResult Machine::run_query(const Term* goal, TraceSink* sink) {
     }
   }
 
-  bus_->flush_sink();  // hand the partial trailing chunk to the sink
+  bus_->finish();  // the trailing chunk, then the run's counters
 
   RunResult res;
   res.solutions = solutions_;

@@ -262,8 +262,10 @@ class Machine {
   void untrail_to(Worker& w, u64 target_tr);
   void untrail_range(Worker& w, u8 payer, u64 from, u64 to);
   bool unify(Worker& w, u64 c1, u64 c2);              // unify.cpp
-  void unify_checkpoint(u64 pops);                    // every 1024 PDL pops
-  bool ground_cell(Worker& w, u64 cell);              // builtin.cpp helpers
+  void walk_checkpoint(u64 steps);                    // every 1024 walk steps
+  template <typename OnVar>
+  bool each_var(Worker& w, u64 cell, OnVar on_var);   // builtin.cpp helpers
+  bool ground_cell(Worker& w, u64 cell);
   bool indep_cells(Worker& w, u64 a, u64 b);
   bool struct_eq(Worker& w, u64 a, u64 b);
   int term_compare(Worker& w, u64 a, u64 b);          // standard order

@@ -6,7 +6,7 @@
 
 #include <array>
 
-#include "trace/tracebuf.h"
+#include "trace/memref.h"
 
 namespace rapwam {
 

@@ -22,7 +22,7 @@ bool Machine::unify(Worker& w, u64 c1, u64 c2) {
   push_pair(c1, c2);
   u64 pops = 0;
   while (w.pdl > pdl_start) {
-    if ((++pops & 1023) == 0) [[unlikely]] unify_checkpoint(pops);
+    if ((++pops & 1023) == 0) [[unlikely]] walk_checkpoint(pops);
     w.pdl -= 2;
     u64 a = rd(w, w.pdl, ObjClass::PdlEntry);
     u64 b = rd(w, w.pdl + 1, ObjClass::PdlEntry);
@@ -79,20 +79,21 @@ bool Machine::unify(Worker& w, u64 c1, u64 c2) {
   return true;
 }
 
-// One unification runs inside one instruction, so the cycle loop's
-// deadline, step-budget and watchdog checks never see it. A cyclic pair
-// (X = f(X), Y = f(Y), X = Y) pops and re-pushes itself forever without
-// ever overflowing the PDL, so the loop makes the same checks itself,
-// counting its pops. The count is neither a RunStats field nor a memory
-// reference: traces and stats are unchanged.
-void Machine::unify_checkpoint(u64 pops) {
+// A term walk (unification, ground/1, indep/2, ==, compare/3,
+// copy_term/2) runs inside one instruction, so the cycle loop's
+// deadline, step-budget and watchdog checks never see it. On a cyclic
+// term (X = f(X)) a walk never ends, so every walk makes the same
+// checks itself every 1024 steps, counting its steps. The count is
+// neither a RunStats field nor a memory reference: traces and stats are
+// unchanged.
+void Machine::walk_checkpoint(u64 steps) {
   if (cancel_) cancel_->checkpoint();
-  if (cfg_.limits.max_steps && pops >= cfg_.limits.max_steps)
+  if (cfg_.limits.max_steps && steps >= cfg_.limits.max_steps)
     throw ResourceExhaustedError(
         "steps", "resource_exhausted: step budget tripped after " +
-                     std::to_string(pops) + " pops of one unification (max_steps=" +
+                     std::to_string(steps) + " steps of one term walk (max_steps=" +
                      std::to_string(cfg_.limits.max_steps) + ")");
-  if (pops > cfg_.max_cycles)
+  if (steps > cfg_.max_cycles)
     fail("cycle watchdog exceeded (" + std::to_string(cfg_.max_cycles) + ")");
 }
 

@@ -33,12 +33,12 @@ TextTable table2_report(const ReportOptions& opt) {
   std::vector<std::string> par{"Goals actually in //"};
   for (const std::string& n : names) {
     BenchProgram bp = bench_program(n, opt.scale);
-    BenchRun rap = run_parallel(bp, opt.table2_pes, /*want_trace=*/false);
-    BenchRun wam = run_wam(bp, /*want_trace=*/false);
-    instr.push_back(std::to_string(rap.result.stats.instructions));
-    refs_rap.push_back(std::to_string(rap.result.stats.work_refs()));
-    refs_wam.push_back(std::to_string(wam.result.stats.work_refs()));
-    par.push_back(std::to_string(rap.result.stats.goals_stolen));
+    RunResult rap = run_parallel(bp, opt.table2_pes);
+    RunResult wam = run_wam(bp);
+    instr.push_back(std::to_string(rap.stats.instructions));
+    refs_rap.push_back(std::to_string(rap.stats.work_refs()));
+    refs_wam.push_back(std::to_string(wam.stats.work_refs()));
+    par.push_back(std::to_string(rap.stats.goals_stolen));
   }
   t.row(instr);
   t.row(refs_rap);
@@ -51,16 +51,16 @@ TextTable fig2_report(const ReportOptions& opt) {
   TextTable t("Figure 2: RAP-WAM Overheads for \"deriv\" (work as % of WAM work)");
   t.header({"PEs", "work refs", "% of WAM work", "overhead %", "cycles", "speedup"});
   BenchProgram bp = bench_program("deriv", opt.scale);
-  BenchRun wam = run_wam(bp, /*want_trace=*/false);
-  double wam_work = static_cast<double>(wam.result.stats.work_refs());
-  double wam_cycles = static_cast<double>(wam.result.stats.cycles);
+  RunResult wam = run_wam(bp);
+  double wam_work = static_cast<double>(wam.stats.work_refs());
+  double wam_cycles = static_cast<double>(wam.stats.cycles);
   for (unsigned pes : opt.fig2_pes) {
-    BenchRun rap = run_parallel(bp, pes, /*want_trace=*/false);
-    double work = static_cast<double>(rap.result.stats.work_refs());
-    double cycles = static_cast<double>(rap.result.stats.cycles);
-    t.row({std::to_string(pes), std::to_string(rap.result.stats.work_refs()),
+    RunResult rap = run_parallel(bp, pes);
+    double work = static_cast<double>(rap.stats.work_refs());
+    double cycles = static_cast<double>(rap.stats.cycles);
+    t.row({std::to_string(pes), std::to_string(rap.stats.work_refs()),
            fmt(100.0 * work / wam_work, 1), fmt(100.0 * (work - wam_work) / wam_work, 1),
-           std::to_string(rap.result.stats.cycles), fmt(wam_cycles / cycles, 2)});
+           std::to_string(rap.stats.cycles), fmt(wam_cycles / cycles, 2)});
   }
   return t;
 }

@@ -34,24 +34,13 @@ RunResult run_into(const BenchProgram& bp, unsigned pes, bool strip,
   return res;
 }
 
-namespace {
-BenchRun run_impl(const BenchProgram& bp, unsigned pes, bool strip, bool want_trace,
-                  unsigned max_solutions) {
-  BenchRun out;
-  out.name = bp.name;
-  if (want_trace) out.trace = std::make_shared<TraceBuffer>(/*busy_only=*/true);
-  out.result = run_into(bp, pes, strip, out.trace.get(), max_solutions);
-  return out;
-}
-}  // namespace
-
-BenchRun run_parallel(const BenchProgram& bp, unsigned pes, bool want_trace,
-                      unsigned max_solutions) {
-  return run_impl(bp, pes, /*strip=*/false, want_trace, max_solutions);
+RunResult run_parallel(const BenchProgram& bp, unsigned pes,
+                       unsigned max_solutions) {
+  return run_into(bp, pes, /*strip=*/false, /*sink=*/nullptr, max_solutions);
 }
 
-BenchRun run_wam(const BenchProgram& bp, bool want_trace, unsigned max_solutions) {
-  return run_impl(bp, 1, /*strip=*/true, want_trace, max_solutions);
+RunResult run_wam(const BenchProgram& bp, unsigned max_solutions) {
+  return run_into(bp, 1, /*strip=*/true, /*sink=*/nullptr, max_solutions);
 }
 
 }  // namespace rapwam

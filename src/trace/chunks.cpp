@@ -1,5 +1,7 @@
 #include "trace/chunks.h"
 
+#include <algorithm>
+
 #include "support/atomic_file.h"
 
 namespace rapwam {
@@ -16,20 +18,21 @@ std::vector<u64> ChunkedTrace::to_packed() const {
 // --- ChunkingSink ---------------------------------------------------------
 
 ChunkingSink::ChunkingSink(bool busy_only)
-    : busy_only_(busy_only), trace_(std::make_shared<ChunkedTrace>()) {}
+    : TraceSink(busy_only), trace_(std::make_shared<ChunkedTrace>()) {}
 
 void ChunkingSink::on_chunk(const u64* packed, std::size_t n) {
   std::vector<std::vector<u64>>& chunks = trace_->chunks_;
-  for (std::size_t i = 0; i < n; ++i) {
-    MemRef r = MemRef::unpack(packed[i]);
-    trace_->counts_.add(r);
-    if (busy_only_ && !r.busy) continue;
+  trace_->size_ += n;
+  while (n > 0) {
     if (chunks.empty() || chunks.back().size() == kChunkRefs) {
       chunks.emplace_back();
       chunks.back().reserve(kChunkRefs);
     }
-    chunks.back().push_back(packed[i]);
-    ++trace_->size_;
+    std::vector<u64>& last = chunks.back();
+    std::size_t k = std::min(n, kChunkRefs - last.size());
+    last.insert(last.end(), packed, packed + k);
+    packed += k;
+    n -= k;
   }
 }
 
@@ -41,24 +44,45 @@ std::shared_ptr<const ChunkedTrace> ChunkingSink::take() {
 
 std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
                                                        bool busy_only) {
-  std::vector<u64> packed = load_trace(path);  // rejects sizes not 8-aligned
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    if (!packed_ref_valid(packed[i]))
-      fail("trace file " + path + ": corrupted record at index " +
-           std::to_string(i));
-  }
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
+                                                    &std::fclose);
+  if (!f) fail("cannot open trace file for reading: " + path);
+  std::fseek(f.get(), 0, SEEK_END);
+  long bytes = std::ftell(f.get());
+  std::fseek(f.get(), 0, SEEK_SET);
+  if (bytes < 0 || bytes % 8 != 0) fail("trace file has invalid size: " + path);
+
   ChunkingSink sink(busy_only);
-  if (!packed.empty()) sink.on_chunk(packed.data(), packed.size());
+  RefCounts counts;
+  std::size_t left = static_cast<std::size_t>(bytes) / 8;
+  std::vector<u64> buf(std::min(left, kChunkRefs));
+  for (std::size_t index = 0; left > 0;) {
+    std::size_t n = std::min(left, kChunkRefs);
+    if (std::fread(buf.data(), sizeof(u64), n, f.get()) != n)
+      fail("short read from trace file: " + path);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i, ++index) {
+      if (!packed_ref_valid(buf[i]))
+        fail("trace file " + path + ": corrupted record at index " +
+             std::to_string(index));
+      MemRef r = MemRef::unpack(buf[i]);
+      counts.add(r);
+      if (!busy_only || r.busy) buf[kept++] = buf[i];
+    }
+    sink.on_chunk(buf.data(), kept);
+    left -= n;
+  }
+  sink.on_counts(counts);
   return sink.take();
 }
 
 // --- FileTraceSink --------------------------------------------------------
 
 FileTraceSink::FileTraceSink(const std::string& path, bool busy_only)
-    : path_(path),
+    : TraceSink(busy_only),
+      path_(path),
       tmp_path_(path + ".tmp"),
-      f_(std::fopen(tmp_path_.c_str(), "wb")),
-      busy_only_(busy_only) {
+      f_(std::fopen(tmp_path_.c_str(), "wb")) {
   if (!f_) fail("cannot open trace file for writing: " + tmp_path_);
 }
 
@@ -73,18 +97,9 @@ FileTraceSink::~FileTraceSink() {
 
 void FileTraceSink::on_chunk(const u64* packed, std::size_t n) {
   RW_CHECK(f_, "write to a closed trace file sink");
-  // Filter into a small staging buffer so each chunk is one fwrite.
-  std::vector<u64> keep;
-  keep.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    MemRef r = MemRef::unpack(packed[i]);
-    counts_.add(r);
-    if (!busy_only_ || r.busy) keep.push_back(packed[i]);
-  }
-  if (!keep.empty() &&
-      std::fwrite(keep.data(), sizeof(u64), keep.size(), f_) != keep.size())
+  if (n != 0 && std::fwrite(packed, sizeof(u64), n, f_) != n)
     fail("short write to trace file: " + path_);
-  written_ += keep.size();
+  written_ += n;
 }
 
 void FileTraceSink::close() {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "support/cancel.h"
-#include "trace/tracebuf.h"
+#include "trace/memref.h"
 
 namespace rapwam {
 
@@ -28,8 +28,8 @@ class ChunkedTrace {
   std::size_t num_chunks() const { return chunks_.size(); }
   const std::vector<u64>& chunk(std::size_t i) const { return chunks_[i]; }
 
-  /// Counters over everything the producer emitted (retained or not),
-  /// exactly as a TraceBuffer attached to the same run would count.
+  /// Counters over everything the producer emitted (retained or not):
+  /// the run's RunStats::refs, or the whole file for a loaded trace.
   const RefCounts& counts() const { return counts_; }
   /// PEs the trace was recorded on (metadata; no stream scan).
   unsigned num_pes() const { return counts_.pes(); }
@@ -50,18 +50,19 @@ class ChunkedTrace {
   std::size_t size_ = 0;
 };
 
-/// Builds a ChunkedTrace from a reference stream (optionally keeping
-/// only busy references, which is what the cache simulators consume).
+/// Builds a ChunkedTrace from a reference stream. `busy_only` (the
+/// default) asks the bus for busy references only, which is what the
+/// cache simulators consume. Stores every reference it is given.
 class ChunkingSink : public TraceSink {
  public:
   explicit ChunkingSink(bool busy_only = true);
   void on_chunk(const u64* packed, std::size_t n) override;
+  void on_counts(const RefCounts& c) override { trace_->counts_ = c; }
 
   /// Hands the finished trace over; the sink is empty afterwards.
   std::shared_ptr<const ChunkedTrace> take();
 
  private:
-  bool busy_only_;
   std::shared_ptr<ChunkedTrace> trace_;
 };
 
@@ -70,33 +71,34 @@ class ChunkingSink : public TraceSink {
 /// the pipeline cancellable at chunk granularity — the emulator aborts
 /// with CancelledError instead of finishing a run nobody is waiting
 /// for (docs/DESIGN.md §10). A null token forwards unconditionally.
+/// It keeps what `inner` keeps and forwards the end-of-run counters.
 class CancelCheckSink : public TraceSink {
  public:
   CancelCheckSink(TraceSink& inner, const CancelToken* cancel)
-      : inner_(inner), cancel_(cancel) {}
+      : TraceSink(inner.busy_only()), inner_(inner), cancel_(cancel) {}
   void on_chunk(const u64* packed, std::size_t n) override {
     if (cancel_) cancel_->checkpoint();
     inner_.on_chunk(packed, n);
   }
+  void on_counts(const RefCounts& c) override { inner_.on_counts(c); }
 
  private:
   TraceSink& inner_;
   const CancelToken* cancel_;
 };
 
-/// Loads a binary trace file (the save_trace format) into shared
-/// immutable chunk storage. Every record is validated up front
-/// (packed_ref_valid: truncated or corrupted files fail cleanly with
-/// Error, never index per-class tables out of range) and the RefCounts
-/// metadata is built once here — consumers read num_pes()/counts()
-/// instead of rescanning the stream per use, which is what the
-/// full-scan pes_in_trace() helper used to cost every command that
-/// touched a loaded trace.
+/// Loads a binary trace file (the FileTraceSink format) into shared
+/// immutable chunk storage, reading one chunk at a time. Every record
+/// is validated before it is counted (packed_ref_valid: truncated or
+/// corrupted files fail cleanly with Error, never index per-class
+/// tables out of range), the RefCounts metadata covers every record in
+/// the file, and `busy_only` keeps only the busy ones — so consumers
+/// read num_pes()/counts() instead of rescanning the stream.
 std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
                                                        bool busy_only = false);
 
-/// Appends packed chunks straight to a binary trace file (the
-/// save_trace format: 8 bytes per reference, host order). Recording a
+/// Appends packed chunks straight to a binary trace file (8 bytes per
+/// reference, host order; each chunk is one fwrite). Recording a
 /// multi-million-reference trace this way needs O(chunk) memory —
 /// nothing is materialized.
 ///
@@ -119,7 +121,6 @@ class FileTraceSink : public TraceSink {
   void close();
 
   u64 written() const { return written_; }
-  const RefCounts& counts() const { return counts_; }
   /// Where the bytes go until close() publishes them.
   const std::string& temp_path() const { return tmp_path_; }
 
@@ -127,9 +128,7 @@ class FileTraceSink : public TraceSink {
   std::string path_;
   std::string tmp_path_;
   std::FILE* f_ = nullptr;
-  bool busy_only_;
   u64 written_ = 0;
-  RefCounts counts_;
 };
 
 }  // namespace rapwam

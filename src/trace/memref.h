@@ -10,6 +10,7 @@
 //   bit  53      busy flag (PE was doing useful work, not idling/waiting)
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 #include "support/common.h"
@@ -66,18 +67,59 @@ inline bool packed_ref_valid(u64 v) {
 /// checkpoint lands within one chunk's replay time.
 inline constexpr std::size_t kChunkRefs = std::size_t(1) << 16;
 
+/// Aggregate counters over a reference stream.
+struct RefCounts {
+  u64 total = 0;
+  u64 reads = 0;
+  u64 writes = 0;
+  u64 busy = 0;  ///< refs issued while doing useful work ("work" in Fig. 2)
+  std::array<u64, kAreaCount> by_area{};
+  std::array<u64, kObjClassCount> by_class{};
+  std::array<u64, kMaxTracePes> by_pe{};
+
+  bool operator==(const RefCounts&) const = default;
+
+  void add(const MemRef& r) {
+    ++total;
+    if (r.write) ++writes; else ++reads;
+    if (r.busy) ++busy;
+    by_area[static_cast<std::size_t>(traits_of(r.cls).area)]++;
+    by_class[static_cast<std::size_t>(r.cls)]++;
+    by_pe[r.pe]++;  // u8 PE id: always < kMaxTracePes
+  }
+
+  /// PEs the counted stream was recorded on (highest PE id seen + 1).
+  unsigned pes() const {
+    for (std::size_t i = by_pe.size(); i-- > 0;)
+      if (by_pe[i]) return static_cast<unsigned>(i) + 1;
+    return 1;
+  }
+};
+
 /// Sink interface the emulator writes references into.
 ///
 /// The handoff is chunk-granular (docs/DESIGN.md §8): the emulator's
-/// memory bus accumulates packed references into a fixed-size chunk
-/// inline — no virtual call per reference — and dispatches here once
-/// per kChunkRefs references (plus a final flush at end of run). Chunk
-/// boundaries carry no meaning; `packed` holds `n` references in
-/// emission order and is only valid for the duration of the call.
+/// memory bus counts every reference, packs the ones the sink keeps
+/// into a fixed-size chunk inline — no virtual call per reference —
+/// and dispatches here once per kChunkRefs kept references (plus a
+/// final flush at end of run). Chunk boundaries carry no meaning;
+/// `packed` holds `n` references in emission order and is only valid
+/// for the duration of the call. A sink stores what it is given: the
+/// busy filter and the counters live in the bus, which hands its
+/// counters over once, through on_counts(), after the final flush.
 class TraceSink {
  public:
+  /// `busy_only`: the sink keeps only busy references (what the cache
+  /// simulators consume), so the bus never packs idle ones for it.
+  explicit TraceSink(bool busy_only) : busy_only_(busy_only) {}
   virtual ~TraceSink() = default;
+
+  bool busy_only() const { return busy_only_; }
+
   virtual void on_chunk(const u64* packed, std::size_t n) = 0;
+  /// End of run: counters over every reference the run emitted, kept
+  /// or not. Called once, after the last on_chunk().
+  virtual void on_counts(const RefCounts&) {}
 
   /// Single-reference convenience for tests and adapters (one chunk of
   /// one reference; not used on any hot path).
@@ -85,6 +127,9 @@ class TraceSink {
     u64 p = r.pack();
     on_chunk(&p, 1);
   }
+
+ private:
+  bool busy_only_;
 };
 
 }  // namespace rapwam

@@ -62,14 +62,21 @@ TEST(Assoc, InvalidateWorksInSets) {
   EXPECT_EQ(c.size(), 0u);
 }
 
+/// The busy-reference trace of a Small benchmark run on `pes` PEs.
+std::shared_ptr<const ChunkedTrace> busy_trace(const char* bench, unsigned pes) {
+  ChunkingSink sink;
+  run_into(bench_program(bench, BenchScale::Small), pes, /*strip=*/false, &sink);
+  return sink.take();
+}
+
 TEST(Assoc, MoreWaysNeverWorseOnRealTrace) {
-  BenchRun r = run_parallel(bench_program("qsort", BenchScale::Small), 2, true);
+  std::shared_ptr<const ChunkedTrace> trace = busy_trace("qsort", 2);
   double prev = 1e9;
   for (u32 ways : {1u, 2u, 4u, 8u, 0u}) {
     CacheConfig c = cfg(1024, ways);
     c.protocol = Protocol::WriteInBroadcast;
     MultiCacheSim sim(c, 2);
-    sim.replay(r.trace->packed());
+    sim.replay(*trace);
     double miss = sim.stats().miss_ratio();
     // LRU stack property holds per set; real traces can have tiny
     // non-monotonicities across different set hashes, so allow 2%.
@@ -79,23 +86,23 @@ TEST(Assoc, MoreWaysNeverWorseOnRealTrace) {
 }
 
 TEST(Assoc, FullyAssociativeEqualsWaysEqualLines) {
-  BenchRun r = run_parallel(bench_program("deriv", BenchScale::Small), 2, true);
+  std::shared_ptr<const ChunkedTrace> trace = busy_trace("deriv", 2);
   CacheConfig full = cfg(256, 0);
   CacheConfig ways64 = cfg(256, 64);  // 64 lines = 64 ways: same thing
   MultiCacheSim a(full, 2), b(ways64, 2);
-  a.replay(r.trace->packed());
-  b.replay(r.trace->packed());
+  a.replay(*trace);
+  b.replay(*trace);
   EXPECT_EQ(a.stats().misses, b.stats().misses);
   EXPECT_EQ(a.stats().bus_words, b.stats().bus_words);
 }
 
 TEST(Assoc, CoherenceInvariantsHoldWithSets) {
-  BenchRun r = run_parallel(bench_program("qsort", BenchScale::Small), 4, true);
+  std::shared_ptr<const ChunkedTrace> trace = busy_trace("qsort", 4);
   for (u32 ways : {1u, 2u, 4u}) {
     CacheConfig c = cfg(512, ways);
     c.protocol = Protocol::WriteInBroadcast;
     MultiCacheSim sim(c, 4);
-    sim.replay(r.trace->packed());
+    sim.replay(*trace);
     EXPECT_TRUE(sim.invariants_ok()) << ways;
   }
 }

@@ -277,6 +277,96 @@ TEST(EngineLimits, CycleWatchdogStopsCyclicUnification) {
   EXPECT_LT(elapsed_ms(t0), 2000);
 }
 
+// The other term walks on cyclic terms: each runs inside one
+// instruction and never ends on its own, so each must stop at its walk
+// checkpoint — on a deadline, on max_steps and on max_cycles — with the
+// structured error of each, within 2 s.
+
+void expect_watchdog(Machine& m, const std::string& goal) {
+  try {
+    m.solve(goal);
+    FAIL() << "expected the cycle watchdog to fire";
+  } catch (const ResourceExhaustedError& e) {
+    FAIL() << "the watchdog is not a resource budget: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cycle watchdog exceeded (1000)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// `goal` under a 200 ms deadline, with max_steps = 1000 and with
+/// max_cycles = 1000. `deadline` false: the walk stops sooner on its own
+/// (copy_term/2 fills the heap), so that run expects the heap budget.
+void expect_walk_stops(const std::string& goal, bool deadline = true) {
+  Program prog;
+  prog.consult("t.");
+  auto t0 = std::chrono::steady_clock::now();
+  {
+    Machine m(prog, base_config(1));
+    if (deadline) {
+      CancelToken token = CancelToken::with_deadline(std::chrono::milliseconds(200));
+      try {
+        m.solve(goal, nullptr, &token);
+        FAIL() << "expected the deadline to cancel the walk";
+      } catch (const CancelledError& e) {
+        EXPECT_TRUE(e.deadline_exceeded()) << e.what();
+      }
+    } else {
+      expect_budget_trip(m, goal, "heap");
+    }
+    EXPECT_TRUE(m.solve("X = f(a), X = f(Y).").success);  // still reusable
+  }
+  MachineConfig steps = base_config(1);
+  steps.limits.max_steps = 1000;
+  Machine budgeted(prog, steps);
+  expect_budget_trip(budgeted, goal, "steps");
+  MachineConfig cycles = base_config(1);
+  cycles.max_cycles = 1000;
+  Machine watched(prog, cycles);
+  expect_watchdog(watched, goal);
+  EXPECT_LT(elapsed_ms(t0), 2000) << "the walk did not stop promptly";
+}
+
+TEST(EngineLimits, GroundStopsOnCyclicTerm) {
+  expect_walk_stops("X = f(X), ground(X).");
+}
+
+TEST(EngineLimits, IndepStopsOnCyclicTerm) {
+  expect_walk_stops("X = f(X, Z), indep(X, Z).");
+}
+
+TEST(EngineLimits, StructEqStopsOnCyclicTerms) {
+  expect_walk_stops("X = f(X), Y = f(Y), X == Y.");
+}
+
+TEST(EngineLimits, CompareStopsOnCyclicTerms) {
+  expect_walk_stops("X = f(X), Y = f(Y), compare(O, X, Y).");
+}
+
+TEST(EngineLimits, CopyTermStopsOnCyclicTerm) {
+  expect_walk_stops("X = f(X), copy_term(X, Y).", /*deadline=*/false);
+}
+
+TEST(EngineLimits, DeepListsWalkWithoutRecursion) {
+  // A 100,000-element list: the recursive compare/3 and copy_term/2
+  // overflowed the C++ stack on it.
+  Program prog;
+  prog.consult(
+      "mk(0, []) :- !.\n"
+      "mk(N, [N|T]) :- M is N - 1, mk(M, T).\n"
+      "deep(O) :- mk(100000, L), copy_term(L, C), L == C, compare(O, L, C).\n"
+      "deeper(O) :- mk(100000, L), mk(99999, K), compare(O, L, [100000|K]).\n");
+  Machine m(prog, base_config(1));
+  auto t0 = std::chrono::steady_clock::now();
+  RunResult r = m.solve("deep(O), deeper(P).");
+  ASSERT_TRUE(r.success);
+  ASSERT_EQ(r.solutions.size(), 1u);
+  EXPECT_EQ(r.solutions[0].bindings,
+            (std::vector<std::pair<std::string, std::string>>{{"O", "="}, {"P", "="}}));
+  EXPECT_LT(elapsed_ms(t0), 2000);
+}
+
 TEST(EngineLimits, ExplicitCancelIsDistinguishedFromDeadline) {
   Program prog;
   prog.consult(bench_program("qsort", BenchScale::Small).source + kRunaway);

@@ -41,9 +41,9 @@ TEST(Generators, ListParses) {
 
 TEST(Benchmarks, QsortActuallySorts) {
   BenchProgram bp = bench_program("qsort", BenchScale::Small);
-  BenchRun r = run_parallel(bp, 4, false);
-  ASSERT_TRUE(r.result.success);
-  std::string sorted = binding(r.result, "R");
+  RunResult r = run_parallel(bp, 4);
+  ASSERT_TRUE(r.success);
+  std::string sorted = binding(r, "R");
   // Parse the integers back out and verify ordering.
   std::vector<long> vals;
   std::string num;
@@ -65,9 +65,9 @@ TEST(Benchmarks, TakComputesTakeuchi) {
     return tak(tak(x - 1, y, z), tak(y - 1, z, x), tak(z - 1, x, y));
   };
   BenchProgram bp = bench_program("tak", BenchScale::Small);
-  BenchRun r = run_parallel(bp, 4, false);
-  ASSERT_TRUE(r.result.success);
-  EXPECT_EQ(binding(r.result, "A"), std::to_string(tak(8, 5, 2)));
+  RunResult r = run_parallel(bp, 4);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(binding(r, "A"), std::to_string(tak(8, 5, 2)));
 }
 
 TEST(Benchmarks, MatrixSpotCheck) {
@@ -96,16 +96,16 @@ TEST(Benchmarks, DerivKnownDerivative) {
 
 TEST(Benchmarks, LargeSuiteRunsSequentially) {
   for (const BenchProgram& bp : large_bench_suite(BenchScale::Small)) {
-    BenchRun r = run_wam(bp, false, /*max_solutions=*/100);
-    EXPECT_TRUE(r.result.success) << bp.name;
-    EXPECT_GT(r.result.stats.instructions, 0u) << bp.name;
+    RunResult r = run_wam(bp, /*max_solutions=*/100);
+    EXPECT_TRUE(r.success) << bp.name;
+    EXPECT_GT(r.stats.instructions, 0u) << bp.name;
   }
 }
 
 TEST(Benchmarks, WamRunHasNoParallelActivity) {
-  BenchRun r = run_wam(bench_program("deriv", BenchScale::Small), false);
-  EXPECT_EQ(r.result.stats.parcalls, 0u);
-  EXPECT_EQ(r.result.stats.goals_pushed, 0u);
+  RunResult r = run_wam(bench_program("deriv", BenchScale::Small));
+  EXPECT_EQ(r.stats.parcalls, 0u);
+  EXPECT_EQ(r.stats.goals_pushed, 0u);
 }
 
 TEST(Reports, Table1HasTwelveRows) {
@@ -165,10 +165,13 @@ TEST(Reports, Table3SmallScale) {
 }
 
 TEST(Runner, TraceMatchesCounters) {
-  BenchRun r = run_parallel(bench_program("deriv", BenchScale::Small), 2, true);
+  ChunkingSink sink;
+  RunResult r = run_into(bench_program("deriv", BenchScale::Small), 2,
+                         /*strip=*/false, &sink);
+  std::shared_ptr<const ChunkedTrace> trace = sink.take();
   // Busy-only trace size equals the busy counter.
-  EXPECT_EQ(r.trace->size(), r.trace->counts().busy);
-  EXPECT_EQ(r.trace->counts().total, r.result.stats.refs.total);
+  EXPECT_EQ(trace->size(), trace->counts().busy);
+  EXPECT_EQ(trace->counts().total, r.stats.refs.total);
 }
 
 }  // namespace

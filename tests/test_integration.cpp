@@ -79,17 +79,18 @@ TEST(Integration, PlannerTraceDrivesCachePipeline) {
   MachineConfig cfg;
   cfg.num_pes = 4;
   Machine m(prog, cfg);
-  TraceBuffer trace(true);
-  RunResult r = m.solve("best(a, e, B).", &trace);
+  ChunkingSink sink;
+  RunResult r = m.solve("best(a, e, B).", &sink);
   ASSERT_TRUE(r.success);
-  ASSERT_GT(trace.size(), 1000u);
+  std::shared_ptr<const ChunkedTrace> trace = sink.take();
+  ASSERT_GT(trace->size(), 1000u);
 
   CacheConfig cc;
   cc.protocol = Protocol::WriteInBroadcast;
   cc.size_words = 512;
   cc.line_words = 4;
   MultiCacheSim sim(cc, 4);
-  sim.replay(trace.packed());
+  sim.replay(*trace);
   EXPECT_TRUE(sim.invariants_ok());
   double traffic = sim.stats().traffic_ratio();
   EXPECT_GT(traffic, 0.0);
@@ -158,12 +159,12 @@ TEST(Integration, SameAnswersWithTracingEnabled) {
   MachineConfig cfg;
   cfg.num_pes = 2;
   Machine m(prog, cfg);
-  TraceBuffer buf(false);
-  RunResult with = m.solve("msort([4,1,3,2], S).", &buf);
+  ChunkingSink sink(/*busy_only=*/false);
+  RunResult with = m.solve("msort([4,1,3,2], S).", &sink);
   RunResult without = m.solve("msort([4,1,3,2], S).");
   EXPECT_EQ(binding(with, "S"), binding(without, "S"));
-  EXPECT_EQ(with.stats.instructions, without.stats.instructions);
-  EXPECT_EQ(buf.counts().total, with.stats.refs.total);
+  EXPECT_EQ(with.stats, without.stats);
+  EXPECT_EQ(sink.take()->size(), with.stats.refs.total);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Differential tests of the chunked trace pipeline (DESIGN.md §8): the
-// legacy materialize-then-replay path (TraceBuffer -> replay) and the
-// generate-once chunked-fanout path (ChunkingSink -> ChunkedTrace ->
-// replay) must produce bit-identical packed streams, TrafficStats and
-// TimingStats for all five protocols on randomized traces — and for
-// real emulator runs.
+// flat stream and its chunked storage (ChunkingSink -> ChunkedTrace)
+// must replay to bit-identical TrafficStats and TimingStats for all
+// five protocols on randomized traces. On real emulator runs the memory
+// bus is the one place references are counted and filtered: a trace's
+// counters are the run's RunStats::refs, and a busy-only trace is the
+// busy filter of the keep-all trace of the same run.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "checkpoint/checkpoint.h"
 #include "harness/runner.h"
+#include "harness/trace_lib.h"
 #include "test_rand.h"
 #include "timing/timed_replay.h"
 #include "trace/chunks.h"
@@ -16,28 +19,37 @@
 namespace rapwam {
 namespace {
 
-/// Emits `n` randomized references into `sink` in odd-sized bursts
-/// (so chunk re-slicing is exercised), mixing busy and idle references
-/// (so the busy-only filter is exercised), shared and private regions,
-/// and all Table-1 object classes. Deterministic in `seed`.
-void produce_random(TraceSink& sink, u64 seed, unsigned pes, std::size_t n) {
+/// `n` randomized references mixing busy and idle references, shared
+/// and private regions, and all Table-1 object classes. Deterministic
+/// in `seed`.
+std::vector<u64> random_stream(u64 seed, unsigned pes, std::size_t n) {
   Lcg rng(seed);
-  std::vector<u64> burst;
-  while (n > 0) {
-    std::size_t len = std::min<std::size_t>(n, 1 + rng.next(4093));
-    burst.clear();
-    for (std::size_t i = 0; i < len; ++i) {
-      MemRef r;
-      r.pe = static_cast<u8>(rng.next(pes));
-      r.addr = rng.next(3) == 0 ? rng.next(96) : 4096 + r.pe * 8192 + rng.next(2048);
-      r.cls = static_cast<ObjClass>(rng.next(kObjClassCount));
-      r.write = rng.next(5) < 2;
-      r.busy = rng.next(5) != 0;  // ~20% idle refs, filtered by busy_only
-      burst.push_back(r.pack());
-    }
-    sink.on_chunk(burst.data(), burst.size());
-    n -= len;
+  std::vector<u64> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    MemRef r;
+    r.pe = static_cast<u8>(rng.next(pes));
+    r.addr = rng.next(3) == 0 ? rng.next(96) : 4096 + r.pe * 8192 + rng.next(2048);
+    r.cls = static_cast<ObjClass>(rng.next(kObjClassCount));
+    r.write = rng.next(5) < 2;
+    r.busy = rng.next(5) != 0;  // ~20% idle refs
+    out.push_back(r.pack());
   }
+  return out;
+}
+
+/// Hands `stream` to `sink` in odd-sized bursts, so chunk re-slicing is
+/// exercised, and returns the sink's trace.
+std::shared_ptr<const ChunkedTrace> chunk_in_bursts(const std::vector<u64>& stream,
+                                                    u64 seed) {
+  ChunkingSink sink;
+  Lcg rng(seed);
+  for (std::size_t i = 0; i < stream.size();) {
+    std::size_t len = std::min<std::size_t>(stream.size() - i, 1 + rng.next(4093));
+    sink.on_chunk(stream.data() + i, len);
+    i += len;
+  }
+  return sink.take();
 }
 
 const Protocol kAllProtocols[] = {
@@ -59,21 +71,12 @@ void expect_timing_eq(const TimingStats& a, const TimingStats& b, const char* wh
 
 TEST(StreamingPipeline, ChunkedStorageMatchesMaterializedBuffer) {
   for (unsigned pes : {1u, 4u, 8u}) {
-    TraceBuffer buf(/*busy_only=*/true);
-    produce_random(buf, 0xFACE + pes, pes, 150000);
-    ChunkingSink sink(/*busy_only=*/true);
-    produce_random(sink, 0xFACE + pes, pes, 150000);
-    std::shared_ptr<const ChunkedTrace> trace = sink.take();
+    std::vector<u64> stream = random_stream(0xFACE + pes, pes, 150000);
+    std::shared_ptr<const ChunkedTrace> trace = chunk_in_bursts(stream, pes);
 
-    // Same retained stream, bit for bit, and the same counters.
-    EXPECT_EQ(trace->size(), buf.size());
-    EXPECT_EQ(trace->to_packed(), buf.packed());
-    EXPECT_EQ(trace->counts().total, buf.counts().total);
-    EXPECT_EQ(trace->counts().writes, buf.counts().writes);
-    EXPECT_EQ(trace->counts().busy, buf.counts().busy);
-    // Metadata recorded at generation time matches a full-stream scan.
-    EXPECT_EQ(trace->num_pes(), buf.num_pes());
-    EXPECT_GE(trace->num_pes(), pes_in_trace(buf.packed()));
+    // Same stream, bit for bit: the sink stores what it is given.
+    EXPECT_EQ(trace->size(), stream.size());
+    EXPECT_EQ(trace->to_packed(), stream);
     // Chunks are full-size except the last.
     for (std::size_t i = 0; i + 1 < trace->num_chunks(); ++i)
       EXPECT_EQ(trace->chunk(i).size(), kChunkRefs);
@@ -83,10 +86,9 @@ TEST(StreamingPipeline, ChunkedStorageMatchesMaterializedBuffer) {
 TEST(StreamingPipeline, AllProtocolsChunkedReplayMatchesFlat) {
   for (Protocol p : kAllProtocols) {
     for (unsigned pes : {1u, 4u, 8u}) {
-      ChunkingSink sink(true);
-      produce_random(sink, 0xAB + static_cast<u64>(p) * 131 + pes, pes, 120000);
-      std::shared_ptr<const ChunkedTrace> trace = sink.take();
-      std::vector<u64> flat = trace->to_packed();
+      std::vector<u64> flat =
+          random_stream(0xAB + static_cast<u64>(p) * 131 + pes, pes, 120000);
+      std::shared_ptr<const ChunkedTrace> trace = chunk_in_bursts(flat, pes);
 
       CacheConfig cfg;
       cfg.protocol = p;
@@ -105,10 +107,8 @@ TEST(StreamingPipeline, AllProtocolsChunkedReplayMatchesFlat) {
 
 TEST(StreamingPipeline, TimedReplayOverChunksMatchesFlat) {
   for (Protocol p : {Protocol::WriteInBroadcast, Protocol::WriteThrough}) {
-    ChunkingSink sink(true);
-    produce_random(sink, 0x717 + static_cast<u64>(p), 4, 100000);
-    std::shared_ptr<const ChunkedTrace> trace = sink.take();
-    std::vector<u64> flat = trace->to_packed();
+    std::vector<u64> flat = random_stream(0x717 + static_cast<u64>(p), 4, 100000);
+    std::shared_ptr<const ChunkedTrace> trace = chunk_in_bursts(flat, 4);
 
     CacheConfig cfg;
     cfg.protocol = p;
@@ -125,20 +125,93 @@ TEST(StreamingPipeline, TimedReplayOverChunksMatchesFlat) {
   }
 }
 
-TEST(StreamingPipeline, EngineChunkedSinkMatchesTraceBuffer) {
-  // The emulator's chunk-granularity emission must hand every sink the
-  // same stream the legacy per-ref TraceBuffer saw: run the same
-  // deterministic benchmark into both and compare bit for bit.
-  BenchProgram bp = bench_program("qsort", BenchScale::Small);
-  BenchRun buffered = run_parallel(bp, 4, /*want_trace=*/true);
-  ChunkingSink sink(true);
-  RunResult direct = run_into(bp, 4, /*strip=*/false, &sink);
-  std::shared_ptr<const ChunkedTrace> trace = sink.take();
+/// One benchmark run: `pes` PEs, or the sequential WAM when `pes` is 0.
+struct EngineCase {
+  const char* bench;
+  unsigned pes;
+  BenchScale scale = BenchScale::Small;
+};
 
-  EXPECT_EQ(direct.stats.instructions, buffered.result.stats.instructions);
-  EXPECT_EQ(trace->to_packed(), buffered.trace->packed());
-  EXPECT_EQ(trace->counts().total, buffered.trace->counts().total);
-  EXPECT_EQ(trace->num_pes(), buffered.trace->num_pes());
+std::string case_name(const EngineCase& c) {
+  return std::string(c.bench) + (c.pes ? "/" + std::to_string(c.pes) + "pe" : "/wam") +
+         (c.scale == BenchScale::Paper ? "/paper" : "");
+}
+
+std::vector<EngineCase> small_engine_cases() {
+  std::vector<EngineCase> out;
+  for (const char* b : {"deriv", "tak", "qsort", "matrix"})
+    for (unsigned pes : {1u, 4u, 8u, 0u}) out.push_back({b, pes});
+  return out;
+}
+
+struct TracedRun {
+  RunStats stats;
+  std::shared_ptr<const ChunkedTrace> trace;
+};
+
+TracedRun run_traced(const EngineCase& c, bool busy_only) {
+  ChunkingSink sink(busy_only);
+  TracedRun out;
+  out.stats = run_into(bench_program(c.bench, c.scale), c.pes ? c.pes : 1,
+                       /*strip=*/c.pes == 0, &sink)
+                  .stats;
+  out.trace = sink.take();
+  return out;
+}
+
+TEST(StreamingPipeline, TraceCountsAreTheRunStats) {
+  // The bus counts every reference once and hands the sink the same
+  // RefCounts it puts in RunStats — by PE, class and area included.
+  for (const EngineCase& c : small_engine_cases()) {
+    for (bool busy_only : {true, false}) {
+      SCOPED_TRACE(case_name(c) + (busy_only ? " busy-only" : " keep-all"));
+      TracedRun r = run_traced(c, busy_only);
+      EXPECT_EQ(r.trace->counts(), r.stats.refs);
+      EXPECT_EQ(r.trace->size(), busy_only ? r.stats.refs.busy : r.stats.refs.total);
+    }
+  }
+}
+
+TEST(StreamingPipeline, BusyOnlyTraceIsTheBusyFilterOfTheFullTrace) {
+  // What the bus packs for a busy-only sink is exactly a naive busy
+  // filter over the keep-all stream of the same run, re-chunked so that
+  // every chunk but the last holds kChunkRefs references. The Paper
+  // qsort run spans several chunks either way.
+  std::vector<EngineCase> cases = small_engine_cases();
+  cases.push_back({"qsort", 8, BenchScale::Paper});
+  for (const EngineCase& c : cases) {
+    SCOPED_TRACE(case_name(c));
+    TracedRun busy = run_traced(c, /*busy_only=*/true);
+    TracedRun all = run_traced(c, /*busy_only=*/false);
+    EXPECT_EQ(busy.stats, all.stats);
+    std::vector<u64> filtered;
+    for (u64 p : all.trace->to_packed())
+      if (MemRef::unpack(p).busy) filtered.push_back(p);
+    EXPECT_EQ(busy.trace->to_packed(), filtered);
+    for (const TracedRun* r : {&busy, &all})
+      for (std::size_t i = 0; i + 1 < r->trace->num_chunks(); ++i)
+        EXPECT_EQ(r->trace->chunk(i).size(), kChunkRefs);
+  }
+}
+
+TEST(StreamingPipeline, LibraryTraceFingerprintsAreStable) {
+  // Checkpoint frames and server snapshot keys bind trace_fingerprint
+  // (the chunks, the size and the counters), so it must stay stable.
+  // The library wraps its sink in a CancelCheckSink, which must forward
+  // the counters: num_pes() is part of the fingerprint.
+  struct Pinned {
+    const char* bench;
+    unsigned pes;
+    u64 fingerprint;
+  } pinned[] = {{"qsort", 4, 0xa63adbc043b8fbd1ull},
+                {"matrix", 8, 0xa460ba65e2caf996ull}};
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.bench);
+    std::shared_ptr<const GeneratedTrace> g =
+        TraceLibrary::instance().get(p.bench, BenchScale::Small, p.pes, /*wam=*/false);
+    EXPECT_EQ(g->trace->num_pes(), p.pes);
+    EXPECT_EQ(trace_fingerprint(*g->trace), p.fingerprint);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "prolog/term.h"
-#include "trace/tracebuf.h"
+#include "trace/memref.h"
 
 namespace rapwam {
 namespace {

@@ -1,10 +1,12 @@
-// Trace infrastructure tests: packed record edge cases, sinks,
-// busy-only filtering, file round trips and error handling, and
-// consistency between engine counters and emitted traces.
+// Trace infrastructure tests: packed record edge cases, the sink
+// contract (sinks store what the bus keeps for them), file round trips
+// and error handling, and consistency between engine counters and
+// emitted traces.
 #include <gtest/gtest.h>
 
 #include "engine/machine.h"
 #include "harness/runner.h"
+#include "trace/chunks.h"
 
 namespace rapwam {
 namespace {
@@ -35,63 +37,74 @@ TEST(MemRefPacking, AllClassesSurvive) {
   }
 }
 
-TEST(Sinks, CountingSinkAggregates) {
-  CountingSink s;
-  MemRef r;
-  r.cls = ObjClass::TrailEntry;
-  r.busy = true;
-  for (int i = 0; i < 5; ++i) s.on_ref(r);
-  r.write = true;
-  r.busy = false;
-  s.on_ref(r);
-  EXPECT_EQ(s.counts().total, 6u);
-  EXPECT_EQ(s.counts().writes, 1u);
-  EXPECT_EQ(s.counts().busy, 5u);
-  EXPECT_EQ(s.counts().by_area[static_cast<size_t>(Area::Trail)], 6u);
-}
-
-TEST(Sinks, TraceBufferBusyFilter) {
-  TraceBuffer busy_only(true);
-  TraceBuffer everything(false);
+TEST(Sinks, ChunkingSinkStoresWhatItIsGiven) {
+  // The busy filter and the counters live in the memory bus: a sink
+  // only declares what it keeps and stores every reference handed to it.
+  ChunkingSink busy_only(/*busy_only=*/true);
+  EXPECT_TRUE(busy_only.busy_only());
+  EXPECT_FALSE(ChunkingSink(/*busy_only=*/false).busy_only());
   MemRef r;
   r.busy = true;
   busy_only.on_ref(r);
-  everything.on_ref(r);
   r.busy = false;
   busy_only.on_ref(r);
-  everything.on_ref(r);
-  EXPECT_EQ(busy_only.size(), 1u);
-  EXPECT_EQ(everything.size(), 2u);
-  EXPECT_EQ(busy_only.counts().total, 2u);  // counters see everything
+  RefCounts c;
+  c.add(r);
+  busy_only.on_counts(c);
+  std::shared_ptr<const ChunkedTrace> t = busy_only.take();
+  EXPECT_EQ(t->size(), 2u);
+  EXPECT_EQ(t->counts(), c);
+  // take() leaves an empty sink behind.
+  EXPECT_EQ(busy_only.take()->size(), 0u);
 }
 
-TEST(Sinks, TraceBufferClear) {
-  TraceBuffer b;
-  MemRef r;
-  b.on_ref(r);
-  b.clear();
-  EXPECT_EQ(b.size(), 0u);
-  EXPECT_EQ(b.counts().total, 0u);
+TEST(Sinks, CancelCheckSinkForwardsBusyOnlyAndCounts) {
+  for (bool keep_busy : {true, false}) {
+    ChunkingSink inner(keep_busy);
+    CancelCheckSink checked(inner, /*cancel=*/nullptr);
+    EXPECT_EQ(checked.busy_only(), keep_busy);
+    RunResult r = run_into(bench_program("qsort", BenchScale::Small), 4,
+                           /*strip=*/false, &checked);
+    std::shared_ptr<const ChunkedTrace> t = inner.take();
+    EXPECT_EQ(t->counts(), r.stats.refs);
+    EXPECT_EQ(t->num_pes(), 4u);
+    EXPECT_EQ(t->size(), keep_busy ? r.stats.refs.busy : r.stats.refs.total);
+  }
 }
 
 TEST(TraceFiles, RoundTripAndErrors) {
-  std::vector<u64> data = {1, 2, 3, 0xFFFFFFFFFFFFFFFFull};
+  std::vector<u64> data;
+  for (u64 a : {1u, 2u, 3u}) {
+    MemRef r;
+    r.addr = a;
+    r.pe = static_cast<u8>(a);
+    data.push_back(r.pack());
+  }
   std::string path = ::testing::TempDir() + "/t.trc";
-  save_trace(data, path);
-  EXPECT_EQ(load_trace(path), data);
-  save_trace({}, path);  // empty trace is fine
-  EXPECT_TRUE(load_trace(path).empty());
-  EXPECT_THROW(load_trace("/nonexistent/dir/x.trc"), Error);
-  EXPECT_THROW(save_trace(data, "/nonexistent/dir/x.trc"), Error);
+  {
+    FileTraceSink sink(path);
+    sink.on_chunk(data.data(), data.size());
+    sink.close();
+  }
+  EXPECT_EQ(load_chunked_trace(path)->to_packed(), data);
+  {
+    FileTraceSink empty(path);  // empty trace is fine
+    empty.close();
+  }
+  EXPECT_TRUE(load_chunked_trace(path)->empty());
+  EXPECT_THROW(load_chunked_trace("/nonexistent/dir/x.trc"), Error);
+  EXPECT_THROW(FileTraceSink("/nonexistent/dir/x.trc"), Error);
 }
 
 TEST(EngineTracing, EveryAreaTaggedConsistently) {
   // Replay a parallel run and verify every reference's address maps to
   // the area its Table-1 class claims.
-  BenchRun r = run_parallel(bench_program("qsort", BenchScale::Small), 4, true);
+  ChunkingSink sink(/*busy_only=*/false);
+  run_into(bench_program("qsort", BenchScale::Small), 4, /*strip=*/false, &sink);
   Layout lay(4, bench_area_sizes());
-  for (std::size_t i = 0; i < r.trace->size(); ++i) {
-    MemRef m = r.trace->at(i);
+  std::vector<u64> trace = sink.take()->to_packed();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    MemRef m = MemRef::unpack(trace[i]);
     Area by_addr = lay.area_of(m.addr);
     Area by_class = traits_of(m.cls).area;
     ASSERT_EQ(by_addr, by_class)
@@ -100,15 +113,16 @@ TEST(EngineTracing, EveryAreaTaggedConsistently) {
 }
 
 TEST(EngineTracing, BusyRefsComeFromRunningWorkers) {
-  BenchRun r = run_parallel(bench_program("deriv", BenchScale::Small), 2, true);
+  ChunkingSink sink;
+  RunResult r = run_into(bench_program("deriv", BenchScale::Small), 2,
+                         /*strip=*/false, &sink);
   // The busy-only trace is exactly the "work" counter (Figure 2).
-  EXPECT_EQ(r.trace->size(), r.result.stats.work_refs());
-  EXPECT_GT(r.result.stats.refs.total, r.result.stats.work_refs());
+  EXPECT_EQ(sink.take()->size(), r.stats.work_refs());
+  EXPECT_GT(r.stats.refs.total, r.stats.work_refs());
 }
 
 TEST(EngineTracing, SequentialRunTouchesNoParallelAreas) {
-  BenchRun r = run_wam(bench_program("deriv", BenchScale::Small), true);
-  const RefCounts& c = r.trace->counts();
+  const RefCounts c = run_wam(bench_program("deriv", BenchScale::Small)).stats.refs;
   EXPECT_EQ(c.by_area[static_cast<size_t>(Area::GoalStack)], 0u);
   EXPECT_EQ(c.by_area[static_cast<size_t>(Area::MsgBuffer)], 0u);
   EXPECT_EQ(c.by_class[static_cast<size_t>(ObjClass::Marker)], 0u);
@@ -127,17 +141,16 @@ TEST(EngineTracing, KillsProduceMessageTraffic) {
   MachineConfig cfg;
   cfg.num_pes = 2;
   Machine m(prog, cfg);
-  TraceBuffer buf(false);
-  RunResult r = m.solve("a.", &buf);
+  ChunkingSink sink(/*busy_only=*/false);
+  RunResult r = m.solve("a.", &sink);
   EXPECT_FALSE(r.success);
   if (r.stats.kills > 0) {
-    EXPECT_GT(buf.counts().by_area[static_cast<size_t>(Area::MsgBuffer)], 0u);
+    EXPECT_GT(sink.take()->counts().by_area[static_cast<size_t>(Area::MsgBuffer)], 0u);
   }
 }
 
 TEST(EngineTracing, PerPECountsSumToTotal) {
-  BenchRun r = run_parallel(bench_program("tak", BenchScale::Small), 4, true);
-  const RefCounts& c = r.trace->counts();
+  const RefCounts c = run_parallel(bench_program("tak", BenchScale::Small), 4).stats.refs;
   u64 sum = 0;
   for (u64 n : c.by_pe) sum += n;
   EXPECT_EQ(sum, c.total);

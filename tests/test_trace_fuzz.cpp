@@ -1,15 +1,16 @@
 // Property/fuzz tests for the packed trace codec and its file
 // round-trip: randomized reference streams survive
-// ChunkedTrace -> FileTraceSink -> file -> load_chunked_trace
-// bit-for-bit (across chunk boundaries and the busy filter), the
-// loader's generation-time metadata replaces the pes_in_trace rescan,
-// and truncated/corrupted inputs fail cleanly with Error — they must
-// never reach the per-class counters, whose tables an out-of-range
-// object class would index out of bounds.
+// FileTraceSink -> file -> load_chunked_trace bit-for-bit (across chunk
+// boundaries), the loader's busy filter is a naive busy filter with the
+// same counters, its metadata matches a full-stream scan, and
+// truncated/corrupted inputs fail cleanly with Error — they must never
+// reach the per-class counters, whose tables an out-of-range object
+// class would index out of bounds.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -17,7 +18,6 @@
 
 #include "test_rand.h"
 #include "trace/chunks.h"
-#include "trace/tracebuf.h"
 
 namespace rapwam {
 namespace {
@@ -97,32 +97,38 @@ TEST(TraceFuzz, FileRoundTripAcrossChunkBoundaries) {
   }
 }
 
-TEST(TraceFuzz, BusyFilterMatchesTraceBufferSemantics) {
-  std::vector<u64> refs = fuzz_refs(0xB551, 30000);
-  // What a busy-only TraceBuffer retains is the reference stream the
-  // cache simulators consume; the file pipeline must agree.
-  TraceBuffer buf(/*busy_only=*/true);
-  buf.on_chunk(refs.data(), refs.size());
+/// `refs` with only the busy references kept.
+std::vector<u64> busy_filter(const std::vector<u64>& refs) {
+  std::vector<u64> out;
+  for (u64 p : refs)
+    if (MemRef::unpack(p).busy) out.push_back(p);
+  return out;
+}
 
-  TempFile tmp("busy");
-  {
-    FileTraceSink sink(tmp.path, /*busy_only=*/true);
-    sink.on_chunk(refs.data(), refs.size());
-    sink.close();
+TEST(TraceFuzz, BusyFilterAtLoadMatchesNaiveFilter) {
+  // The loader's one validate-count-filter loop reads a chunk at a
+  // time: at file sizes around kChunkRefs a busy-only load must be the
+  // naive busy filter of the keep-all load, re-chunked full-size, with
+  // the same counters over every record in the file.
+  for (std::size_t n : {kChunkRefs - 1, kChunkRefs, kChunkRefs + 1,
+                        2 * kChunkRefs + 17}) {
+    std::vector<u64> refs = fuzz_refs(0xB551 + n, n);
+    TempFile tmp("busy_" + std::to_string(n));
+    write_raw(tmp.path, refs.data(), refs.size() * 8);
+    std::shared_ptr<const ChunkedTrace> all = load_chunked_trace(tmp.path, false);
+    std::shared_ptr<const ChunkedTrace> busy = load_chunked_trace(tmp.path, true);
+    EXPECT_EQ(all->to_packed(), refs) << n;
+    EXPECT_EQ(busy->to_packed(), busy_filter(all->to_packed())) << n;
+    EXPECT_EQ(busy->counts(), all->counts()) << n;
+    EXPECT_EQ(busy->counts().busy, busy->size()) << n;
+    for (std::size_t i = 0; i + 1 < busy->num_chunks(); ++i)
+      EXPECT_EQ(busy->chunk(i).size(), kChunkRefs) << n;
   }
-  std::shared_ptr<const ChunkedTrace> t = load_chunked_trace(tmp.path);
-  EXPECT_EQ(t->to_packed(), buf.packed());
-  // The recorded file holds only busy refs, so a second busy filter at
-  // load is a no-op.
-  std::shared_ptr<const ChunkedTrace> t2 =
-      load_chunked_trace(tmp.path, /*busy_only=*/true);
-  EXPECT_EQ(t2->to_packed(), buf.packed());
 }
 
 TEST(TraceFuzz, LoaderMetadataReplacesPesRescan) {
   // Regression for the metadata-less-file path: the PE span is built
-  // once at load (validated counts), not rescanned per consumer via
-  // pes_in_trace.
+  // once at load (validated counts), not rescanned per consumer.
   for (unsigned pes : {1u, 3u, 17u, 64u}) {
     Lcg rng(pes);
     std::vector<u64> refs;
@@ -142,8 +148,10 @@ TEST(TraceFuzz, LoaderMetadataReplacesPesRescan) {
     TempFile tmp("pes_" + std::to_string(pes));
     write_raw(tmp.path, refs.data(), refs.size() * 8);
     std::shared_ptr<const ChunkedTrace> t = load_chunked_trace(tmp.path);
+    unsigned max_pe = 0;  // a full-stream scan gives the same answer
+    for (u64 p : t->to_packed()) max_pe = std::max(max_pe, unsigned(MemRef::unpack(p).pe));
     EXPECT_EQ(t->num_pes(), pes);
-    EXPECT_EQ(t->num_pes(), pes_in_trace(t->to_packed()));  // same answer
+    EXPECT_EQ(t->num_pes(), max_pe + 1);
     EXPECT_EQ(t->counts().total, refs.size());
   }
 }
@@ -155,7 +163,6 @@ TEST(TraceFuzz, TruncatedFileFailsCleanly) {
   for (std::size_t cut : {1u, 3u, 7u}) {
     TempFile tmp("trunc_" + std::to_string(cut));
     write_raw(tmp.path, refs.data(), refs.size() * 8 - cut);
-    EXPECT_THROW(load_trace(tmp.path), Error) << cut;
     EXPECT_THROW(load_chunked_trace(tmp.path), Error) << cut;
   }
 }
@@ -187,6 +194,24 @@ TEST(TraceFuzz, CorruptedRecordsAreRejectedBeforeAnyCounting) {
       EXPECT_THROW(load_chunked_trace(tmp.path), Error)
           << c.what << " at " << at;
     }
+  }
+}
+
+TEST(TraceFuzz, CorruptedRecordIndexCountsAcrossChunks) {
+  // The loader reads one chunk at a time; the error still names the
+  // record's index in the whole file.
+  std::vector<u64> refs = fuzz_refs(0xC0DF, kChunkRefs + 100);
+  refs[kChunkRefs + 5] |= u64(1) << 60;
+  TempFile tmp("corrupt_late");
+  write_raw(tmp.path, refs.data(), refs.size() * 8);
+  try {
+    load_chunked_trace(tmp.path);
+    FAIL() << "expected the corrupted record to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("corrupted record at index " +
+                                         std::to_string(kChunkRefs + 5)),
+              std::string::npos)
+        << e.what();
   }
 }
 

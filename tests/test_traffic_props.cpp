@@ -14,13 +14,13 @@ namespace rapwam {
 namespace {
 
 /// One shared trace per PE count (expensive to produce, reused).
-const std::vector<u64>& qsort_trace(unsigned pes) {
-  static std::map<unsigned, std::vector<u64>> cache_;
+const ChunkedTrace& qsort_trace(unsigned pes) {
+  static std::map<unsigned, std::shared_ptr<const ChunkedTrace>> cache_;
   auto it = cache_.find(pes);
-  if (it != cache_.end()) return it->second;
-  BenchRun r = run_parallel(bench_program("qsort", BenchScale::Small), pes,
-                            /*want_trace=*/true);
-  return cache_.emplace(pes, r.trace->packed()).first->second;
+  if (it != cache_.end()) return *it->second;
+  ChunkingSink sink;
+  run_into(bench_program("qsort", BenchScale::Small), pes, /*strip=*/false, &sink);
+  return *cache_.emplace(pes, sink.take()).first->second;
 }
 
 double ratio(Protocol p, u32 size, unsigned pes, bool walloc) {
@@ -187,11 +187,13 @@ TEST(WriteAllocatePolicy, NoAllocateBetterForSmallCaches) {
 }
 
 TEST(TraceFile, SaveLoadRoundTrip) {
-  const std::vector<u64>& t = qsort_trace(2);
+  const ChunkedTrace& t = qsort_trace(2);
   std::string path = ::testing::TempDir() + "/rapwam_trace.bin";
-  save_trace(t, path);
-  std::vector<u64> back = load_trace(path);
-  EXPECT_EQ(back, t);
+  FileTraceSink sink(path);
+  t.for_each_chunk([&](const u64* p, std::size_t n) { sink.on_chunk(p, n); });
+  sink.close();
+  std::shared_ptr<const ChunkedTrace> back = load_chunked_trace(path);
+  EXPECT_EQ(back->to_packed(), t.to_packed());
 }
 
 }  // namespace

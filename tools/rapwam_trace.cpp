@@ -217,12 +217,12 @@ int cmd_record(const Cli& cli) {
   // Chunks stream straight from the emulator to the file: recording a
   // multi-million-reference trace needs O(chunk) memory.
   FileTraceSink sink(out, /*busy_only=*/true);
-  run_into(bench_program(bench, scale), pes, /*strip=*/false, &sink,
-           /*max_solutions=*/1, limits_from_cli(cli), engine_faults_from_cli(cli),
-           deadline ? &*deadline : nullptr);
+  RunResult res = run_into(bench_program(bench, scale), pes, /*strip=*/false, &sink,
+                           /*max_solutions=*/1, limits_from_cli(cli),
+                           engine_faults_from_cli(cli), deadline ? &*deadline : nullptr);
   sink.close();
   std::printf("wrote %llu references to %s (recorded on %u PEs)\n",
-              (unsigned long long)sink.written(), out.c_str(), sink.counts().pes());
+              (unsigned long long)sink.written(), out.c_str(), res.stats.refs.pes());
   return 0;
 }
 
@@ -547,10 +547,13 @@ int cmd_request(const Cli& cli) {
 }
 
 int cmd_dump(const Cli& cli) {
-  std::vector<u64> t = load_trace(cli.positional().at(1));
+  // The loader validates every record: a corrupted file is an error.
+  std::shared_ptr<const ChunkedTrace> t =
+      load_chunked_trace(cli.positional().at(1));
   i64 head = cli.get_int("head", 20);
-  for (i64 i = 0; i < head && i < static_cast<i64>(t.size()); ++i) {
-    MemRef r = MemRef::unpack(t[static_cast<std::size_t>(i)]);
+  for (i64 i = 0; i < head && i < static_cast<i64>(t->size()); ++i) {
+    std::size_t k = static_cast<std::size_t>(i);  // chunks are kChunkRefs long
+    MemRef r = MemRef::unpack(t->chunk(k / kChunkRefs)[k % kChunkRefs]);
     std::printf("%6lld  pe%-2u %c %-18s %#llx\n", (long long)i, unsigned(r.pe),
                 r.write ? 'W' : 'R',
                 std::string(obj_class_name(r.cls)).c_str(),
