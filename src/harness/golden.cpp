@@ -48,6 +48,37 @@ std::vector<std::pair<std::string, u64>> timing_fields(const TimingStats& t) {
   };
 }
 
+std::vector<std::pair<std::string, u64>> run_stats_fields(const RunStats& s) {
+  std::vector<std::pair<std::string, u64>> out = {
+      {"instructions", s.instructions},
+      {"calls", s.calls},
+      {"cycles", s.cycles},
+      {"wait_polls", s.wait_polls},
+      {"goals_pushed", s.goals_pushed},
+      {"goals_stolen", s.goals_stolen},
+      {"goals_local", s.goals_local},
+      {"parcalls", s.parcalls},
+      {"kills", s.kills},
+      {"solutions", s.solutions},
+      {"num_pes", s.num_pes},
+      {"refs", s.refs.total},
+      {"reads", s.refs.reads},
+      {"writes", s.refs.writes},
+      {"busy", s.refs.busy},
+  };
+  for (std::size_t a = 0; a < kAreaCount; ++a) {
+    std::string area(area_name(static_cast<Area>(a)));
+    out.emplace_back("by_area." + area, s.refs.by_area[a]);
+    out.emplace_back("high_water." + area, s.high_water[a]);
+  }
+  for (std::size_t c = 0; c < kObjClassCount; ++c)
+    out.emplace_back("by_class." + std::string(obj_class_name(static_cast<ObjClass>(c))),
+                     s.refs.by_class[c]);
+  for (unsigned pe = 0; pe < s.num_pes; ++pe)
+    out.emplace_back("by_pe." + std::to_string(pe), s.refs.by_pe[pe]);
+  return out;
+}
+
 namespace {
 
 const Protocol kGoldenProtocols[] = {
@@ -73,6 +104,7 @@ std::vector<GoldenEntry> golden_compute(const std::string& bench) {
     std::shared_ptr<const GeneratedTrace> g =
         TraceLibrary::instance().get(bench, BenchScale::Small, pes);
     std::string prefix = "pes" + std::to_string(pes) + "/";
+    out.push_back({prefix + "engine", run_stats_fields(g->stats)});
     for (Protocol p : kGoldenProtocols) {
       out.push_back({prefix + protocol_name(p),
                      traffic_fields(replay_traffic(

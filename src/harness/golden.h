@@ -4,8 +4,8 @@
 // deterministic, so the paper numbers can be pinned bit-for-bit: for
 // each of the four paper benchmarks, tests/golden/<bench>.json holds
 // the TrafficStats of all five protocols (plus two hierarchy
-// configurations) and the TimingStats of the standard timed point, at
-// 1/4/8 PEs, small scale. tests/test_golden.cpp replays the same
+// configurations), the TimingStats of the standard timed point and the
+// engine's RunStats, at 1/4/8/128 PEs, small scale. tests/test_golden.cpp replays the same
 // configurations live and compares field-by-field, so a refactor that
 // silently drifts any number fails with a readable diff; `rapwam_trace
 // golden --update` regenerates the corpus when a change is intentional.
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cache/hierarchy.h"
+#include "engine/stats.h"
 #include "timing/timed_replay.h"
 
 namespace rapwam {
@@ -30,10 +31,14 @@ struct GoldenEntry {
 /// Field-by-field flattenings shared by the corpus and readable diffs.
 std::vector<std::pair<std::string, u64>> traffic_fields(const TrafficStats& s);
 std::vector<std::pair<std::string, u64>> timing_fields(const TimingStats& t);
+/// Every RunStats field, with the reference counters by area, class
+/// and PE (PEs 0..num_pes-1).
+std::vector<std::pair<std::string, u64>> run_stats_fields(const RunStats& s);
 
-/// Recomputes the corpus entries for one benchmark (1/4/8 PEs; all
+/// Recomputes the corpus entries for one benchmark (1/4/8/128 PEs; all
 /// five protocols at the paper's 1024-word point; inclusive and
-/// non-inclusive hierarchy points; flat and hierarchy timed points).
+/// non-inclusive hierarchy points; flat and hierarchy timed points;
+/// the generation run's engine counters).
 /// Traces come from the process-wide TraceLibrary, so repeated calls
 /// generate each (bench, pes) stream once.
 std::vector<GoldenEntry> golden_compute(const std::string& bench);
