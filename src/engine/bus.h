@@ -9,17 +9,23 @@
 // (plus a final flush, then once with the run's counters), never per
 // reference — the per-reference path is fully inlined with no virtual
 // dispatch (docs/DESIGN.md §8).
-// `peek`/`poke` bypass instrumentation (used for post-run inspection
-// and pre-run initialisation only — never from instruction execution).
+// `peek`/`poke` bypass instrumentation (post-run inspection, pre-run
+// initialisation, and the engine's quiet idle steps, which recognise
+// a wait poll or steal probe with a fixed outcome and report its
+// references through count_idle() — only while the sink keeps no idle
+// references, docs/DESIGN.md §5).
 //
-// The backing store is calloc'ed, not value-initialised: simulated
-// memory is sized for the worst-case workload (hundreds of MB at 8+
-// PEs) but small runs touch a fraction of it, and the kernel's
-// zero-page mapping makes untouched pages free. Eagerly memsetting the
-// whole arena used to dominate small-workload wall time.
+// The backing store is one private anonymous mapping, so the kernel
+// supplies zero pages as a run first touches them: simulated memory is
+// sized for the worst-case workload (hundreds of MB at 8+ PEs) but
+// small runs touch a fraction of it. Neither the allocator's memset nor
+// a page the run never touches costs anything. AddressSanitizer does not
+// instrument the mapping: the engine's per-area limit checks are the
+// bound on every simulated address.
 #pragma once
 
-#include <cstdlib>
+#include <sys/mman.h>
+
 #include <memory>
 
 #include "engine/cell.h"
@@ -31,10 +37,14 @@ namespace rapwam {
 class MemBus {
  public:
   explicit MemBus(const Layout& layout)
-      : layout_(layout),
-        mem_(static_cast<u64*>(std::calloc(layout.total_words(), sizeof(u64)))) {
-    RW_CHECK(mem_ != nullptr, "simulated memory allocation failed");
+      : bytes_(layout.total_words() * sizeof(u64)),
+        mem_(static_cast<u64*>(mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))) {
+    RW_CHECK(mem_ != MAP_FAILED, "simulated memory allocation failed");
   }
+  ~MemBus() { munmap(mem_, bytes_); }
+  MemBus(const MemBus&) = delete;
+  MemBus& operator=(const MemBus&) = delete;
 
   void set_sink(TraceSink* sink) {
     sink_ = sink;
@@ -62,8 +72,21 @@ class MemBus {
   u64 peek(u64 addr) const { return mem_[addr]; }
   void poke(u64 addr, u64 cell) { mem_[addr] = cell; }
 
+  /// True when the sink keeps idle references, so each one must go
+  /// through read()/write() in emission order.
+  bool keeps_idle() const { return sink_ && !sink_->busy_only(); }
+  /// Counts `n` idle references of one class and direction without
+  /// touching memory or the sink; only valid while !keeps_idle().
+  void count_idle(u8 pe, ObjClass cls, bool write, u64 n) {
+    MemRef r;
+    r.pe = pe;
+    r.cls = cls;
+    r.write = write;
+    r.busy = false;
+    counts_.add(r, n);
+  }
+
   const RefCounts& counts() const { return counts_; }
-  const Layout& layout() const { return layout_; }
 
  private:
   void note(u8 pe, u64 addr, ObjClass cls, bool write, bool busy) {
@@ -83,12 +106,8 @@ class MemBus {
     }
   }
 
-  struct FreeDeleter {
-    void operator()(u64* p) const { std::free(p); }
-  };
-
-  const Layout& layout_;
-  std::unique_ptr<u64[], FreeDeleter> mem_;
+  std::size_t bytes_;  ///< mapping length
+  u64* mem_;
   RefCounts counts_;
   TraceSink* sink_ = nullptr;
   std::unique_ptr<u64[]> chunk_;

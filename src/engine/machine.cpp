@@ -314,7 +314,7 @@ void Machine::step(Worker& w) {
       return;
     case Worker::St::Waiting:
       ++stats_.wait_polls;
-      exec_pwait(w);
+      if (!quiet_wait_poll(w)) exec_pwait(w);
       return;
     case Worker::St::Idle:
       try_steal(w);

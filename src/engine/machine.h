@@ -290,6 +290,12 @@ class Machine {
   void exec_pwait(Worker& w);
   bool try_run_own_goal(Worker& w, u64 pf);  // parent pops own stack (same PF)
   bool try_steal(Worker& w);          // idle PE steals from a victim
+  /// A waiting worker's poll whose outcome is fixed, counted in bulk;
+  /// false (nothing done) when exec_pwait must run instead.
+  bool quiet_wait_poll(Worker& w);
+  /// Counts an idle lock/read bot/read top/unlock of goal stack `gs`
+  /// that found no goal, and leaves the lock word released.
+  void count_empty_probe(Worker& w, u64 gs);
   void start_goal(Worker& w, u64 pf, u64 slot, i32 entry, int arity,
                   const u64* args, i32 resume_p);
   void start_local_goal(Worker& w, u64 pf, u64 slot, i32 entry, int arity,

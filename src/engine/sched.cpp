@@ -167,6 +167,37 @@ bool Machine::try_run_own_goal(Worker& w, u64 pf) {
   return false;
 }
 
+/// Quiet idle steps (docs/DESIGN.md §5). Most idle steps at 4+ PEs are
+/// a wait poll of a still-pending parcall with nothing on the worker's
+/// own goal stack, or a steal probe of an empty goal stack. Their
+/// outcome is fixed, so when no sink keeps idle references (whose
+/// emission order would then matter) they are recognised with untraced
+/// peeks and their references counted in bulk. RunStats, memory and
+/// every busy reference stay exactly as on the full path.
+bool Machine::quiet_wait_poll(Worker& w) {
+  if (bus_->keeps_idle()) return false;
+  const Instr& ins = code_->at(w.p);
+  u64 pf = cell_val(bus_->peek(w.e + kEnvY + static_cast<u64>(ins.a)));
+  if (pf == 0) return false;
+  u64 counter = cell_val(bus_->peek(pf + kPfPending));
+  if ((counter & kPfFailBit) || (counter & kPfPendingMask) == 0) return false;
+  u64 gs = w.goal_base;
+  if (cell_val(bus_->peek(gs + kGsBot)) != 0 || cell_val(bus_->peek(gs + kGsTop)) != 0)
+    return false;
+  // exec_pwait: the frame pointer and the counter; try_run_own_goal:
+  // the lock/unlock of an empty goal stack.
+  bus_->count_idle(w.pe, ObjClass::EnvPermVar, /*write=*/false, 1);
+  bus_->count_idle(w.pe, ObjClass::ParcallCount, /*write=*/false, 1);
+  count_empty_probe(w, gs);
+  return true;
+}
+
+void Machine::count_empty_probe(Worker& w, u64 gs) {
+  bus_->poke(gs + kGsLock, make_raw(0));
+  bus_->count_idle(w.pe, ObjClass::GoalFrame, /*write=*/false, 2);
+  bus_->count_idle(w.pe, ObjClass::GoalFrame, /*write=*/true, 2);
+}
+
 /// An idle worker probes one victim (round-robin) and steals its oldest
 /// pending goal (FIFO end: the biggest subtree).
 bool Machine::try_steal(Worker& w) {
@@ -177,6 +208,11 @@ bool Machine::try_steal(Worker& w) {
   if (victim == w.pe) return false;
   Worker& v = workers_[victim];
   u64 gs = v.goal_base;
+  if (!bus_->keeps_idle() &&
+      cell_val(bus_->peek(gs + kGsBot)) >= cell_val(bus_->peek(gs + kGsTop))) {
+    count_empty_probe(w, gs);  // nothing to steal
+    return false;
+  }
   wr(w, gs + kGsLock, make_raw(1), ObjClass::GoalFrame);
   u64 bot = cell_val(rd(w, gs + kGsBot, ObjClass::GoalFrame));
   u64 top = cell_val(rd(w, gs + kGsTop, ObjClass::GoalFrame));

@@ -11,7 +11,7 @@ namespace rapwam {
 TextTable table1_report() {
   TextTable t("Table 1: Characteristics of RAP-WAM Storage Objects");
   t.header({"Frame type", "area", "WAM?", "lock", "locality"});
-  for (const StorageTraits& s : storage_table()) {
+  for (const StorageTraits& s : kStorageTable) {
     t.row({std::string(obj_class_name(s.cls)), std::string(area_name(s.area)),
            s.in_wam ? "yes" : "no", s.locked ? "yes" : "no",
            std::string(locality_name(s.locality))});

@@ -2,29 +2,6 @@
 
 namespace rapwam {
 
-const std::array<StorageTraits, kObjClassCount>& storage_table() {
-  // Table 1 of the paper, row for row.
-  static const std::array<StorageTraits, kObjClassCount> t = {{
-      {ObjClass::EnvControl, Area::Local, true, false, Locality::Local},
-      {ObjClass::EnvPermVar, Area::Local, true, false, Locality::Global},
-      {ObjClass::ChoicePoint, Area::Control, true, false, Locality::Local},
-      {ObjClass::HeapTerm, Area::Heap, true, false, Locality::Global},
-      {ObjClass::TrailEntry, Area::Trail, true, false, Locality::Local},
-      {ObjClass::PdlEntry, Area::Pdl, true, false, Locality::Local},
-      {ObjClass::ParcallLocal, Area::Local, false, false, Locality::Local},
-      {ObjClass::ParcallGlobal, Area::Local, false, false, Locality::Global},
-      {ObjClass::ParcallCount, Area::Local, false, true, Locality::Global},
-      {ObjClass::Marker, Area::Control, false, false, Locality::Local},
-      {ObjClass::GoalFrame, Area::GoalStack, false, true, Locality::Global},
-      {ObjClass::Message, Area::MsgBuffer, false, true, Locality::Global},
-  }};
-  return t;
-}
-
-const StorageTraits& traits_of(ObjClass c) {
-  return storage_table()[static_cast<std::size_t>(c)];
-}
-
 std::string_view area_name(Area a) {
   switch (a) {
     case Area::Heap: return "Heap";

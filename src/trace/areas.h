@@ -57,10 +57,33 @@ struct StorageTraits {
   Locality locality;  ///< may another PE touch it?
 };
 
-/// The twelve rows of Table 1, indexable by ObjClass.
-const std::array<StorageTraits, kObjClassCount>& storage_table();
+/// The twelve rows of Table 1, row for row, indexed by ObjClass.
+inline constexpr std::array<StorageTraits, kObjClassCount> kStorageTable = {{
+    {ObjClass::EnvControl, Area::Local, true, false, Locality::Local},
+    {ObjClass::EnvPermVar, Area::Local, true, false, Locality::Global},
+    {ObjClass::ChoicePoint, Area::Control, true, false, Locality::Local},
+    {ObjClass::HeapTerm, Area::Heap, true, false, Locality::Global},
+    {ObjClass::TrailEntry, Area::Trail, true, false, Locality::Local},
+    {ObjClass::PdlEntry, Area::Pdl, true, false, Locality::Local},
+    {ObjClass::ParcallLocal, Area::Local, false, false, Locality::Local},
+    {ObjClass::ParcallGlobal, Area::Local, false, false, Locality::Global},
+    {ObjClass::ParcallCount, Area::Local, false, true, Locality::Global},
+    {ObjClass::Marker, Area::Control, false, false, Locality::Local},
+    {ObjClass::GoalFrame, Area::GoalStack, false, true, Locality::Global},
+    {ObjClass::Message, Area::MsgBuffer, false, true, Locality::Global},
+}};
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kObjClassCount; ++i)
+        if (kStorageTable[i].cls != static_cast<ObjClass>(i)) return false;
+      return true;
+    }(),
+    "Table 1 rows must be in ObjClass order: traits_of indexes them by class");
 
-const StorageTraits& traits_of(ObjClass c);
+/// Inline: the memory bus looks up every reference's area here.
+constexpr const StorageTraits& traits_of(ObjClass c) {
+  return kStorageTable[static_cast<std::size_t>(c)];
+}
 
 std::string_view area_name(Area a);
 std::string_view obj_class_name(ObjClass c);

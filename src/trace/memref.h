@@ -79,13 +79,14 @@ struct RefCounts {
 
   bool operator==(const RefCounts&) const = default;
 
-  void add(const MemRef& r) {
-    ++total;
-    if (r.write) ++writes; else ++reads;
-    if (r.busy) ++busy;
-    by_area[static_cast<std::size_t>(traits_of(r.cls).area)]++;
-    by_class[static_cast<std::size_t>(r.cls)]++;
-    by_pe[r.pe]++;  // u8 PE id: always < kMaxTracePes
+  /// Counts `n` references like `r` (its address is not counted).
+  void add(const MemRef& r, u64 n = 1) {
+    total += n;
+    if (r.write) writes += n; else reads += n;
+    if (r.busy) busy += n;
+    by_area[static_cast<std::size_t>(traits_of(r.cls).area)] += n;
+    by_class[static_cast<std::size_t>(r.cls)] += n;
+    by_pe[r.pe] += n;  // u8 PE id: always < kMaxTracePes
   }
 
   /// PEs the counted stream was recorded on (highest PE id seen + 1).

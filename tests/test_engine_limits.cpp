@@ -413,5 +413,26 @@ TEST(EngineLimits, RunIntoThreadsLimitsAndFaults) {
                ResourceExhaustedError);
 }
 
+TEST(EngineLimits, ArenaThatCannotBeMappedIsAStructuredError) {
+  // Each solve maps its simulated memory. An arena past every user
+  // address space (2^46 heap words, 512 TiB) fails with a structured
+  // error, and the process goes on solving with a sane layout.
+  Program prog;
+  prog.consult("p.");
+  MachineConfig cfg;
+  cfg.sizes.heap = u64(1) << 46;
+  Machine huge(prog, cfg);
+  try {
+    huge.solve("p.");
+    FAIL() << "expected the arena mapping to fail";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("simulated memory allocation failed"),
+              std::string::npos)
+        << e.what();
+  }
+  Machine sane(prog, MachineConfig{});
+  EXPECT_TRUE(sane.solve("p.").success);
+}
+
 }  // namespace
 }  // namespace rapwam

@@ -5,42 +5,11 @@
 // fail at varying depths (failure injection).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "engine/machine.h"
+#include "test_programs.h"
 
 namespace rapwam {
 namespace {
-
-/// A small program family parameterized by a seed: two independent
-/// tree walks run in parallel; nodes fail where seed bits say so, and
-/// a final arithmetic check relates the two results. This exercises
-/// parcalls that succeed, fail early, fail late, and cancel siblings.
-std::string make_program(unsigned seed) {
-  std::ostringstream os;
-  // walk(Depth, Mode, Sum): Mode selects which branch fails.
-  os << "walk(0, M, M).\n";
-  os << "walk(N, M, S) :- N > 0, N1 is N - 1, pick(N, M, V), walk(N1, M, S1), "
-        "S is S1 + V.\n";
-  for (int n = 1; n <= 6; ++n) {
-    // pick succeeds with value depending on the seed; for some (n, m)
-    // combinations it fails on first clause and succeeds on retry.
-    if ((seed >> n) & 1) {
-      os << "pick(" << n << ", M, V) :- M > 1, V is " << n << " * M.\n";
-      os << "pick(" << n << ", M, V) :- M =< 1, V = " << n << ".\n";
-    } else {
-      os << "pick(" << n << ", _, " << n << ").\n";
-    }
-  }
-  os << "pair(A, B) :- walk(6, 1, A) & walk(6, 2, B).\n";
-  // The goals of a CGE must be independent: gate/1 ignores its
-  // argument (it only delimits the answer) and does its own walk,
-  // failing for odd sums -- which kills the (possibly still running)
-  // sibling, exercising the inside-failure protocol.
-  os << "gated(A) :- walk(6, 1, A) & gate(_).\n";
-  os << "gate(_) :- walk(6, 2, Y), 0 =:= Y mod 2.\n";
-  return os.str();
-}
 
 RunResult run_cfg(const std::string& src, const std::string& goal, unsigned pes,
                   bool strip) {
@@ -57,7 +26,7 @@ RunResult run_cfg(const std::string& src, const std::string& goal, unsigned pes,
 class ParallelAgreement : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelAgreement, PairMatchesSequential) {
-  std::string src = make_program(GetParam());
+  std::string src = make_prop_program(GetParam());
   RunResult seq = run_cfg(src, "pair(A, B).", 1, /*strip=*/true);
   for (unsigned pes : {1u, 2u, 4u, 8u}) {
     RunResult par = run_cfg(src, "pair(A, B).", pes, false);
@@ -73,7 +42,7 @@ TEST_P(ParallelAgreement, PairMatchesSequential) {
 
 TEST_P(ParallelAgreement, GatedFailureMatchesSequential) {
   // gate/1 fails for some seeds, killing a (possibly long) sibling.
-  std::string src = make_program(GetParam());
+  std::string src = make_prop_program(GetParam());
   RunResult seq = run_cfg(src, "gated(A).", 1, /*strip=*/true);
   for (unsigned pes : {2u, 4u}) {
     RunResult par = run_cfg(src, "gated(A).", pes, false);
@@ -86,34 +55,21 @@ TEST_P(ParallelAgreement, GatedFailureMatchesSequential) {
 }
 
 TEST_P(ParallelAgreement, RunsAreDeterministic) {
-  std::string src = make_program(GetParam());
+  std::string src = make_prop_program(GetParam());
   RunResult a = run_cfg(src, "pair(A, B).", 4, false);
   RunResult b = run_cfg(src, "pair(A, B).", 4, false);
   EXPECT_EQ(a.stats.refs.total, b.stats.refs.total);
   EXPECT_EQ(a.stats.cycles, b.stats.cycles);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelAgreement,
-                         ::testing::Values(0u, 1u, 5u, 10u, 21u, 42u, 63u, 77u,
-                                           102u, 127u));
+INSTANTIATE_TEST_SUITE_P(Seeds, ParallelAgreement, ::testing::ValuesIn(kPropSeeds));
 
 TEST(ParallelStress, ManyNestedParcallsUnderFailurePressure) {
   // Fibonacci where odd leaves occasionally fail on their first clause:
   // lots of backtracking across active parcalls.
-  const char* src = R"PL(
-    fib(0, 0).
-    fib(1, 1).
-    fib(N, F) :-
-        N > 1, N1 is N - 1, N2 is N - 2,
-        (fib(N1, F1) & fib(N2, F2)),
-        F is F1 + F2.
-    flaky(N, F) :- N mod 3 =:= 0, fail.
-    flaky(N, F) :- fib(N, F).
-    main(F) :- flaky(12, A) & flaky(9, B), F is A + B.
-  )PL";
   for (unsigned pes : {1u, 3u, 8u}) {
     Program prog;
-    prog.consult(src);
+    prog.consult(kFlakyFibProgram);
     MachineConfig cfg;
     cfg.num_pes = pes;
     Machine m(prog, cfg);
@@ -124,16 +80,9 @@ TEST(ParallelStress, ManyNestedParcallsUnderFailurePressure) {
 }
 
 TEST(ParallelStress, DeepNestingAcrossManyPEs) {
-  const char* src = R"PL(
-    tree(0, 1).
-    tree(N, S) :-
-        N > 0, N1 is N - 1,
-        (tree(N1, A) & tree(N1, B)),
-        S is A + B.
-  )PL";
   for (unsigned pes : {1u, 7u, 16u}) {
     Program prog;
-    prog.consult(src);
+    prog.consult(kTreeProgram);
     MachineConfig cfg;
     cfg.num_pes = pes;
     Machine m(prog, cfg);

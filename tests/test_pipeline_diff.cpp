@@ -4,7 +4,10 @@
 // five protocols on randomized traces. On real emulator runs the memory
 // bus is the one place references are counted and filtered: a trace's
 // counters are the run's RunStats::refs, and a busy-only trace is the
-// busy filter of the keep-all trace of the same run.
+// busy filter of the keep-all trace of the same run. Without a sink or
+// with a busy-only one, idle PEs count their quiet wait polls and steal
+// probes in bulk; a keep-all sink takes the full path, so whole
+// RunStats agreeing across the three pins the quiet path.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,6 +15,7 @@
 #include "checkpoint/checkpoint.h"
 #include "harness/runner.h"
 #include "harness/trace_lib.h"
+#include "test_programs.h"
 #include "test_rand.h"
 #include "timing/timed_replay.h"
 #include "trace/chunks.h"
@@ -140,8 +144,14 @@ std::string case_name(const EngineCase& c) {
 std::vector<EngineCase> small_engine_cases() {
   std::vector<EngineCase> out;
   for (const char* b : {"deriv", "tak", "qsort", "matrix"})
-    for (unsigned pes : {1u, 4u, 8u, 0u}) out.push_back({b, pes});
+    for (unsigned pes : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 0u}) out.push_back({b, pes});
   return out;
+}
+
+RunStats run_stats(const EngineCase& c, TraceSink* sink) {
+  return run_into(bench_program(c.bench, c.scale), c.pes ? c.pes : 1,
+                  /*strip=*/c.pes == 0, sink)
+      .stats;
 }
 
 struct TracedRun {
@@ -151,12 +161,8 @@ struct TracedRun {
 
 TracedRun run_traced(const EngineCase& c, bool busy_only) {
   ChunkingSink sink(busy_only);
-  TracedRun out;
-  out.stats = run_into(bench_program(c.bench, c.scale), c.pes ? c.pes : 1,
-                       /*strip=*/c.pes == 0, &sink)
-                  .stats;
-  out.trace = sink.take();
-  return out;
+  RunStats stats = run_stats(c, &sink);
+  return {stats, sink.take()};
 }
 
 TEST(StreamingPipeline, TraceCountsAreTheRunStats) {
@@ -176,14 +182,18 @@ TEST(StreamingPipeline, BusyOnlyTraceIsTheBusyFilterOfTheFullTrace) {
   // What the bus packs for a busy-only sink is exactly a naive busy
   // filter over the keep-all stream of the same run, re-chunked so that
   // every chunk but the last holds kChunkRefs references. The Paper
-  // qsort run spans several chunks either way.
+  // qsort run spans several chunks either way. The run without a sink
+  // and the busy-only run take the quiet idle path, the keep-all run
+  // the full one: all three give the same RunStats, by PE included.
   std::vector<EngineCase> cases = small_engine_cases();
   cases.push_back({"qsort", 8, BenchScale::Paper});
   for (const EngineCase& c : cases) {
     SCOPED_TRACE(case_name(c));
+    RunStats none = run_stats(c, nullptr);
     TracedRun busy = run_traced(c, /*busy_only=*/true);
     TracedRun all = run_traced(c, /*busy_only=*/false);
-    EXPECT_EQ(busy.stats, all.stats);
+    EXPECT_EQ(busy.stats, none);
+    EXPECT_EQ(all.stats, none);
     std::vector<u64> filtered;
     for (u64 p : all.trace->to_packed())
       if (MemRef::unpack(p).busy) filtered.push_back(p);
@@ -191,6 +201,56 @@ TEST(StreamingPipeline, BusyOnlyTraceIsTheBusyFilterOfTheFullTrace) {
     for (const TracedRun* r : {&busy, &all})
       for (std::size_t i = 0; i + 1 < r->trace->num_chunks(); ++i)
         EXPECT_EQ(r->trace->chunk(i).size(), kChunkRefs);
+  }
+}
+
+/// A parcall whose creator is waiting when its third goal fails on
+/// another PE while the second still runs on a third: the creator's
+/// next poll sees the fail flag with a goal still pending.
+constexpr const char* kWaitingCreatorKillProgram = R"PL(
+    kf(A, B, C) :- spin(20, A) & spin(300, B) & late_fail(40, C).
+    spin(0, 0).
+    spin(N, S) :- N > 0, M is N - 1, spin(M, S0), S is S0 + 1.
+    late_fail(N, C) :- spin(N, C), C > 1000.
+  )PL";
+
+TEST(StreamingPipeline, QuietIdleStepsCountLikeTheFullPathOnPropertyPrograms) {
+  // The property-test programs kill running siblings, fail parcalls
+  // and leave cancelled frames on goal stacks, at PE counts from 2 to
+  // 16, with up to four solutions each: every run gives the same
+  // RunStats without a sink, with a busy-only sink (both quiet) and
+  // with a keep-all sink (full path). The cycle cap turns a quiet poll
+  // that missed a fail flag into an error instead of a hang.
+  struct PropCase {
+    std::string name;
+    std::string src;
+    const char* goal;
+  };
+  std::vector<PropCase> cases;
+  for (unsigned seed : kPropSeeds) {
+    std::string src = make_prop_program(seed);
+    cases.push_back({"pair/" + std::to_string(seed), src, "pair(A, B)."});
+    cases.push_back({"gated/" + std::to_string(seed), src, "gated(A)."});
+  }
+  cases.push_back({"flaky-fib", kFlakyFibProgram, "main(F)."});
+  cases.push_back({"tree", kTreeProgram, "tree(10, S)."});
+  cases.push_back({"waiting-creator-kill", kWaitingCreatorKillProgram, "kf(A, B, C)."});
+  for (const PropCase& c : cases) {
+    Program prog;
+    prog.consult(c.src);
+    for (unsigned pes : {2u, 3u, 4u, 7u, 8u, 16u}) {
+      SCOPED_TRACE(c.name + "/" + std::to_string(pes) + "pe");
+      MachineConfig cfg;
+      cfg.num_pes = pes;
+      cfg.max_solutions = 4;
+      cfg.max_cycles = 1'000'000;
+      Machine m(prog, cfg);
+      RunStats none = m.solve(c.goal).stats;
+      ChunkingSink busy(/*busy_only=*/true), all(/*busy_only=*/false);
+      EXPECT_EQ(m.solve(c.goal, &busy).stats, none);
+      EXPECT_EQ(m.solve(c.goal, &all).stats, none);
+      EXPECT_GT(none.refs.total, none.refs.busy);  // idle PEs polled or probed
+    }
   }
 }
 

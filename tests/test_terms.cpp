@@ -75,7 +75,7 @@ TEST(StorageTable, MatchesPaperTable1) {
 }
 
 TEST(StorageTable, EveryClassMapsToItsArea) {
-  for (const StorageTraits& s : storage_table()) {
+  for (const StorageTraits& s : kStorageTable) {
     EXPECT_EQ(traits_of(s.cls).area, s.area);
     EXPECT_FALSE(obj_class_name(s.cls).empty());
   }
@@ -111,6 +111,26 @@ TEST(MemRef, CountsAggregate) {
   EXPECT_EQ(c.writes, 1u);
   EXPECT_EQ(c.busy, 1u);
   EXPECT_EQ(c.by_area[static_cast<size_t>(Area::Heap)], 2u);
+
+  // add(r, n) is n calls of add(r), for every field: the engine counts
+  // quiet idle steps this way.
+  for (ObjClass cls : {ObjClass::GoalFrame, ObjClass::EnvPermVar, ObjClass::Message}) {
+    for (bool write : {false, true}) {
+      for (bool busy : {false, true}) {
+        MemRef q;
+        q.addr = 77;
+        q.pe = 5;
+        q.cls = cls;
+        q.write = write;
+        q.busy = busy;
+        RefCounts bulk = c, one_by_one = c;
+        bulk.add(q, 3);
+        for (int i = 0; i < 3; ++i) one_by_one.add(q);
+        EXPECT_EQ(bulk, one_by_one);
+        EXPECT_EQ(bulk.by_pe[5], 3u);
+      }
+    }
+  }
 }
 
 }  // namespace
