@@ -22,34 +22,6 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   idx_.init(slots_.size());
 }
 
-void Cache::list_unlink(SetList& s, u32 n) {
-  Slot& sl = slots_[n];
-  (sl.prev == kNil ? s.head : slots_[sl.prev].next) = sl.next;
-  (sl.next == kNil ? s.tail : slots_[sl.next].prev) = sl.prev;
-}
-
-void Cache::list_push_front(SetList& s, u32 n) {
-  slots_[n].prev = kNil;
-  slots_[n].next = s.head;
-  if (s.head != kNil)
-    slots_[s.head].prev = n;
-  else
-    s.tail = n;
-  s.head = n;
-}
-
-Line* Cache::lookup(u64 tag) {
-  const u32* p = idx_.find(tag);
-  if (!p) return nullptr;
-  u32 n = *p;
-  SetList& s = sets_[set_of(tag)];
-  if (s.head != n) {  // move to front
-    list_unlink(s, n);
-    list_push_front(s, n);
-  }
-  return &slots_[n].line;
-}
-
 Cache::Evicted Cache::insert(u64 tag, LineState state) {
   RW_CHECK(idx_.find(tag) == nullptr, "cache insert of present line");
   SetList& s = sets_[set_of(tag)];
@@ -70,6 +42,7 @@ Cache::Evicted Cache::insert(u64 tag, LineState state) {
   list_push_front(s, n);
   idx_.upsert(tag) = n;
   ++size_;
+  remember(n, tag);  // also drops a memo of the evicted line
   return ev;
 }
 
@@ -77,6 +50,7 @@ void Cache::invalidate(u64 tag) {
   const u32* p = idx_.find(tag);
   if (!p) return;
   u32 n = *p;
+  if (tag == mru_tag_) mru_tag_ = FlatTagMap<u32>::kEmptyKey;  // drop the memo
   SetList& s = sets_[set_of(tag)];
   list_unlink(s, n);
   slots_[n].next = s.free;

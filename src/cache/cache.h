@@ -16,6 +16,12 @@
 // allocation, no iterator indirection, and the hot lookup path
 // touches two small arrays. Line pointers returned by lookup/probe
 // stay valid for the life of the Cache (the pool never reallocates).
+//
+// lookup() first checks a one-entry memo of the line it touched last
+// (the MRU memo): about half the references a PE makes repeat its
+// previous line, and those return after one compare, with no hash
+// probe and no list splice. lookup() and the splice live in this header
+// so the protocol handlers inline them (docs/DESIGN.md §6).
 #pragma once
 
 #include <vector>
@@ -43,7 +49,19 @@ class Cache {
   explicit Cache(const CacheConfig& cfg);
 
   /// Finds the line containing `tag`; touches LRU when found.
-  Line* lookup(u64 tag);
+  Line* lookup(u64 tag) {
+    if (tag == mru_tag_) return &slots_[mru_slot_].line;
+    const u32* p = idx_.find(tag);
+    if (!p) return nullptr;
+    u32 n = *p;
+    SetList& s = sets_[set_of(tag)];
+    if (s.head != n) {  // move to front
+      list_unlink(s, n);
+      list_push_front(s, n);
+    }
+    remember(n, tag);
+    return &slots_[n].line;
+  }
   /// Finds without touching the LRU order (snoops from other PEs).
   /// The const overload supports read-only queries from const callers.
   Line* probe(u64 tag) {
@@ -101,8 +119,25 @@ class Cache {
 
   std::size_t set_of(u64 tag) const { return fa_ ? 0 : tag % sets_.size(); }
 
-  void list_unlink(SetList& s, u32 n);
-  void list_push_front(SetList& s, u32 n);
+  void list_unlink(SetList& s, u32 n) {
+    Slot& sl = slots_[n];
+    (sl.prev == kNil ? s.head : slots_[sl.prev].next) = sl.next;
+    (sl.next == kNil ? s.tail : slots_[sl.next].prev) = sl.prev;
+  }
+  void list_push_front(SetList& s, u32 n) {
+    slots_[n].prev = kNil;
+    slots_[n].next = s.head;
+    if (s.head != kNil)
+      slots_[s.head].prev = n;
+    else
+      s.tail = n;
+    s.head = n;
+  }
+
+  void remember(u32 n, u64 tag) {
+    mru_slot_ = n;
+    mru_tag_ = tag;
+  }
 
   CacheConfig cfg_;
   bool fa_ = true;          ///< fully associative (single set)
@@ -111,6 +146,13 @@ class Cache {
   std::vector<SetList> sets_;
   FlatTagMap<u32> idx_;     ///< tag -> slot index over the whole pool
   std::size_t size_ = 0;
+  /// The MRU memo: the slot and tag of the line lookup() or insert()
+  /// touched last, always the head of its set's LRU list, so a memo
+  /// hit needs no splice. kEmptyKey (never a valid tag) when empty:
+  /// invalidating or evicting the memo's slot clears it. Not
+  /// serialized — restore_state rebuilds it through insert().
+  u32 mru_slot_ = 0;
+  u64 mru_tag_ = FlatTagMap<u32>::kEmptyKey;
 };
 
 }  // namespace rapwam

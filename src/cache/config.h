@@ -90,6 +90,14 @@ struct CacheConfig {
     return num_lines() / w;
   }
   bool fully_associative() const { return ways == 0 || ways >= num_lines(); }
+
+  /// Throws Error, naming the field, unless the simulator can build
+  /// this geometry exactly as asked, for the L1 and (when enabled) the
+  /// L2: a positive size that is a multiple of a non-zero line size,
+  /// and ways that are 0, at least the line count, or a divisor of it.
+  /// Any other `ways` would leave slots unused and quietly simulate a
+  /// smaller cache than the size reports.
+  void check_geometry() const;
 };
 
 /// The paper's Figure-4 policy: no-write-allocate for small caches,

@@ -3,17 +3,12 @@
 namespace rapwam {
 
 HierCacheSim::HierCacheSim(const CacheConfig& cfg, unsigned num_pes, DirRep rep)
-    : MultiCacheSim(cfg, num_pes, rep) {
+    : MultiCacheSim(cfg, num_pes, rep) {  // checks the L2 geometry too
   if (!cfg.l2.enabled()) return;
-  RW_CHECK(cfg.l2.size_words % cfg.line_words == 0,
-           "L2 size must be a multiple of the (shared) line size");
   CacheConfig l2cfg;
   l2cfg.size_words = cfg.l2.size_words;
   l2cfg.line_words = cfg.line_words;
   l2cfg.ways = cfg.l2.ways;
-  RW_CHECK(l2cfg.ways == 0 || l2cfg.num_lines() % l2cfg.ways == 0,
-           "L2 line count must be a multiple of its associativity");
-  RW_CHECK(l2cfg.num_lines() >= 1, "L2 must hold at least one line");
   inclusive_ = cfg.l2.inclusion == L2Config::Inclusion::Inclusive;
   l2_.emplace(l2cfg);
 }

@@ -37,11 +37,32 @@ unsigned check_pes(unsigned pes) {
   return pes;
 }
 
+namespace {
+
+void check_level(const char* level, u32 size_words, u32 line_words, u32 ways) {
+  if (size_words == 0 || size_words % line_words != 0)
+    fail(std::string(level) + " size " + std::to_string(size_words) +
+         " words is not a positive multiple of the " +
+         std::to_string(line_words) + "-word line");
+  u32 lines = size_words / line_words;
+  if (ways != 0 && ways < lines && lines % ways != 0)
+    fail(std::string(level) + " ways " + std::to_string(ways) +
+         " must be 0 (fully associative), at least the " + level + "'s " +
+         std::to_string(lines) + " lines, or a divisor of " +
+         std::to_string(lines));
+}
+
+}  // namespace
+
+void CacheConfig::check_geometry() const {
+  if (line_words == 0) fail("cache line size must be at least 1 word");
+  check_level("cache", size_words, line_words, ways);
+  if (l2.enabled()) check_level("L2", l2.size_words, line_words, l2.ways);
+}
+
 MultiCacheSim::MultiCacheSim(const CacheConfig& cfg, unsigned num_pes, DirRep rep)
     : cfg_(cfg) {
-  RW_CHECK(cfg.line_words > 0 && cfg.size_words % cfg.line_words == 0,
-           "cache size must be a multiple of the line size");
-  RW_CHECK(cfg.num_lines() >= 1, "cache must hold at least one line");
+  cfg.check_geometry();
   RW_CHECK(num_pes >= 1 && num_pes <= kMaxPes,
            "directory holder masks support 1..kMaxPes PEs");
   RW_CHECK(rep != DirRep::Flat || num_pes <= 64,

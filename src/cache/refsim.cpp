@@ -6,8 +6,7 @@ namespace rapwam {
 
 ReferenceCacheSim::ReferenceCacheSim(const CacheConfig& cfg, unsigned num_pes)
     : cfg_(cfg) {
-  RW_CHECK(cfg.line_words > 0 && cfg.size_words % cfg.line_words == 0,
-           "cache size must be a multiple of the line size");
+  cfg.check_geometry();
   caches_.reserve(num_pes);
   for (unsigned i = 0; i < num_pes; ++i) caches_.emplace_back(cfg);
 }

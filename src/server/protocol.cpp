@@ -210,8 +210,8 @@ Request parse_request(const std::string& line, const RequestLimits& lim) {
     if (!r.bench.empty() && !r.trace_path.empty())
       fail("\"bench\" and \"trace\" are mutually exclusive");
     if (r.bench.empty() && r.trace_path.empty()) r.bench = "qsort";
-    if (r.cfg.size_words % r.cfg.line_words)
-      fail("\"size\" must be a multiple of \"line\"");
+    // Before any trace is generated: the simulator could not build it.
+    r.cfg.check_geometry();
     // Unless the client pinned the policy, follow the paper's
     // size-dependent allocation rule, like the CLI tools do.
     if (!explicit_allocate)

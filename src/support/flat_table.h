@@ -7,6 +7,12 @@
 // < 2^64-1 (~0 is reserved as the empty marker) — line tags are word
 // addresses / line_words <= 2^40.
 //
+// A key's home bucket is the top log2(buckets) bits of key * 2^64/phi
+// (multiply-shift, "Fibonacci" hashing): one multiply, and consecutive
+// or strided tags spread over the whole table. No caller may depend on
+// the layout this produces — iteration order included — so the hash
+// can change without changing any result (docs/DESIGN.md §6).
+//
 // Shared by the per-PE cache tag index and the coherence sharing
 // directory (docs/DESIGN.md §6), which is exactly why it exists: the
 // backward-shift wrap-around logic is the subtlest code in the cache
@@ -37,11 +43,12 @@ class FlatTagMap {
     keys_.assign(buckets, kEmptyKey);
     values_.assign(buckets, Value{});
     mask_ = buckets - 1;
+    shift_ = static_cast<unsigned>(64 - std::countr_zero(buckets));
     size_ = 0;
   }
 
   Value* find(u64 key) {
-    u64 i = mix(key) & mask_;
+    u64 i = home(key);
     while (keys_[i] != kEmptyKey) {
       if (keys_[i] == key) return &values_[i];
       i = (i + 1) & mask_;
@@ -55,7 +62,7 @@ class FlatTagMap {
   /// Returns the value for `key`, value-initialising a fresh slot if
   /// absent. Pointers are invalidated by erase() (entries may shift).
   Value& upsert(u64 key) {
-    u64 i = mix(key) & mask_;
+    u64 i = home(key);
     while (keys_[i] != kEmptyKey) {
       if (keys_[i] == key) return values_[i];
       i = (i + 1) & mask_;
@@ -67,7 +74,7 @@ class FlatTagMap {
   }
 
   void erase(u64 key) {
-    u64 i = mix(key) & mask_;
+    u64 i = home(key);
     while (keys_[i] != kEmptyKey && keys_[i] != key) i = (i + 1) & mask_;
     if (keys_[i] == kEmptyKey) return;
     --size_;
@@ -79,7 +86,7 @@ class FlatTagMap {
       for (;;) {
         j = (j + 1) & mask_;
         if (keys_[j] == kEmptyKey) return;
-        u64 k = mix(keys_[j]) & mask_;  // ideal bucket of the occupant
+        u64 k = home(keys_[j]);  // ideal bucket of the occupant
         // Move it iff its ideal bucket is cyclically outside (i, j].
         if (i <= j ? (k <= i || k > j) : (k <= i && k > j)) break;
       }
@@ -91,6 +98,10 @@ class FlatTagMap {
 
   std::size_t size() const { return size_; }
 
+  /// The bucket `key`'s probe chain starts at (tests use it to build
+  /// chains that wrap past the table's end).
+  u64 home(u64 key) const { return (key * 0x9E3779B97F4A7C15ull) >> shift_; }
+
   template <typename F>
   void for_each(F&& f) const {
     for (std::size_t i = 0; i < keys_.size(); ++i)
@@ -98,16 +109,10 @@ class FlatTagMap {
   }
 
  private:
-  static u64 mix(u64 x) {  // splitmix64 finaliser
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
   std::vector<u64> keys_;
   std::vector<Value> values_;
   u64 mask_ = 0;
+  unsigned shift_ = 0;  ///< 64 - log2(bucket count)
   std::size_t size_ = 0;
 };
 

@@ -2,16 +2,21 @@
 // retained naive broadcast-snoop implementation (cache/refsim.h):
 // randomized traces must produce bit-identical TrafficStats, identical
 // final cache contents, and a directory that exactly mirrors the
-// caches. Plus eviction-order tests pinning the flat-array LRU
-// against a simple list model.
+// caches. Every case replays a random trace and a same-line trace.
+// Plus eviction-order tests pinning the flat-array LRU against a simple
+// list model, and FlatTagMap against std::unordered_map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <list>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "cache/hierarchy.h"
 #include "cache/multisim.h"
 #include "cache/refsim.h"
+#include "support/flat_table.h"
 #include "test_rand.h"
 
 namespace rapwam {
@@ -25,7 +30,7 @@ std::vector<Line> sorted_lines(const Cache& c) {
 }
 
 void expect_equivalent(const CacheConfig& cfg, unsigned pes,
-                       const std::vector<u64>& trace, const char* what) {
+                       const std::vector<u64>& trace, const std::string& what) {
   MultiCacheSim fast(cfg, pes);
   ReferenceCacheSim naive(cfg, pes);
   fast.replay(trace);
@@ -51,6 +56,12 @@ void expect_equivalent(const CacheConfig& cfg, unsigned pes,
   }
 }
 
+/// The same-line input each case replays next to its random trace, in
+/// the case's geometry: conflicting references one cache size apart.
+std::vector<u64> same_line_input(const CacheConfig& cfg, unsigned pes, u64 seed) {
+  return same_line_trace(seed, pes, 6000, cfg.line_words, cfg.size_words);
+}
+
 const Protocol kAllProtocols[] = {
     Protocol::WriteThrough, Protocol::WriteInBroadcast,
     Protocol::WriteThroughBroadcast, Protocol::Hybrid, Protocol::Copyback};
@@ -58,15 +69,27 @@ const Protocol kAllProtocols[] = {
 TEST(DirectoryDiff, AllProtocolsMatchNaiveOnRandomTraces) {
   for (Protocol p : kAllProtocols) {
     for (unsigned pes : {1u, 2u, 4u, 8u}) {
-      std::vector<u64> trace =
-          random_trace(0xC0FFEEu + static_cast<u64>(p) * 131 + pes, pes, 20000);
+      const u64 seed = 0xC0FFEEu + static_cast<u64>(p) * 131 + pes;
+      const std::string what = protocol_name(p) + "/" + std::to_string(pes) + "pe";
       CacheConfig cfg;
       cfg.protocol = p;
       cfg.size_words = 512;
       cfg.line_words = 4;
       cfg.write_allocate = true;
-      expect_equivalent(cfg, pes,
-                        trace, (protocol_name(p) + "/" + std::to_string(pes) + "pe").c_str());
+      expect_equivalent(cfg, pes, random_trace(seed, pes, 20000), what);
+      // Same-line runs in 16-line caches, fully associative, direct-
+      // mapped and 2-way, over one- to sixteen-word and odd line sizes.
+      for (u32 line : {1u, 3u, 4u, 16u}) {
+        for (u32 ways : {0u, 1u, 2u}) {
+          CacheConfig g = cfg;
+          g.line_words = line;
+          g.size_words = 16 * line;
+          g.ways = ways;
+          expect_equivalent(g, pes, same_line_input(g, pes, seed + 8 * line + ways),
+                            what + "/same-line/line" + std::to_string(line) +
+                                "/ways" + std::to_string(ways));
+        }
+      }
     }
   }
 }
@@ -79,7 +102,9 @@ TEST(DirectoryDiff, NoWriteAllocateMatches) {
     cfg.size_words = 256;
     cfg.line_words = 4;
     cfg.write_allocate = false;
-    expect_equivalent(cfg, 4, trace, protocol_name(p).c_str());
+    expect_equivalent(cfg, 4, trace, protocol_name(p));
+    expect_equivalent(cfg, 4, same_line_input(cfg, 4, 0xBEEF + static_cast<u64>(p)),
+                      protocol_name(p) + "/same-line");
   }
 }
 
@@ -94,8 +119,11 @@ TEST(DirectoryDiff, SetAssociativeMatches) {
       cfg.line_words = 4;
       cfg.write_allocate = true;
       cfg.ways = ways;
-      expect_equivalent(cfg, 4, trace,
-                        (protocol_name(p) + "/ways" + std::to_string(ways)).c_str());
+      const std::string what = protocol_name(p) + "/ways" + std::to_string(ways);
+      expect_equivalent(cfg, 4, trace, what);
+      expect_equivalent(cfg, 4,
+                        same_line_input(cfg, 4, 0xABCD + static_cast<u64>(p) * 7 + ways),
+                        what + "/same-line");
     }
   }
 }
@@ -110,7 +138,9 @@ TEST(DirectoryDiff, TinyCacheHeavyEvictionMatches) {
     cfg.size_words = 16;
     cfg.line_words = 4;
     cfg.write_allocate = true;
-    expect_equivalent(cfg, 8, trace, protocol_name(p).c_str());
+    expect_equivalent(cfg, 8, trace, protocol_name(p));
+    expect_equivalent(cfg, 8, same_line_input(cfg, 8, 0x5EED + static_cast<u64>(p)),
+                      protocol_name(p) + "/same-line");
   }
 }
 
@@ -122,23 +152,39 @@ TEST(DirectoryDiff, WideLinesAndManyPes) {
     cfg.size_words = 1024;
     cfg.line_words = 16;
     cfg.write_allocate = true;
-    expect_equivalent(cfg, 16, trace, protocol_name(p).c_str());
+    expect_equivalent(cfg, 16, trace, protocol_name(p));
+    expect_equivalent(cfg, 16, same_line_input(cfg, 16, 0xF00D + static_cast<u64>(p)),
+                      protocol_name(p) + "/same-line");
   }
 }
 
 TEST(DirectoryDiff, SingleAccessPathMatchesReplay) {
   // access() (per-ref protocol dispatch) and replay() (batched fast
-  // path) must produce the same stats.
-  std::vector<u64> trace = random_trace(0x1234, 4, 10000);
-  CacheConfig cfg;
-  cfg.protocol = Protocol::WriteInBroadcast;
-  cfg.size_words = 512;
-  cfg.line_words = 4;
-  MultiCacheSim a(cfg, 4), b(cfg, 4);
-  a.replay(trace);
-  for (u64 p : trace) b.access(MemRef::unpack(p));
-  EXPECT_EQ(a.stats(), b.stats());
-  EXPECT_TRUE(b.directory_consistent());
+  // path) must produce the same stats, flat and with an L2.
+  for (Protocol p : kAllProtocols) {
+    for (u32 line : {3u, 4u}) {
+      CacheConfig cfg;
+      cfg.protocol = p;
+      cfg.size_words = 128 * line;
+      cfg.line_words = line;
+      CacheConfig hc = cfg;
+      hc.l2.size_words = 256 * line;
+      hc.l2.ways = 2;
+      const std::string what = protocol_name(p) + "/line" + std::to_string(line);
+      for (const std::vector<u64>& trace :
+           {random_trace(0x1234, 4, 10000), same_line_input(cfg, 4, 0x1234)}) {
+        MultiCacheSim a(cfg, 4), b(cfg, 4);
+        a.replay(trace);
+        for (u64 r : trace) b.access(MemRef::unpack(r));
+        EXPECT_EQ(a.stats(), b.stats()) << what;
+        EXPECT_TRUE(b.directory_consistent()) << what;
+        HierCacheSim c(hc, 4), d(hc, 4);
+        c.replay(trace);
+        for (u64 r : trace) d.access(MemRef::unpack(r));
+        EXPECT_EQ(c.stats(), d.stats()) << what;
+      }
+    }
+  }
 }
 
 // --- flat-array LRU vs a simple list model --------------------------------
@@ -186,11 +232,30 @@ struct ModelCache {
     for (auto& s : sets_) n += s.size();
     return n;
   }
+  /// Cache::lines() order: sets in index order, each MRU first.
+  std::vector<Line> lines() const {
+    std::vector<Line> out;
+    for (auto& s : sets_) out.insert(out.end(), s.begin(), s.end());
+    return out;
+  }
   CacheConfig cfg_;
   std::vector<std::list<Line>> sets_;
 };
 
+/// Same tags and states, in the same order.
+bool same_lines(const std::vector<Line>& a, const std::vector<Line>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Line& x, const Line& y) {
+                      return x.tag == y.tag && x.state == y.state;
+                    });
+}
+
 TEST(FlatLru, RandomOpsMatchListModel) {
+  // The list model is Cache's only independent oracle: ReferenceCacheSim
+  // shares the Cache class. About half the operations repeat the
+  // previous tag, the pattern the MRU memo serves; a lookup writes the
+  // line's state through the returned pointer, as the protocols do; and
+  // after every operation the whole MRU->LRU order must match.
   for (u32 ways : {0u, 1u, 2u, 4u}) {
     CacheConfig cfg;
     cfg.size_words = 128;
@@ -199,22 +264,29 @@ TEST(FlatLru, RandomOpsMatchListModel) {
     Cache c(cfg);
     ModelCache m(cfg);
     Lcg rng(ways * 77 + 5);
+    u64 tag = 0;
     for (int i = 0; i < 50000; ++i) {
-      u64 tag = rng.next(96);
+      if (rng.next(2) == 0) tag = rng.next(96);
+      LineState st = static_cast<LineState>(1 + rng.next(3));
       switch (rng.next(4)) {
         case 0: {  // insert if absent
           if (!c.probe(tag)) {
-            auto ev = c.insert(tag, LineState::Shared);
-            auto em = m.insert(tag, LineState::Shared);
+            auto ev = c.insert(tag, st);
+            auto em = m.insert(tag, st);
             ASSERT_EQ(ev.valid, em.valid) << "ways=" << ways << " op=" << i;
             if (ev.valid) ASSERT_EQ(ev.line.tag, em.line.tag) << "ways=" << ways;
           }
           break;
         }
-        case 1: {  // lookup (touches LRU)
+        case 1: {  // lookup (touches LRU), then a state write through it
           Line* a = c.lookup(tag);
           Line* b = m.find(tag, /*touch=*/true);
           ASSERT_EQ(a != nullptr, b != nullptr) << "ways=" << ways << " op=" << i;
+          if (a) {
+            ASSERT_EQ(a->tag, tag) << "ways=" << ways << " op=" << i;
+            ASSERT_EQ(a->state, b->state) << "ways=" << ways << " op=" << i;
+            a->state = b->state = st;
+          }
           break;
         }
         case 2: {  // probe (LRU-neutral)
@@ -222,6 +294,9 @@ TEST(FlatLru, RandomOpsMatchListModel) {
           const Line* a = cc.probe(tag);
           Line* b = m.find(tag, /*touch=*/false);
           ASSERT_EQ(a != nullptr, b != nullptr) << "ways=" << ways << " op=" << i;
+          if (a) {
+            ASSERT_EQ(a->tag, tag) << "ways=" << ways << " op=" << i;
+          }
           break;
         }
         case 3:
@@ -230,6 +305,7 @@ TEST(FlatLru, RandomOpsMatchListModel) {
           break;
       }
       ASSERT_EQ(c.size(), m.size()) << "ways=" << ways << " op=" << i;
+      ASSERT_TRUE(same_lines(c.lines(), m.lines())) << "ways=" << ways << " op=" << i;
     }
   }
 }
@@ -300,6 +376,71 @@ TEST(FlatLru, LinesSnapshotIsMruFirstPerSet) {
   EXPECT_EQ(ls[1].tag, 3u);
   EXPECT_EQ(ls[2].tag, 2u);
   EXPECT_EQ(ls[2].state, LineState::Dirty);
+}
+
+// --- FlatTagMap vs std::unordered_map ---------------------------------------
+
+TEST(FlatTagMap, RandomOpsMatchUnorderedMap) {
+  // The table behind the cache tag index and the sharing directory,
+  // driven directly, in its 16-bucket minimum and with 4096 buckets, up
+  // to the capacity hint live at once (load 1/2, the table's contract).
+  // Keys come from a dense run (stride 1) or are strided like the tags
+  // of one cache set. Multiply-shift hashing spreads such a run evenly,
+  // so keys are drawn from 8x the capacity to make clusters, and a
+  // quarter of the draws come from keys homed in the last two buckets,
+  // whose probe chains and backward shifts wrap past the table's end.
+  for (u64 capacity : {8u, 2048u}) {
+    for (u64 stride : {1u, 64u, 4096u}) {
+      const std::string what =
+          "capacity=" + std::to_string(capacity) + " stride=" + std::to_string(stride);
+      FlatTagMap<u64> t;
+      t.init(capacity);  // 2 * capacity buckets
+      std::unordered_map<u64, u64> m;
+      Lcg rng(capacity * 31 + stride);
+      const u64 base = rng.next(u64(1) << 30);
+      std::vector<u64> wrapping;
+      for (u64 k = 0; wrapping.size() < 16; ++k)
+        if (t.home(base + stride * k) + 2 >= 2 * capacity)
+          wrapping.push_back(base + stride * k);
+      for (int i = 0; i < 40000; ++i) {
+        const u64 key = rng.next(4) == 0 ? wrapping[rng.next(wrapping.size())]
+                                         : base + stride * rng.next(8 * capacity);
+        auto it = m.find(key);
+        switch (rng.next(3)) {
+          case 0: {  // upsert: the old value if present, else a fresh 0
+            if (it == m.end() && m.size() == capacity) break;
+            u64& v = t.upsert(key);
+            ASSERT_EQ(v, it == m.end() ? 0 : it->second) << what << " op=" << i;
+            v = m[key] = rng.next();
+            break;
+          }
+          case 1: {
+            const FlatTagMap<u64>& ct = t;
+            const u64* f = ct.find(key);
+            ASSERT_EQ(f != nullptr, it != m.end()) << what << " op=" << i;
+            if (f) {
+              ASSERT_EQ(*f, it->second) << what << " op=" << i;
+            }
+            break;
+          }
+          case 2:
+            t.erase(key);
+            m.erase(key);
+            break;
+        }
+        ASSERT_EQ(t.size(), m.size()) << what << " op=" << i;
+        if (i % 500 == 0) {  // every live key is found; for_each sees exactly them
+          for (const auto& [k, v] : m) {
+            const u64* f = t.find(k);
+            ASSERT_TRUE(f && *f == v) << what << " op=" << i << " key=" << k;
+          }
+          std::unordered_map<u64, u64> seen;
+          t.for_each([&](u64 k, u64 v) { EXPECT_TRUE(seen.emplace(k, v).second); });
+          ASSERT_EQ(seen, m) << what << " op=" << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

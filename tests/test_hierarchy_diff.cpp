@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cache/hierarchy.h"
+#include "cache/refsim.h"
 #include "harness/runner.h"
 #include "test_rand.h"
 #include "timing/timed_replay.h"
@@ -253,6 +254,21 @@ TEST(HierarchyDiff, RejectsBadL2Geometry) {
   cfg.l2.size_words = 1024;
   cfg.l2.ways = 3;  // 256 lines not divisible by 3 ways
   EXPECT_THROW(HierCacheSim(cfg, 4), Error);
+  // The same rule for the L1, which used to build 3-way sets over
+  // floor(256 / 3) * 3 = 255 lines and report "1024 words".
+  CacheConfig l1 = flat_cfg(Protocol::WriteInBroadcast);
+  l1.size_words = 1024;
+  l1.ways = 3;
+  EXPECT_THROW(HierCacheSim(l1, 4), Error);
+  EXPECT_THROW(MultiCacheSim(l1, 4), Error);
+  EXPECT_THROW(ReferenceCacheSim(l1, 4), Error);
+  for (u32 ways : {0u, 1u, 2u, 128u, 256u, 1000u}) {  // 0, divisors, >= lines
+    l1.ways = ways;
+    EXPECT_NO_THROW(l1.check_geometry()) << ways;
+  }
+  l1.ways = 0;
+  l1.line_words = 0;
+  EXPECT_THROW(l1.check_geometry(), Error);
 }
 
 // --- real emulator trace ---------------------------------------------------

@@ -166,6 +166,9 @@ TEST(ParseRequest, RejectsInvalid) {
       R"({"op":"sweep","pes":512})",               // sweeps generate traces too
       R"({"op":"replay","size":0})",
       R"({"op":"replay","size":1030})",           // not a line multiple
+      R"({"op":"replay","ways":3})",               // 256 lines in 3-way sets
+      R"({"op":"time","size":1024,"ways":100})",
+      R"({"op":"replay","l2":4096,"l2_ways":3})",  // 1024 L2 lines
       R"({"op":"replay","bench":"unknown"})",
       R"({"op":"replay","bench":"qsort","trace":"x.trc"})",  // exclusive
       R"({"op":"replay","deadline_ms":0})",
@@ -204,6 +207,31 @@ TEST(ParseRequest, MisalignedSweepIsRejectedBeforeAnyGeneration) {
   ServiceCounters c = svc.counters();
   EXPECT_EQ(c.rejected, 1u);
   EXPECT_EQ(c.failed, 0u);
+}
+
+TEST(ParseRequest, BadCacheGeometryIsRejectedBeforeAnyGeneration) {
+  // "ways" that do not divide the line count used to replay a smaller
+  // cache than reported (L1) or fail after generating the trace (L2).
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service svc(cfg);
+  const std::size_t entries = TraceLibrary::instance().size();
+  for (const char* req :
+       {R"({"op":"replay","bench":"tak","scale":"paper","pes":8,"ways":3})",
+        R"({"op":"time","bench":"tak","scale":"paper","pes":8,"l2":4096,"l2_ways":3})"}) {
+    Response r = Response::parse(svc.handle_line(req));
+    EXPECT_FALSE(r.ok) << req;
+    EXPECT_EQ(r.code, "bad_request") << req;
+  }
+  EXPECT_EQ(TraceLibrary::instance().size(), entries);
+  ServiceCounters c = svc.counters();
+  EXPECT_EQ(c.rejected, 2u);
+  EXPECT_EQ(c.failed, 0u);
+  // Divisors, 0 and "at least the line count" all stay valid.
+  for (const char* ok : {R"({"op":"replay","ways":4})", R"({"op":"replay","ways":0})",
+                         R"({"op":"replay","ways":1024})",
+                         R"({"op":"replay","l2":4096,"l2_ways":8})"})
+    EXPECT_NO_THROW(parse_request(ok)) << ok;
 }
 
 TEST(ParseRequest, FaultPlanParses) {

@@ -93,6 +93,7 @@ CacheConfig config_from_cli(const Cli& cli) {
   // than the other unless the user models latency explicitly — pass
   // BOTH --l2-hit and --mem-extra, with --l2-hit the smaller.
   cfg.l2.hit_extra_cycles = cli.get_u32("l2-hit", 0);
+  cfg.check_geometry();
   return cfg;
 }
 
@@ -290,9 +291,9 @@ int cmd_stats(const Cli& cli) {
 }
 
 int cmd_replay(const Cli& cli) {
+  CacheConfig cfg = config_from_cli(cli);
   std::shared_ptr<const ChunkedTrace> t =
       load_chunked_trace(cli.positional().at(1));
-  CacheConfig cfg = config_from_cli(cli);
   unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
   ReplayJob job(*t, cfg, pes);
   run_checkpointed(cli, job);
@@ -317,9 +318,9 @@ int cmd_replay(const Cli& cli) {
 }
 
 int cmd_time(const Cli& cli) {
+  CacheConfig cfg = config_from_cli(cli);
   std::shared_ptr<const ChunkedTrace> t =
       load_chunked_trace(cli.positional().at(1));
-  CacheConfig cfg = config_from_cli(cli);
   unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
   TimingParams tp;
   tp.cycles_per_ref = cli.get_u32("cpr", 1);
@@ -397,12 +398,10 @@ int cmd_sweep(const Cli& cli) {
        split_list(cli.get("protocols", "wt,broadcast,update,hybrid"))) {
     Protocol p = protocol_from_name(pname);
     for (const std::string& sz : split_list(cli.get("sizes", "256,512,1024,2048"))) {
-      u32 size = parse_u32(sz, "--sizes");
-      if (size % line)
-        fail("sweep size " + sz + " is not a multiple of the line size");
       SweepPoint pt;
-      pt.cfg = paper_cache_config(p, size);
+      pt.cfg = paper_cache_config(p, parse_u32(sz, "--sizes"));
       pt.cfg.line_words = line;
+      pt.cfg.check_geometry();
       pt.num_pes = pes;
       pt.chunks = t.get();
       pt.label = static_cast<int>(points.size());
