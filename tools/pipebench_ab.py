@@ -4,7 +4,7 @@
 Run from the repository root:
 
     python3 tools/pipebench_ab.py --parent REV --workload sweep --seed 2 \
-        --pairs 10 [--seconds 10] [--trace 0|1]
+        --pairs 10 [--trace 0|1]
 
 The parent side is a `git archive` snapshot of REV in
 .bench_build/ab/parent-src, re-extracted only when REV moves; the change
@@ -12,7 +12,8 @@ side is the working tree, uncommitted edits included. Each side builds
 with its own pipebench/run.py into its own CARGO_TARGET_DIR,
 .bench_build/ab/parent or .bench_build/ab/change, so neither rebuilds
 the other's objects. Both sides must carry the same pipebench/ and
-BENCHMARK.json, or the runs would not compare one benchmark.
+BENCHMARK.json, or the runs would not compare one benchmark. Every run
+lasts pipebench's own default length.
 
 Pair i runs the parent first when i is even and the change first when i
 is odd. For each metric it prints the parent's median and quartiles, the
@@ -69,14 +70,13 @@ def parent_tree(rev):
     return src, sha
 
 
-def run_once(tree, target, workload, seed, seconds, trace):
+def run_once(tree, target, workload, seed, trace):
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     # Keep pipebench's commit lookup inside the snapshot, which has no
     # .git: without this it would find and report this repository's HEAD.
     env["GIT_CEILING_DIRECTORIES"] = AB
     cmd = [sys.executable, os.path.join(tree, "pipebench", "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     try:
@@ -130,7 +130,6 @@ def main():
     ap.add_argument("--workload", required=True, choices=["generate", "sweep", "serve"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = ap.parse_args()
     if args.pairs < 1:
@@ -161,7 +160,7 @@ def main():
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             tree, target = sides[side]
-            r = run_once(tree, target, args.workload, args.seed, args.seconds, args.trace)
+            r = run_once(tree, target, args.workload, args.seed, args.trace)
             runs[side].append(r)
             wps = r["metrics"].get("work_per_s", {}).get("value", float("nan"))
             print("pair %d %s: work_per_s %s correct %s failed %d/%d"
@@ -171,10 +170,10 @@ def main():
     out = os.path.join(AB, "%s-seed%d.json" % (args.workload, args.seed))
     with open(out, "w") as f:
         json.dump({"parent": sha, "workload": args.workload, "seed": args.seed,
-                   "seconds": args.seconds, "trace": args.trace, "runs": runs}, f)
+                   "trace": args.trace, "runs": runs}, f)
 
-    print("%s seed %d, %d pairs, --seconds %g, --trace %d: parent %s vs working tree"
-          % (args.workload, args.seed, args.pairs, args.seconds, args.trace, sha[:12]))
+    print("%s seed %d, %d pairs, --trace %d: parent %s vs working tree"
+          % (args.workload, args.seed, args.pairs, args.trace, sha[:12]))
     print("%-36s %-34s %-11s %-7s %-6s %s"
           % ("metric", "parent median [q1-q3]", "change", "ratio", "wins", "verdict"))
     names = [n for n in spec if all(n in r["metrics"] for side in runs for r in runs[side])]

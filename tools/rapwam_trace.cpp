@@ -388,11 +388,9 @@ std::vector<std::string> split_list(const std::string& s) {
 }
 
 int cmd_sweep(const Cli& cli) {
-  std::shared_ptr<const ChunkedTrace> t =
-      load_chunked_trace(cli.positional().at(1), /*busy_only=*/true);
-  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
   u32 line = cli.get_u32("line", 4);
 
+  // Every point's geometry is checked before the trace is read.
   std::vector<SweepPoint> points;
   for (const std::string& pname :
        split_list(cli.get("protocols", "wt,broadcast,update,hybrid"))) {
@@ -402,11 +400,17 @@ int cmd_sweep(const Cli& cli) {
       pt.cfg = paper_cache_config(p, parse_u32(sz, "--sizes"));
       pt.cfg.line_words = line;
       pt.cfg.check_geometry();
-      pt.num_pes = pes;
-      pt.chunks = t.get();
       pt.label = static_cast<int>(points.size());
       points.push_back(pt);
     }
+  }
+
+  std::shared_ptr<const ChunkedTrace> t =
+      load_chunked_trace(cli.positional().at(1), /*busy_only=*/true);
+  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
+  for (SweepPoint& pt : points) {
+    pt.num_pes = pes;
+    pt.chunks = t.get();
   }
 
   // The journal is keyed to the exact point list and trace, so resuming
