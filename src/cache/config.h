@@ -36,6 +36,10 @@ inline constexpr unsigned kMaxPes = 1024;
 /// Validates a PE count against the simulator's directory limit
 /// (1..kMaxPes). Returns `pes` so call sites can validate inline.
 unsigned check_pes(unsigned pes);
+/// check_pes, and also that `pes` covers a loaded trace's PE span
+/// (ChunkedTrace::num_pes(), `trace_pes`): every reference's PE needs
+/// a cache. The CLI and the server check this before any replay.
+unsigned check_pes(unsigned pes, unsigned trace_pes);
 
 /// Optional shared second-level cache between the snooping bus and
 /// memory (docs/DESIGN.md §9). The paper models a single flat private

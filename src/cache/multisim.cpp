@@ -37,6 +37,14 @@ unsigned check_pes(unsigned pes) {
   return pes;
 }
 
+unsigned check_pes(unsigned pes, unsigned trace_pes) {
+  if (check_pes(pes) < trace_pes)
+    fail("PE count " + std::to_string(pes) + " is below the trace's " +
+         std::to_string(trace_pes) + " PEs (its references name PE ids up to " +
+         std::to_string(trace_pes - 1) + ")");
+  return pes;
+}
+
 namespace {
 
 void check_level(const char* level, u32 size_words, u32 line_words, u32 ways) {

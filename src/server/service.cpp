@@ -195,7 +195,7 @@ std::shared_ptr<const ChunkedTrace> Service::acquire_trace(
     // any record reaches a simulator (trace/chunks.h).
     std::shared_ptr<const ChunkedTrace> t =
         load_chunked_trace(req.trace_path, /*busy_only=*/false);
-    pes_out = check_pes(req.explicit_pes ? req.pes : t->num_pes());
+    pes_out = check_pes(req.explicit_pes ? req.pes : t->num_pes(), t->num_pes());
     return t;
   }
   pes_out = req.pes;

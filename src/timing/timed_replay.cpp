@@ -7,8 +7,8 @@ namespace rapwam {
 TimedReplay::TimedReplay(const CacheConfig& cfg, unsigned num_pes,
                          const TimingParams& tp, DirRep rep)
     : sim_(cfg, num_pes, rep), tp_(tp), l2_extra_(cfg.l2.hit_extra_cycles) {
-  RW_CHECK(tp.interleave >= 1, "timed replay: interleave must be >= 1");
-  RW_CHECK(tp.cycles_per_ref >= 1, "timed replay: cycles_per_ref must be >= 1");
+  if (tp.interleave == 0) fail("timed replay: interleave must be at least 1");
+  if (tp.cycles_per_ref == 0) fail("timed replay: cycles_per_ref must be at least 1");
   pes_.resize(num_pes);
   ts_.pe.resize(num_pes);
 }

@@ -5,11 +5,16 @@
 // state mutation. The fuzz streams are LCG-driven and deterministic,
 // so any failure replays.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 
 #include "harness/trace_lib.h"
 #include "server/json.h"
 #include "server/protocol.h"
 #include "server/service.h"
+#include "test_rand.h"
 
 namespace rapwam {
 namespace {
@@ -232,6 +237,39 @@ TEST(ParseRequest, BadCacheGeometryIsRejectedBeforeAnyGeneration) {
                          R"({"op":"replay","ways":1024})",
                          R"({"op":"replay","l2":4096,"l2_ways":8})"})
     EXPECT_NO_THROW(parse_request(ok)) << ok;
+}
+
+TEST(ServiceTraceFile, PeCountBelowTheTracesIsRejectedBeforeReplay) {
+  // An 8-PE trace file replayed on 4 PEs used to run until the first
+  // reference of PE 4 and then fail as an internal error.
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("rapwam_sp_" + std::to_string(::getpid()) + "_q8.trc"))
+                         .string();
+  std::vector<u64> refs = random_trace(0x8E5, 8, 4000);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(refs.data(), sizeof(u64), refs.size(), f), refs.size());
+  std::fclose(f);
+
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service svc(cfg);
+  for (const char* op : {"replay", "time"}) {
+    Response r = Response::parse(svc.handle_line(
+        std::string(R"({"op":")") + op + R"(","trace":")" + path + R"(","pes":4})"));
+    EXPECT_FALSE(r.ok) << op;
+    EXPECT_EQ(r.code, "failed") << op;
+    EXPECT_NE(r.message.find("PE count 4 is below the trace's 8 PEs"), std::string::npos)
+        << op << ": " << r.message;
+    EXPECT_EQ(r.message.find("internal error"), std::string::npos) << op;
+  }
+  // The trace's own PE count, and more, still replay.
+  for (const char* pes : {"8", "9"}) {
+    Response r = Response::parse(svc.handle_line(
+        std::string(R"({"op":"replay","trace":")") + path + R"(","pes":)" + pes + "}"));
+    EXPECT_TRUE(r.ok) << pes << ": " << r.message;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(ParseRequest, FaultPlanParses) {

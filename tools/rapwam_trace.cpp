@@ -294,7 +294,7 @@ int cmd_replay(const Cli& cli) {
   CacheConfig cfg = config_from_cli(cli);
   std::shared_ptr<const ChunkedTrace> t =
       load_chunked_trace(cli.positional().at(1));
-  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
+  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()), t->num_pes());
   ReplayJob job(*t, cfg, pes);
   run_checkpointed(cli, job);
   const TrafficStats& s = job.traffic();
@@ -318,16 +318,19 @@ int cmd_replay(const Cli& cli) {
 }
 
 int cmd_time(const Cli& cli) {
+  // Flags are checked before the trace is read.
   CacheConfig cfg = config_from_cli(cli);
-  std::shared_ptr<const ChunkedTrace> t =
-      load_chunked_trace(cli.positional().at(1));
-  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
   TimingParams tp;
   tp.cycles_per_ref = cli.get_u32("cpr", 1);
   tp.bus_service_cycles = cli.get_u32("service", 1);
   tp.interleave = cli.get_u32("interleave", 2);
   tp.write_buffer_depth = cli.get_u32("wbuf", 4);
   tp.mem_extra_cycles = cli.get_u32("mem-extra", 0);
+  if (tp.cycles_per_ref == 0) fail("--cpr must be at least 1");
+  if (tp.interleave == 0) fail("--interleave must be at least 1");
+  std::shared_ptr<const ChunkedTrace> t =
+      load_chunked_trace(cli.positional().at(1));
+  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()), t->num_pes());
   ReplayJob job(*t, cfg, pes, &tp);
   run_checkpointed(cli, job);
   const TrafficStats& traffic = job.traffic();
@@ -407,7 +410,7 @@ int cmd_sweep(const Cli& cli) {
 
   std::shared_ptr<const ChunkedTrace> t =
       load_chunked_trace(cli.positional().at(1), /*busy_only=*/true);
-  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()));
+  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()), t->num_pes());
   for (SweepPoint& pt : points) {
     pt.num_pes = pes;
     pt.chunks = t.get();
