@@ -1,11 +1,14 @@
-// Two-level cache hierarchy: the per-PE coherent caches of
-// MultiCacheSim become private L1s, and a single shared set-associative
-// L2 sits between the snooping bus and memory (docs/DESIGN.md §9).
+// Two-level cache hierarchy: with cfg.l2 enabled, the per-PE coherent
+// caches of MultiCacheSim become private L1s, and a single shared
+// set-associative L2 sits between the snooping bus and memory
+// (docs/DESIGN.md §9). The L2 is an optional member of the one
+// simulator, and its model (hierarchy.cpp) runs in the one replay loop.
 //
 // The layering is strictly memory-side: every reference first runs the
 // unchanged flat-protocol handler (L1 lookup, snoop, bus accounting),
-// and the hierarchy then routes whatever that transaction did on the
-// memory side of the bus through the L2 instead of memory —
+// and the L2 model then routes whatever that transaction did on the
+// memory side of the bus — as the handler's StepOutcome reports it —
+// through the L2 instead of memory:
 //
 //   * a line fill that the flat model fetched from memory probes the
 //     L2 first (l2_hits / l2_misses; only misses cost mem_fetch_words);
@@ -17,96 +20,23 @@
 //     is write-back) and only reach memory on an L2 miss (no-allocate
 //     for word writes).
 //
-// Because the L1/bus side is byte-for-byte the flat simulator, the
-// degenerate configuration (cfg.l2.size_words == 0) is bit-identical
-// to MultiCacheSim, and a NON-inclusive L2 — which never touches L1
-// state — leaves every bus-side TrafficStats field bit-identical too,
-// populating only the new l2_*/mem_* counters. An INCLUSIVE L2
-// back-invalidates L1 copies when it evicts a line (the only way the
-// hierarchy feeds back into L1 behaviour); the victim's holder set
-// comes straight from the sharing directory, so back-invalidation is
-// directory-precise: one O(1) entry lookup, then only actual holders
-// are touched. Both pinned by tests/test_hierarchy_diff.cpp.
+// Because the L1/bus side is the flat simulator, the degenerate
+// configuration (cfg.l2.size_words == 0) is the flat model, and a
+// NON-inclusive L2 — which never touches L1 state — leaves every
+// bus-side TrafficStats field bit-identical too, populating only the
+// l2_*/mem_* counters. An INCLUSIVE L2 back-invalidates L1 copies when
+// it evicts a line (the only way the hierarchy feeds back into L1
+// behaviour); the victim's holder set comes straight from the sharing
+// directory, so back-invalidation is directory-precise: one O(1) entry
+// lookup, then only actual holders are touched. Both pinned by
+// tests/test_hierarchy_diff.cpp.
 #pragma once
-
-#include <optional>
 
 #include "cache/multisim.h"
 
 namespace rapwam {
 
-class HierCacheSim : public MultiCacheSim {
- public:
-  HierCacheSim(const CacheConfig& cfg, unsigned num_pes,
-               DirRep rep = DirRep::Auto);
-
-  /// Per-reference APIs, shadowing (not overriding) the base: with the
-  /// L2 disabled they delegate to the flat fast paths; with it enabled
-  /// they run the flat handler then the L2 model. HierCacheSim is
-  /// always used as a concrete type — never through a base pointer.
-  void access(const MemRef& r);
-  StepOutcome step(const MemRef& r);
-  void replay(const u64* packed, std::size_t n);
-  void replay(const std::vector<u64>& packed) { replay(packed.data(), packed.size()); }
-  void replay(const ChunkedTrace& t) {
-    t.for_each_chunk([this](const u64* p, std::size_t n) { replay(p, n); });
-  }
-
-  bool l2_enabled() const { return l2_.has_value(); }
-  bool inclusive() const { return inclusive_; }
-  /// The shared L2 contents (tests / reports); null when disabled.
-  const Cache* l2() const { return l2_ ? &*l2_ : nullptr; }
-
-  /// Inclusion invariant (tests): with an inclusive L2, every valid L1
-  /// line is present in the L2 — in particular, back-invalidation left
-  /// no stale L1 copies behind. Vacuously true otherwise.
-  bool inclusion_ok() const;
-
-  /// Checkpoint serialization (docs/DESIGN.md §12): the base simulator
-  /// state plus the shared L2 contents. Same contract as the base —
-  /// restore into a freshly constructed simulator of the same
-  /// configuration; throws Error on malformed input (including an L2
-  /// presence mismatch or an inclusion violation) without leaving a
-  /// half-restored instance in use.
-  void save_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
-
- private:
-  /// L2-enabled batch path: like the base replay_loop, the protocol
-  /// dispatch is hoisted out of the loop (one instantiation per
-  /// handler); each iteration runs the flat handler then the L2 model.
-  template <void (MultiCacheSim::*Handler)(const MemRef&)>
-  void hier_replay_loop(const u64* packed, std::size_t n);
-  /// Runs the flat `Handler` for one reference, then routes its
-  /// memory-side counter deltas through the L2.
-  template <void (MultiCacheSim::*Handler)(const MemRef&)>
-  void hier_access(const MemRef& r);
-  /// Protocol switches for the L2-enabled paths, per directory entry
-  /// type E (the base handlers are templated over it).
-  template <typename E>
-  void hier_access_dispatch(const MemRef& r);
-  template <typename E>
-  void hier_replay_dispatch(const u64* packed, std::size_t n);
-
-  /// Memory-side model of the reference the flat handler just ran.
-  /// The deltas are that handler's counter increments; `tag` is the
-  /// referenced line.
-  void l2_after_access(u64 tag, u64 fetch_d, u64 flush_d, u64 wb_d, u64 word_d);
-  /// Allocates `tag` into the L2, handling the displaced victim:
-  /// back-invalidation when inclusive, and the memory writeback when
-  /// the victim (or a back-invalidated dirty L1 copy) carries the only
-  /// current data.
-  void l2_fill(u64 tag, LineState st);
-  /// Kills every L1 copy of `tag` (directory-precise when coherent).
-  /// Returns true if any copy was dirty — that data joins the victim's
-  /// memory writeback.
-  bool back_invalidate(u64 tag);
-  /// Directory-precise back-invalidation for entry type E.
-  template <typename E>
-  bool back_invalidate_dir(u64 tag);
-
-  std::optional<Cache> l2_;  ///< engaged iff cfg.l2.enabled()
-  bool inclusive_ = false;
-};
+/// The simulator under the name its hierarchy callers use.
+using HierCacheSim = MultiCacheSim;
 
 }  // namespace rapwam

@@ -83,6 +83,14 @@ MultiCacheSim::MultiCacheSim(const CacheConfig& cfg, unsigned num_pes, DirRep re
     if (wide_) wdir_.init(u64(num_pes) * cfg.num_lines());
     else dir_.init(u64(num_pes) * cfg.num_lines());
   }
+  if (cfg.l2.enabled()) {
+    CacheConfig l2cfg;
+    l2cfg.size_words = cfg.l2.size_words;
+    l2cfg.line_words = cfg.line_words;
+    l2cfg.ways = cfg.l2.ways;
+    inclusive_ = cfg.l2.inclusion == L2Config::Inclusion::Inclusive;
+    l2_.emplace(l2cfg);
+  }
 }
 
 // --- sharing directory ----------------------------------------------------
@@ -118,11 +126,10 @@ void MultiCacheSim::invalidate_others(unsigned pe, u64 tag) {
 }
 
 template <typename E>
-bool MultiCacheSim::broadcast_miss_supply(unsigned pe, u64 tag) {
+bool MultiCacheSim::broadcast_miss_supply(unsigned pe, u64 tag, StepOutcome& o) {
   E* e = dir<E>().find(tag);
   if (!e) {
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
+    o.fetch_words = L();
     return false;
   }
   int dh = pe_first_other(e->dirty, pe);
@@ -131,11 +138,9 @@ bool MultiCacheSim::broadcast_miss_supply(unsigned pe, u64 tag) {
     // is updated by the same transaction.
     caches_[static_cast<unsigned>(dh)].probe(tag)->state = LineState::Shared;
     pe_reset(e->dirty, static_cast<unsigned>(dh));
-    stats_.flush_words += L();
-    stats_.bus_words += L();
+    o.flush_words = L();
   } else {
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
+    o.fetch_words = L();
   }
   pe_for_each_other(e->excl, pe, [&](unsigned i) {
     caches_[i].probe(tag)->state = LineState::Shared;
@@ -161,9 +166,8 @@ void MultiCacheSim::set_state(unsigned pe, Line* l, LineState st) {
   dir_set_state_bits(dir<E>().upsert(l->tag), pe, st);
 }
 
-/// Inserts a line, accounting a dirty eviction if one falls out.
 template <typename E>
-void MultiCacheSim::fill(unsigned pe, u64 tag, LineState st) {
+void MultiCacheSim::fill(unsigned pe, u64 tag, LineState st, StepOutcome& o) {
   auto ev = caches_[pe].insert(tag, st);
   if (coherent_) {
     // Order matters: removing the evicted tag first can backward-shift
@@ -174,82 +178,9 @@ void MultiCacheSim::fill(unsigned pe, u64 tag, LineState st) {
     dir_set_state_bits(e, pe, st);
   }
   if (ev.valid && ev.line.state == LineState::Dirty) {
-    stats_.writeback_words += L();
-    stats_.bus_words += L();
-    last_evict_tag_ = ev.line.tag;
-    last_evict_dirty_ = true;
+    o.writeback_words = L();
+    o.victim_tag = ev.line.tag;
   }
-}
-
-template <typename E>
-void MultiCacheSim::access_dispatch(const MemRef& r) {
-  switch (cfg_.protocol) {
-    case Protocol::WriteThrough: access_write_through<E>(r); break;
-    case Protocol::Copyback: access_copyback<E>(r); break;
-    case Protocol::WriteInBroadcast: access_write_in_broadcast<E>(r); break;
-    case Protocol::WriteThroughBroadcast: access_write_update_broadcast<E>(r); break;
-    case Protocol::Hybrid: access_hybrid<E>(r); break;
-  }
-}
-
-void MultiCacheSim::access(const MemRef& r) {
-  count_ref(r);
-  if (wide_) access_dispatch<WideDirEntry>(r);
-  else access_dispatch<DirEntry>(r);
-}
-
-StepOutcome MultiCacheSim::step(const MemRef& r) {
-  // Every bus_words increment in the handlers is paired with exactly
-  // one component counter, so the deltas decompose the transaction.
-  const TrafficStats before = stats_;
-  access(r);
-  StepOutcome o;
-  o.miss = stats_.misses != before.misses;
-  u64 fetch = stats_.fetch_words - before.fetch_words;
-  u64 flush = stats_.flush_words - before.flush_words;
-  o.bus_words = stats_.bus_words - before.bus_words;
-  o.demand_words = fetch + flush;
-  o.posted_words = o.bus_words - o.demand_words;
-  o.invalidations = static_cast<u32>(stats_.invalidations - before.invalidations);
-  o.supplier = flush ? StepOutcome::Supplier::Cache
-                     : (fetch ? StepOutcome::Supplier::Memory
-                              : StepOutcome::Supplier::None);
-  return o;
-}
-
-template <void (MultiCacheSim::*Handler)(const MemRef&)>
-void MultiCacheSim::replay_loop(const u64* packed, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    MemRef r = MemRef::unpack(packed[i]);
-    count_ref(r);
-    (this->*Handler)(r);
-  }
-}
-
-template <typename E>
-void MultiCacheSim::replay_dispatch(const u64* packed, std::size_t n) {
-  switch (cfg_.protocol) {
-    case Protocol::WriteThrough:
-      replay_loop<&MultiCacheSim::access_write_through<E>>(packed, n);
-      break;
-    case Protocol::Copyback:
-      replay_loop<&MultiCacheSim::access_copyback<E>>(packed, n);
-      break;
-    case Protocol::WriteInBroadcast:
-      replay_loop<&MultiCacheSim::access_write_in_broadcast<E>>(packed, n);
-      break;
-    case Protocol::WriteThroughBroadcast:
-      replay_loop<&MultiCacheSim::access_write_update_broadcast<E>>(packed, n);
-      break;
-    case Protocol::Hybrid:
-      replay_loop<&MultiCacheSim::access_hybrid<E>>(packed, n);
-      break;
-  }
-}
-
-void MultiCacheSim::replay(const u64* packed, std::size_t n) {
-  if (wide_) replay_dispatch<WideDirEntry>(packed, n);
-  else replay_dispatch<DirEntry>(packed, n);
 }
 
 bool MultiCacheSim::invariants_ok() const {
@@ -434,20 +365,18 @@ void MultiCacheSim::restore_directory(ByteReader& r) {
 void MultiCacheSim::save_state(ByteWriter& w) const {
   w.put_u8(wide_ ? 1 : 0);
   save_traffic(w, stats_);
-  w.put_u64(last_evict_tag_);
-  w.put_u8(last_evict_dirty_ ? 1 : 0);
   w.put_u64(caches_.size());
   for (const Cache& c : caches_) c.save_state(w);
   if (wide_) save_directory<WideDirEntry>(w);
   else save_directory<DirEntry>(w);
+  w.put_u8(l2_ ? 1 : 0);
+  if (l2_) l2_->save_state(w);
 }
 
 void MultiCacheSim::restore_state(ByteReader& r) {
   if ((r.get_u8() != 0) != wide_)
     fail("checkpoint: directory representation mismatch (flat vs wide)");
   stats_ = load_traffic(r);
-  last_evict_tag_ = r.get_u64();
-  last_evict_dirty_ = r.get_u8() != 0;
   u64 ncaches = r.get_u64();
   if (ncaches != caches_.size())
     fail("checkpoint: snapshot has " + std::to_string(ncaches) +
@@ -455,6 +384,9 @@ void MultiCacheSim::restore_state(ByteReader& r) {
   for (Cache& c : caches_) c.restore_state(r);
   if (wide_) restore_directory<WideDirEntry>(r);
   else restore_directory<DirEntry>(r);
+  if ((r.get_u8() != 0) != l2_.has_value())
+    fail("checkpoint: L2 presence mismatch between snapshot and configuration");
+  if (l2_) l2_->restore_state(r);
   // Deep cross-validation before the restored instance is trusted: the
   // directory must mirror the restored cache contents exactly and the
   // protocol invariants must hold — a frame that passed the checksum
@@ -468,234 +400,240 @@ void MultiCacheSim::restore_state(ByteReader& r) {
     fail("checkpoint: directory does not match the restored cache contents");
   if (cfg_.protocol != Protocol::Hybrid && !invariants_ok())
     fail("checkpoint: restored state violates protocol coherence invariants");
+  if (!inclusion_ok())
+    fail("checkpoint: restored state violates the L2 inclusion invariant");
 }
+
+// --- protocol handlers ------------------------------------------------------
+//
+// Each handler is always inlined into the replay loops instantiated in
+// this file (flat replay and step()), where its StepOutcome never
+// reaches memory; the explicit instantiations at the bottom give the
+// observed loops of other files (TimedReplay) an out-of-line copy.
 
 // --- conventional coherent write-through --------------------------------
 
 template <typename E>
-void MultiCacheSim::access_write_through(const MemRef& r) {
-  Cache& c = caches_[r.pe];
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_write_through(const MemRef& r) {
+  StepOutcome o;
   u64 tag = tag_of(r.addr);
-  Line* l = c.lookup(tag);
+  Line* l = caches_[r.pe].lookup(tag);
   if (!r.write) {
-    if (l) return;
-    ++stats_.misses;
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
-    fill<E>(r.pe, tag, LineState::Shared);
-    return;
+    if (l) return o;
+    o.miss = true;
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Shared, o);
+    return o;
   }
   // Every write goes to memory; snooping caches invalidate their copy.
-  stats_.writethrough_words += 1;
-  stats_.bus_words += 1;
+  o.writethrough_words = 1;
   invalidate_others<E>(r.pe, tag);
-  if (l) return;  // write hit: line updated in place
-  ++stats_.misses;
+  if (l) return o;  // write hit: line updated in place
+  o.miss = true;
   if (cfg_.write_allocate) {
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
-    fill<E>(r.pe, tag, LineState::Shared);
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Shared, o);
   }
+  return o;
 }
 
 // --- non-coherent copy-back (sequential baseline) ------------------------
 
 template <typename E>
-void MultiCacheSim::access_copyback(const MemRef& r) {
-  Cache& c = caches_[r.pe];
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_copyback(const MemRef& r) {
+  StepOutcome o;
   u64 tag = tag_of(r.addr);
-  Line* l = c.lookup(tag);
+  Line* l = caches_[r.pe].lookup(tag);
   if (l) {
     if (r.write) l->state = LineState::Dirty;  // non-coherent: no directory
-    return;
+    return o;
   }
-  ++stats_.misses;
+  o.miss = true;
   if (!r.write) {
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
-    fill<E>(r.pe, tag, LineState::Exclusive);
-    return;
-  }
-  if (cfg_.write_allocate) {
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
-    fill<E>(r.pe, tag, LineState::Dirty);
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Exclusive, o);
+  } else if (cfg_.write_allocate) {
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Dirty, o);
   } else {
-    stats_.writethrough_words += 1;
-    stats_.bus_words += 1;
+    o.writethrough_words = 1;
   }
+  return o;
 }
 
 // --- write-in broadcast (invalidate, copy-back, cache-to-cache) ----------
 
 template <typename E>
-void MultiCacheSim::access_write_in_broadcast(const MemRef& r) {
-  Cache& c = caches_[r.pe];
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_write_in_broadcast(const MemRef& r) {
+  StepOutcome o;
   u64 tag = tag_of(r.addr);
-  Line* l = c.lookup(tag);
+  Line* l = caches_[r.pe].lookup(tag);
 
   if (!r.write) {
-    if (l) return;
-    ++stats_.misses;
+    if (l) return o;
+    o.miss = true;
     fill<E>(r.pe, tag,
-            broadcast_miss_supply<E>(r.pe, tag) ? LineState::Shared
-                                                : LineState::Exclusive);
-    return;
+            broadcast_miss_supply<E>(r.pe, tag, o) ? LineState::Shared
+                                                   : LineState::Exclusive,
+            o);
+    return o;
   }
 
   if (l) {
     switch (l->state) {
       case LineState::Dirty:
-        return;
+        return o;
       case LineState::Exclusive:
         set_state<E>(r.pe, l, LineState::Dirty);
-        return;
+        return o;
       case LineState::Shared:
         // One bus word-time to broadcast the invalidation.
-        stats_.invalidations += 1;
-        stats_.bus_words += 1;
+        o.invalidations = 1;
         invalidate_others<E>(r.pe, tag);
         set_state<E>(r.pe, l, LineState::Dirty);
-        return;
+        return o;
       case LineState::Invalid:
         break;
     }
   }
-  ++stats_.misses;
+  o.miss = true;
   if (cfg_.write_allocate) {
     // Read-for-ownership: fetch the line (from a dirty owner or from
     // memory) and invalidate all other copies in the same transaction.
-    if (other_dirty<E>(r.pe, tag)) {
-      stats_.flush_words += L();
-      stats_.bus_words += L();
-    } else {
-      stats_.fetch_words += L();
-      stats_.bus_words += L();
-    }
+    if (other_dirty<E>(r.pe, tag)) o.flush_words = L();
+    else o.fetch_words = L();
     invalidate_others<E>(r.pe, tag);
-    fill<E>(r.pe, tag, LineState::Dirty);
+    fill<E>(r.pe, tag, LineState::Dirty, o);
   } else {
     // Word write to memory plus invalidation of all copies.
-    stats_.writethrough_words += 1;
-    stats_.bus_words += 1;
+    o.writethrough_words = 1;
     invalidate_others<E>(r.pe, tag);
   }
+  return o;
 }
 
 // --- write-through broadcast (update) -------------------------------------
 
 template <typename E>
-void MultiCacheSim::access_write_update_broadcast(const MemRef& r) {
-  Cache& c = caches_[r.pe];
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_write_update_broadcast(const MemRef& r) {
+  StepOutcome o;
   u64 tag = tag_of(r.addr);
-  Line* l = c.lookup(tag);
+  Line* l = caches_[r.pe].lookup(tag);
 
   if (!r.write) {
-    if (l) return;
-    ++stats_.misses;
+    if (l) return o;
+    o.miss = true;
     fill<E>(r.pe, tag,
-            broadcast_miss_supply<E>(r.pe, tag) ? LineState::Shared
-                                                : LineState::Exclusive);
-    return;
+            broadcast_miss_supply<E>(r.pe, tag, o) ? LineState::Shared
+                                                   : LineState::Exclusive,
+            o);
+    return o;
   }
 
   if (l) {
-    if (l->state == LineState::Shared) {
-      if (others_hold<E>(r.pe, tag)) {
-        // Broadcast the word; sharers and memory update in place.
-        stats_.update_words += 1;
-        stats_.bus_words += 1;
-      } else {
-        set_state<E>(r.pe, l, LineState::Dirty);  // last sharer: private again
-      }
-      return;
+    if (l->state == LineState::Shared && others_hold<E>(r.pe, tag)) {
+      // Broadcast the word; sharers and memory update in place.
+      o.update_words = 1;
+    } else {
+      // Private, or the last sharer: private again.
+      set_state<E>(r.pe, l, LineState::Dirty);
     }
-    set_state<E>(r.pe, l, LineState::Dirty);
-    return;
+    return o;
   }
-  ++stats_.misses;
+  o.miss = true;
   if (cfg_.write_allocate) {
-    bool shared = broadcast_miss_supply<E>(r.pe, tag);
-    fill<E>(r.pe, tag, shared ? LineState::Shared : LineState::Dirty);
-    if (shared) {
-      stats_.update_words += 1;
-      stats_.bus_words += 1;
-    }
+    bool shared = broadcast_miss_supply<E>(r.pe, tag, o);
+    fill<E>(r.pe, tag, shared ? LineState::Shared : LineState::Dirty, o);
+    if (shared) o.update_words = 1;
   } else {
-    stats_.update_words += 1;  // word to memory + snooping sharers
-    stats_.bus_words += 1;
+    o.update_words = 1;  // word to memory + snooping sharers
   }
+  return o;
 }
 
 // --- hybrid (tag-driven) ---------------------------------------------------
 
 template <typename E>
-void MultiCacheSim::access_hybrid(const MemRef& r) {
-  Cache& c = caches_[r.pe];
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_hybrid(const MemRef& r) {
+  StepOutcome o;
   u64 tag = tag_of(r.addr);
-  Line* l = c.lookup(tag);
+  Line* l = caches_[r.pe].lookup(tag);
   bool global = traits_of(r.cls).locality == Locality::Global;
 
   if (!r.write) {
-    if (l) return;
-    ++stats_.misses;
+    if (l) return o;
+    o.miss = true;
     // A line may mix localities (e.g. environment control words and
     // permanent variables): memory is kept current for its *global*
     // words by write-through, so fetching from memory is always safe
     // for global reads. Only a local-tagged read of a line that is
     // dirty in another cache is a Table-1 violation.
-    if (!global && dirty_holder<E>(r.pe, tag) >= 0) ++stats_.coherence_violations;
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
-    fill<E>(r.pe, tag, LineState::Shared);
-    return;
+    o.violation = !global && dirty_holder<E>(r.pe, tag) >= 0;
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Shared, o);
+    return o;
   }
 
   if (global) {
     // Write-through; remote copies are invalidated by the snooped
     // memory write (no extra bus words). Own copy updated in place.
-    stats_.writethrough_words += 1;
-    stats_.bus_words += 1;
+    o.writethrough_words = 1;
     invalidate_others<E>(r.pe, tag);
-    if (l) return;
-    ++stats_.misses;
+    if (l) return o;
+    o.miss = true;
     if (cfg_.write_allocate) {
-      stats_.fetch_words += L();
-      stats_.bus_words += L();
-      fill<E>(r.pe, tag, LineState::Shared);
+      o.fetch_words = L();
+      fill<E>(r.pe, tag, LineState::Shared, o);
     }
-    return;
+    return o;
   }
 
   // Local data: copy-back. Another PE modifying this PE's local line
   // would be a violation; mere clean copies (from global words in the
   // same line) are harmless.
-  if (dirty_holder<E>(r.pe, tag) >= 0) ++stats_.coherence_violations;
+  o.violation = dirty_holder<E>(r.pe, tag) >= 0;
   if (l) {
     set_state<E>(r.pe, l, LineState::Dirty);
-    return;
+    return o;
   }
-  ++stats_.misses;
+  o.miss = true;
   if (cfg_.write_allocate) {
-    stats_.fetch_words += L();
-    stats_.bus_words += L();
-    fill<E>(r.pe, tag, LineState::Dirty);
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Dirty, o);
   } else {
-    stats_.writethrough_words += 1;
-    stats_.bus_words += 1;
+    o.writethrough_words = 1;
   }
+  return o;
 }
 
-// Explicit instantiations of both directory flavours: the handlers are
-// referenced by member-pointer template arguments from this file's
-// replay_dispatch and from HierCacheSim's batch loops (hierarchy.cpp).
-#define RAPWAM_INSTANTIATE_DIR(E)                                             \
-  template void MultiCacheSim::access_write_through<E>(const MemRef&);        \
-  template void MultiCacheSim::access_copyback<E>(const MemRef&);             \
-  template void MultiCacheSim::access_write_in_broadcast<E>(const MemRef&);   \
-  template void MultiCacheSim::access_write_update_broadcast<E>(const MemRef&); \
-  template void MultiCacheSim::access_hybrid<E>(const MemRef&);               \
-  template void MultiCacheSim::access_dispatch<E>(const MemRef&)
+// --- the replay loop's entry points ------------------------------------------
+
+// Defined after the handlers so the flat replay inlines them.
+void MultiCacheSim::replay(const u64* packed, std::size_t n) {
+  replay(packed, n, [](const MemRef&, const StepOutcome&) {});
+}
+
+StepOutcome MultiCacheSim::step(const MemRef& r) {
+  StepOutcome out;
+  const u64 packed = r.pack();
+  replay(&packed, 1, [&out](const MemRef&, const StepOutcome& o) { out = o; });
+  return out;
+}
+
+// Explicit instantiations of both directory flavours: the replay loop
+// is a header template, and observed replays instantiated elsewhere
+// (TimedReplay) call the handlers defined here.
+#define RAPWAM_INSTANTIATE_DIR(E)                                                    \
+  template StepOutcome MultiCacheSim::access_write_through<E>(const MemRef&);        \
+  template StepOutcome MultiCacheSim::access_copyback<E>(const MemRef&);             \
+  template StepOutcome MultiCacheSim::access_write_in_broadcast<E>(const MemRef&);   \
+  template StepOutcome MultiCacheSim::access_write_update_broadcast<E>(const MemRef&); \
+  template StepOutcome MultiCacheSim::access_hybrid<E>(const MemRef&)
 
 RAPWAM_INSTANTIATE_DIR(MultiCacheSim::DirEntry);
 RAPWAM_INSTANTIATE_DIR(MultiCacheSim::WideDirEntry);

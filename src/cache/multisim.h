@@ -3,28 +3,39 @@
 // Replays a memory-reference trace (global interleaved order) through
 // one cache per PE and accounts bus traffic in words, per the paper's
 // metric: traffic ratio = words moved on the bus / words demanded by
-// the processors. Implements the five protocols of §3.1.
+// the processors. Implements the five protocols of §3.1, with an
+// optional shared L2 between the bus and memory (cfg.l2, docs/DESIGN.md
+// §9).
+//
+// Each protocol handler returns a StepOutcome: what its one reference
+// put on the bus. Every replay runs one loop (docs/DESIGN.md §6): it
+// calls the handler, routes the outcome through the L2 when there is
+// one, adds it to TrafficStats, and hands it to an observer — nothing
+// for a plain replay, the per-reference result for step(), the clock,
+// bus and write-buffer model for TimedReplay (src/timing). The
+// protocol, the directory representation and the L2's presence are
+// chosen once per batch.
 //
 // Coherence bookkeeping is directory-based (docs/DESIGN.md §6): a
 // single hash table maps each cached line tag to a packed entry of
 // three per-PE masks (holders / dirty owners / exclusive owners).
-// Snoop queries that used to broadcast-probe every other PE's cache —
-// others_hold, dirty_holder, invalidate_others, and the miss-supply
-// transaction (dirty-owner flush + exclusive demotion) — are O(1) bit
-// operations on that entry, independent of the PE count, and
-// invalidations walk only the actual holder set. A cross-checked
-// naive broadcast implementation is retained in cache/refsim.h for
-// differential testing.
+// Snoop queries — others_hold, dirty_holder, invalidate_others, and
+// the miss-supply transaction (dirty-owner flush + exclusive
+// demotion) — are O(1) bit operations on that entry, independent of
+// the PE count, and invalidations walk only the actual holder set. A
+// cross-checked naive broadcast implementation is retained in
+// cache/refsim.h for differential testing.
 //
 // The masks come in two representations (docs/DESIGN.md §11): raw u64
-// words — the flat fast path, selected for <= 64-PE simulators, byte-
-// identical to the pre-PR-7 directory — and multi-word PeSet masks
-// (cache/peset.h) for larger machines, up to kMaxPes. The protocol
-// handlers are templated over the entry type, so both paths run the
-// identical transition logic; tests/test_widepe_diff.cpp pins them
-// against each other and against the broadcast reference simulator.
+// words — the flat fast path, selected for <= 64-PE simulators — and
+// multi-word PeSet masks (cache/peset.h) for larger machines, up to
+// kMaxPes. The protocol handlers are templated over the entry type, so
+// both paths run the identical transition logic;
+// tests/test_widepe_diff.cpp pins them against each other and against
+// the broadcast reference simulator.
 #pragma once
 
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -34,6 +45,44 @@
 #include "trace/chunks.h"
 
 namespace rapwam {
+
+/// What one reference did on the bus, as its protocol handler (and the
+/// L2, when there is one) reports it. Every bus word is in exactly one
+/// field; TrafficStats::add sums the record into the counters, and
+/// TimedReplay times it.
+struct StepOutcome {
+  /// Who supplied the line on a miss fill / read-for-ownership.
+  enum class Supplier : u8 { None, Memory, Cache, L2 };
+
+  bool miss = false;
+  bool violation = false;    ///< hybrid: a Table-1 coherence violation
+  bool l2_hit = false;       ///< the fetch was served by the shared L2
+  u32 fetch_words = 0;       ///< line fill from memory (or the L2)
+  u32 flush_words = 0;       ///< line supplied by a dirty owner's cache
+  u32 writeback_words = 0;   ///< dirty victim written back
+  u32 writethrough_words = 0;
+  u32 update_words = 0;
+  u32 invalidations = 0;     ///< invalidation broadcasts (1 word each)
+  u32 back_inval_words = 0;  ///< inclusive-L2 back-invalidation broadcasts
+                             ///< and the dirty L1 data they flushed
+  u64 victim_tag = 0;        ///< the dirty victim's tag, if writeback_words
+
+  /// Total words this reference put on the bus.
+  u64 bus_words() const {
+    return u64(fetch_words) + flush_words + writeback_words + writethrough_words +
+           update_words + invalidations + back_inval_words;
+  }
+  /// Words the PE must wait for (line fetch or flush).
+  u64 demand_words() const { return u64(fetch_words) + flush_words; }
+  /// Fire-and-forget words: write-throughs, update and invalidation
+  /// broadcasts, evict writebacks, back-invalidations.
+  u64 posted_words() const { return bus_words() - demand_words(); }
+  Supplier supplier() const {
+    if (flush_words) return Supplier::Cache;
+    if (fetch_words) return l2_hit ? Supplier::L2 : Supplier::Memory;
+    return Supplier::None;
+  }
+};
 
 struct TrafficStats {
   u64 refs = 0;
@@ -49,10 +98,9 @@ struct TrafficStats {
   u64 flush_words = 0;       ///< dirty lines supplied cache-to-cache
   u64 coherence_violations = 0;  ///< hybrid: local-tagged line shared
 
-  // Hierarchy counters (cache/hierarchy.h; all zero in the flat model).
-  // The L2 sits between the bus and memory: the bus-side counters above
-  // are unchanged by it, and these decompose where memory-side traffic
-  // actually went.
+  // Hierarchy counters (all zero without an L2). The L2 sits between
+  // the bus and memory: the bus-side counters above are unchanged by
+  // it, and these decompose where memory-side traffic actually went.
   u64 l2_hits = 0;           ///< line fills served by the shared L2
   u64 l2_misses = 0;         ///< line fills that went through to memory
   u64 mem_fetch_words = 0;   ///< L2 miss fills fetched from memory
@@ -61,6 +109,22 @@ struct TrafficStats {
   u64 l2_back_invalidations = 0;  ///< inclusive-L2 victim back-invalidation
                                   ///< broadcasts (1 bus word each)
   u64 l2_back_inval_flush_words = 0;  ///< dirty L1 data flushed by back-invalidation
+
+  /// Counts reference `r` and adds what it did on the bus. The L2's
+  /// memory-side counters are kept by the L2 model itself.
+  void add(const MemRef& r, const StepOutcome& o) {
+    ++refs;
+    if (r.write) ++writes; else ++reads;
+    misses += o.miss;
+    bus_words += o.bus_words();
+    fetch_words += o.fetch_words;
+    writeback_words += o.writeback_words;
+    writethrough_words += o.writethrough_words;
+    invalidations += o.invalidations;
+    update_words += o.update_words;
+    flush_words += o.flush_words;
+    coherence_violations += o.violation;
+  }
 
   double traffic_ratio() const {
     return refs ? static_cast<double>(bus_words) / static_cast<double>(refs) : 0.0;
@@ -87,26 +151,6 @@ struct TrafficStats {
   friend bool operator==(const TrafficStats&, const TrafficStats&) = default;
 };
 
-/// Outcome of one reference, reported by MultiCacheSim::step() for
-/// timing layers (src/timing) that need to know what the transaction
-/// did to the bus, not just the aggregate counters.
-struct StepOutcome {
-  /// Who supplied the line on a miss fill / read-for-ownership. L2 is
-  /// only reported by HierCacheSim (cache/hierarchy.h); the flat
-  /// simulator's memory-side fills are always Memory.
-  enum class Supplier : u8 { None, Memory, Cache, L2 };
-
-  bool miss = false;
-  Supplier supplier = Supplier::None;
-  u64 bus_words = 0;     ///< total words this reference put on the bus
-  u64 demand_words = 0;  ///< words the PE must wait for (line fetch/flush)
-  u64 posted_words = 0;  ///< fire-and-forget words: write-throughs, update
-                         ///< and invalidation broadcasts, evict writebacks
-  u32 invalidations = 0; ///< invalidation broadcasts issued
-
-  bool hit() const { return !miss; }
-};
-
 /// Sharing-directory mask representation (docs/DESIGN.md §11). Auto
 /// picks Flat for <= 64 PEs (the zero-cost fast path) and Wide above;
 /// the explicit values exist for the differential suites, which force
@@ -118,21 +162,24 @@ class MultiCacheSim {
   MultiCacheSim(const CacheConfig& cfg, unsigned num_pes,
                 DirRep rep = DirRep::Auto);
 
-  void access(const MemRef& r);
-  /// Per-reference step API: same transition/accounting as access(),
-  /// and additionally reports what this one reference did (hit/miss,
-  /// supplier, words the PE waits for vs. posts). TimedReplay drives
-  /// this in global trace order, so stats() after stepping a whole
-  /// trace is bit-identical to replay() of the same trace.
+  /// Runs one reference through the replay loop and reports what it
+  /// did. `r` must fit a packed trace record (40-bit address).
   StepOutcome step(const MemRef& r);
-  /// Batched fast path: dispatches on the protocol once and replays
-  /// the packed stream through the selected handler (no per-reference
-  /// protocol switch; references are unpacked once, in place).
   void replay(const u64* packed, std::size_t n);
   void replay(const std::vector<u64>& packed) { replay(packed.data(), packed.size()); }
   /// Replays shared immutable chunk storage in place (no flattening).
   void replay(const ChunkedTrace& t) {
     t.for_each_chunk([this](const u64* p, std::size_t n) { replay(p, n); });
+  }
+  /// The one replay loop: runs each reference's protocol handler, then
+  /// the L2 model when there is an L2, adds the outcome to stats(), and
+  /// calls obs(ref, outcome). The protocol, the directory
+  /// representation and the L2's presence are chosen once per batch,
+  /// so no reference pays an indirect call.
+  template <typename Obs>
+  void replay(const u64* packed, std::size_t n, Obs&& obs) {
+    if (wide_) replay_protocol<WideDirEntry>(packed, n, obs);
+    else replay_protocol<DirEntry>(packed, n, obs);
   }
 
   const TrafficStats& stats() const { return stats_; }
@@ -142,6 +189,7 @@ class MultiCacheSim {
   /// True when the multi-word PeSet directory is active (num_pes > 64,
   /// or forced by DirRep::Wide for differential testing).
   bool wide_directory() const { return wide_; }
+  bool l2_enabled() const { return l2_.has_value(); }
 
   /// Protocol coherence invariants (tests): at most one Dirty holder
   /// per line, and a Dirty/Exclusive line has no other holders.
@@ -153,27 +201,28 @@ class MultiCacheSim {
   /// masks must exactly mirror the lines each cache holds.
   bool directory_consistent() const;
 
+  /// Inclusion invariant (tests): with an inclusive L2, every valid L1
+  /// line is present in the L2 — in particular, back-invalidation left
+  /// no stale L1 copies behind. Vacuously true otherwise.
+  bool inclusion_ok() const;
+
   /// Checkpoint serialization (docs/DESIGN.md §12): traffic counters,
-  /// every PE cache (semantic per-set LRU state), and the sharing
-  /// directory in whichever representation is active. Determinism note:
-  /// hash-table layout and PeSet capacities are NOT captured — they are
-  /// rebuilt on restore and are unobservable to the replay (no stats or
-  /// transition reads iteration order), so a restored simulator
-  /// produces bit-identical TrafficStats from the same resume point.
+  /// every PE cache (semantic per-set LRU state), the sharing
+  /// directory in whichever representation is active, and the L2.
+  /// Determinism note: hash-table layout and PeSet capacities are NOT
+  /// captured — they are rebuilt on restore and are unobservable to
+  /// the replay (no stats or transition reads iteration order), so a
+  /// restored simulator produces bit-identical TrafficStats from the
+  /// same resume point.
   void save_state(ByteWriter& w) const;
   /// Rebuilds from a save_state stream into a freshly constructed
   /// simulator of the SAME configuration (cfg, PE count, directory
-  /// representation). Throws Error on malformed input or representation
-  /// mismatch; callers discard the instance on failure.
+  /// representation, L2). Throws Error on malformed input or a
+  /// representation or L2 mismatch; callers discard the instance on
+  /// failure.
   void restore_state(ByteReader& r);
 
- protected:
-  // Protected rather than private: HierCacheSim (cache/hierarchy.h)
-  // layers a shared L2 on top by running the unchanged handlers below
-  // and then modelling the memory side of each reference — it needs
-  // the caches, the sharing directory (for directory-precise
-  // back-invalidation) and the counters, but overrides nothing.
-
+ private:
   /// One sharing-directory entry, keyed by line tag; M is the per-PE
   /// mask representation (cache/peset.h). Bit i refers to PE i.
   template <typename M>
@@ -182,10 +231,45 @@ class MultiCacheSim {
     M dirty{};    ///< PEs holding it Dirty
     M excl{};     ///< PEs holding it Exclusive
   };
-  /// Flat fast-path entry (<= 64 PEs) — the pre-PR-7 representation.
+  /// Flat fast-path entry (<= 64 PEs).
   using DirEntry = DirEntryT<u64>;
   /// Multi-word entry for > 64-PE machines (and forced-wide tests).
   using WideDirEntry = DirEntryT<PeSet>;
+
+  /// The protocol switch of the replay loop, per directory entry type.
+  template <typename E, typename Obs>
+  void replay_protocol(const u64* packed, std::size_t n, Obs& obs) {
+    switch (cfg_.protocol) {
+      case Protocol::WriteThrough:
+        return replay_loop<&MultiCacheSim::access_write_through<E>>(packed, n, obs);
+      case Protocol::Copyback:
+        return replay_loop<&MultiCacheSim::access_copyback<E>>(packed, n, obs);
+      case Protocol::WriteInBroadcast:
+        return replay_loop<&MultiCacheSim::access_write_in_broadcast<E>>(packed, n, obs);
+      case Protocol::WriteThroughBroadcast:
+        return replay_loop<&MultiCacheSim::access_write_update_broadcast<E>>(packed, n, obs);
+      case Protocol::Hybrid:
+        return replay_loop<&MultiCacheSim::access_hybrid<E>>(packed, n, obs);
+    }
+  }
+  /// Kept out of replay(): each handler's loop is a function of its
+  /// own, small enough for the compiler to inline the handler and keep
+  /// the StepOutcome it returns in registers.
+  template <auto Handler, typename Obs>
+  [[gnu::noinline]] void replay_loop(const u64* packed, std::size_t n, Obs& obs) {
+    auto loop = [&](auto with_l2) {
+      for (std::size_t i = 0; i < n; ++i) {
+        MemRef r = MemRef::unpack(packed[i]);
+        RW_CHECK(r.pe < caches_.size(), "trace reference PE id >= simulator PE count");
+        StepOutcome o = (this->*Handler)(r);
+        if constexpr (decltype(with_l2)::value) l2_access(r, o);
+        stats_.add(r, o);
+        obs(r, o);
+      }
+    };
+    if (l2_) loop(std::true_type{});
+    else loop(std::false_type{});
+  }
 
   u64 tag_of(u64 addr) const { return addr / cfg_.line_words; }
   u64 L() const { return cfg_.line_words; }
@@ -200,13 +284,6 @@ class MultiCacheSim {
   template <typename E>
   const FlatTagMap<E>& dir() const {
     return const_cast<MultiCacheSim*>(this)->dir<E>();
-  }
-
-  /// Shared per-reference preamble of access() and replay_loop().
-  void count_ref(const MemRef& r) {
-    RW_CHECK(r.pe < caches_.size(), "trace reference PE id >= simulator PE count");
-    ++stats_.refs;
-    if (r.write) ++stats_.writes; else ++stats_.reads;
   }
 
   /// Mirrors PE `pe`'s line state into a directory entry's masks.
@@ -236,9 +313,10 @@ class MultiCacheSim {
   /// or memory does (L fetch words), remote Exclusive copies become
   /// Shared. Returns true if other caches still hold the line.
   template <typename E>
-  bool broadcast_miss_supply(unsigned pe, u64 tag);
+  bool broadcast_miss_supply(unsigned pe, u64 tag, StepOutcome& o);
+  /// Inserts a line; a dirty victim's writeback goes into `o`.
   template <typename E>
-  void fill(unsigned pe, u64 tag, LineState st);
+  void fill(unsigned pe, u64 tag, LineState st, StepOutcome& o);
   /// State transition on a held line, mirrored into the directory.
   template <typename E>
   void set_state(unsigned pe, Line* l, LineState st);
@@ -247,46 +325,37 @@ class MultiCacheSim {
 
   // Per-protocol reference handlers; E selects the directory flavour.
   template <typename E>
-  void access_write_through(const MemRef& r);
+  StepOutcome access_write_through(const MemRef& r);
   template <typename E>
-  void access_copyback(const MemRef& r);
+  StepOutcome access_copyback(const MemRef& r);
   template <typename E>
-  void access_write_in_broadcast(const MemRef& r);
+  StepOutcome access_write_in_broadcast(const MemRef& r);
   template <typename E>
-  void access_write_update_broadcast(const MemRef& r);
+  StepOutcome access_write_update_broadcast(const MemRef& r);
   template <typename E>
-  void access_hybrid(const MemRef& r);
+  StepOutcome access_hybrid(const MemRef& r);
 
-  /// Runs the protocol-selected handler for one counted reference.
-  template <typename E>
-  void access_dispatch(const MemRef& r);
+  // The L2 model (hierarchy.cpp, docs/DESIGN.md §9).
 
-  template <void (MultiCacheSim::*Handler)(const MemRef&)>
-  void replay_loop(const u64* packed, std::size_t n);
-  /// Protocol switch hoisted out of the batch loop, per entry type.
+  /// Routes the memory side of reference `r`, whose handler reported
+  /// `o`, through the L2 instead of memory. Marks an L2-served fetch in
+  /// `o` and adds any back-invalidation bus words to it.
+  void l2_access(const MemRef& r, StepOutcome& o);
+  /// Allocates `tag` into the L2, handling the displaced victim:
+  /// back-invalidation when inclusive, and the memory writeback when
+  /// the victim (or a back-invalidated dirty L1 copy) carries the only
+  /// current data.
+  void l2_fill(u64 tag, LineState st, StepOutcome& o);
+  /// Kills every L1 copy of `tag` (directory-precise when coherent).
+  /// Returns true if any copy was dirty — that data joins the victim's
+  /// memory writeback.
+  bool back_invalidate(u64 tag, StepOutcome& o);
   template <typename E>
-  void replay_dispatch(const u64* packed, std::size_t n);
+  bool back_invalidate_dir(u64 tag, StepOutcome& o);
 
   /// Directory/cache cross-check for the active representation.
   template <typename E>
   bool directory_consistent_t() const;
-
-  CacheConfig cfg_;
-  bool coherent_ = true;  ///< false for Copyback: no directory upkeep
-  bool wide_ = false;     ///< wide (PeSet) directory active
-  std::vector<Cache> caches_;
-  /// Tag of the line the most recent fill() displaced dirty, if any.
-  /// Reset by the hierarchy layer before each reference so it can
-  /// route the writeback into the L2; meaningless (and unread)
-  /// otherwise.
-  u64 last_evict_tag_ = 0;
-  bool last_evict_dirty_ = false;
-  /// The sharing directory: tag -> entry, sized once to 2x the total
-  /// line capacity of all caches (the number of distinct tags
-  /// simultaneously cached is bounded by the number of line slots),
-  /// so it never rehashes and stays at most half full. Exactly one of
-  /// the two representations is initialised (the other stays at its
-  /// empty 16-bucket default).
   /// Directory serialization for entry type E (multisim.cpp
   /// instantiates both flavours).
   template <typename E>
@@ -294,8 +363,20 @@ class MultiCacheSim {
   template <typename E>
   void restore_directory(ByteReader& r);
 
+  CacheConfig cfg_;
+  bool coherent_ = true;  ///< false for Copyback: no directory upkeep
+  bool wide_ = false;     ///< wide (PeSet) directory active
+  bool inclusive_ = false;  ///< the L2 is inclusive
+  std::vector<Cache> caches_;
+  /// The sharing directory: tag -> entry, sized once to 2x the total
+  /// line capacity of all caches (the number of distinct tags
+  /// simultaneously cached is bounded by the number of line slots),
+  /// so it never rehashes and stays at most half full. Exactly one of
+  /// the two representations is initialised (the other stays at its
+  /// empty 16-bucket default).
   FlatTagMap<DirEntry> dir_;
   FlatTagMap<WideDirEntry> wdir_;
+  std::optional<Cache> l2_;  ///< engaged iff cfg.l2.enabled()
   TrafficStats stats_;
 };
 

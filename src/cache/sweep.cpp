@@ -17,10 +17,7 @@ std::vector<SweepResult> run_sweep(ThreadPool& pool,
     const SweepPoint& p = points[i];
     futs[i] = pool.submit([p, cancel]() {
       RW_CHECK(p.chunks, "sweep point has no trace");
-      // HierCacheSim with the L2 disabled delegates to the flat fast
-      // path, so every sweep point goes through the hierarchy-aware
-      // simulator; the token is checked once per chunk, never per
-      // reference.
+      // The token is checked once per chunk, never per reference.
       ReplayJob job(*p.chunks, p.cfg, p.num_pes);
       job.run({.cancel = cancel});
       return job.traffic();

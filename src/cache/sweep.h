@@ -18,9 +18,7 @@ namespace rapwam {
 class SweepJournal;
 
 struct SweepPoint {
-  /// cfg.l2 adds the hierarchy dimension (L2 size / ways / inclusion);
-  /// points replay through HierCacheSim, which is the flat simulator
-  /// whenever the L2 is disabled.
+  /// cfg.l2 adds the hierarchy dimension (L2 size / ways / inclusion).
   CacheConfig cfg;
   unsigned num_pes = 1;
   const ChunkedTrace* chunks = nullptr;  ///< the trace to replay (required)

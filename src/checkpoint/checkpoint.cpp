@@ -90,7 +90,7 @@ ByteWriter payload_header(const CheckpointMeta& meta) {
 }  // namespace
 
 std::string checkpoint_serialize(const CheckpointMeta& meta,
-                                 const HierCacheSim& sim) {
+                                 const MultiCacheSim& sim) {
   RW_CHECK(!meta.timed, "untimed checkpoint with a timed meta");
   ByteWriter w = payload_header(meta);
   sim.save_state(w);
@@ -149,7 +149,7 @@ RestoredReplay checkpoint_parse(const std::string& frame,
     out.timed = std::make_unique<TimedReplay>(cfg, num_pes, *tp, rep);
     out.timed->restore_state(r);
   } else {
-    out.sim = std::make_unique<HierCacheSim>(cfg, num_pes, rep);
+    out.sim = std::make_unique<MultiCacheSim>(cfg, num_pes, rep);
     out.sim->restore_state(r);
   }
   r.expect_end();

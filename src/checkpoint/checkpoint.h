@@ -18,8 +18,8 @@
 //   payload:
 //     u64 config_hash   u8 mode (0 untimed / 1 timed)
 //     u64 chunk_index (chunks fully replayed)   u64 refs_done
-//     <simulator state>  (MultiCacheSim/HierCacheSim/TimedReplay
-//                         save_state streams)
+//     <simulator state>  (MultiCacheSim or TimedReplay save_state
+//                         stream)
 //
 // The parser validates outside-in — length, magic, version, exact
 // payload length, checksum, then config hash and mode — and only then
@@ -57,14 +57,14 @@ inline constexpr u32 kCheckpointMagic =
 /// Bump on ANY layout change — frame fields, save_state streams, the
 /// TrafficStats field set (pinned by the static_assert in multisim.cpp)
 /// — so stale frames are rejected by version, not misparsed.
-inline constexpr u32 kCheckpointVersion = 1;
+inline constexpr u32 kCheckpointVersion = 2;
 
 /// Everything about a frame except the simulator state itself.
 struct CheckpointMeta {
   u64 config_hash = 0;  ///< run identity: config + PEs + rep + trace
   u64 chunk_index = 0;  ///< chunks fully replayed when the frame was cut
   u64 refs_done = 0;    ///< references replayed (redundant cross-check)
-  bool timed = false;   ///< TimedReplay frame vs. bare HierCacheSim
+  bool timed = false;   ///< TimedReplay frame vs. bare MultiCacheSim
 };
 
 /// Identity of the trace a checkpoint was cut from: counters, shape
@@ -87,7 +87,7 @@ inline bool resolve_wide(DirRep rep, unsigned num_pes) {
 /// Serializes a complete frame (header + payload). meta.timed must
 /// match the overload.
 std::string checkpoint_serialize(const CheckpointMeta& meta,
-                                 const HierCacheSim& sim);
+                                 const MultiCacheSim& sim);
 std::string checkpoint_serialize(const CheckpointMeta& meta,
                                  const TimedReplay& replay);
 
@@ -95,7 +95,7 @@ std::string checkpoint_serialize(const CheckpointMeta& meta,
 /// simulators is set, matching meta.timed.
 struct RestoredReplay {
   CheckpointMeta meta;
-  std::unique_ptr<HierCacheSim> sim;
+  std::unique_ptr<MultiCacheSim> sim;
   std::unique_ptr<TimedReplay> timed;
 };
 

@@ -11,7 +11,7 @@ ReplayJob::ReplayJob(const ChunkedTrace& trace, const CacheConfig& cfg,
     tp_ = *timing;
     timed_ = std::make_unique<TimedReplay>(cfg, num_pes, *timing);
   } else {
-    sim_ = std::make_unique<HierCacheSim>(cfg, num_pes);
+    sim_ = std::make_unique<MultiCacheSim>(cfg, num_pes);
   }
 }
 

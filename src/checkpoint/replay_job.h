@@ -2,7 +2,7 @@
 // carries hooks — the CLI's replay/time with checkpoints, the server's
 // replay/time/sweep requests, run_sweep's points — is a ReplayJob.
 //
-// A job replays one ChunkedTrace through a HierCacheSim, or through a
+// A job replays one ChunkedTrace through a MultiCacheSim, or through a
 // TimedReplay when given TimingParams, and remembers how many chunks it
 // has replayed. At every chunk boundary i it runs, in this order:
 //
@@ -83,7 +83,7 @@ class ReplayJob {
   unsigned num_pes_;
   std::optional<TimingParams> tp_;
   // Exactly one is set, matching tp_ (the RestoredReplay layout).
-  std::unique_ptr<HierCacheSim> sim_;
+  std::unique_ptr<MultiCacheSim> sim_;
   std::unique_ptr<TimedReplay> timed_;
   std::size_t next_ = 0;
   mutable std::optional<u64> hash_;

@@ -54,9 +54,8 @@ void TimedReplay::prune_timeline() {
   while (it != busy_.end() && it->second <= min_clock) it = busy_.erase(it);
 }
 
-void TimedReplay::step(const MemRef& r) {
-  StepOutcome o = sim_.step(r);  // validates r.pe before we index below
-  PeState& p = pes_[r.pe];
+void TimedReplay::advance(const MemRef& r, const StepOutcome& o) {
+  PeState& p = pes_[r.pe];  // the loop has checked r.pe
   PeTiming& t = ts_.pe[r.pe];
   ++t.refs;
   t.busy_cycles += tp_.cycles_per_ref;
@@ -65,7 +64,7 @@ void TimedReplay::step(const MemRef& r) {
   // Retire posted writes whose bus transaction has completed.
   while (!p.wbuf.empty() && p.wbuf.front() <= now) p.wbuf.pop_front();
 
-  u64 svc = service_of(o.bus_words);
+  u64 svc = service_of(o.bus_words());
 
   // Demand fills are counted and charged their supplier's latency
   // (L2Config::hit_extra_cycles / TimingParams::mem_extra_cycles)
@@ -73,7 +72,7 @@ void TimedReplay::step(const MemRef& r) {
   // device, not the bus, so even a free (bus_service_cycles == 0) bus
   // does not waive them. The PE waits them out; the bus does not.
   u64 extra = 0;
-  switch (o.supplier) {
+  switch (o.supplier()) {
     case StepOutcome::Supplier::Cache: ++ts_.cache_fills; break;
     case StepOutcome::Supplier::L2:
       ++ts_.l2_fills;
@@ -95,7 +94,7 @@ void TimedReplay::step(const MemRef& r) {
     return;
   }
 
-  if (o.demand_words == 0 && tp_.write_buffer_depth > 0) {
+  if (o.demand_words() == 0 && tp_.write_buffer_depth > 0) {
     // Posted write: the bus slot is reserved now (trace order), but the
     // PE only stalls if the buffer overflows — then it waits for the
     // oldest entry to leave. The queue must stay monotone in completion
@@ -135,7 +134,7 @@ void TimedReplay::step(const MemRef& r) {
 }
 
 void TimedReplay::replay(const u64* packed, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) step(MemRef::unpack(packed[i]));
+  sim_.replay(packed, n, [this](const MemRef& r, const StepOutcome& o) { advance(r, o); });
 }
 
 TimingStats TimedReplay::timing() const {

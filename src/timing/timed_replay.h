@@ -3,19 +3,22 @@
 // The paper stops at traffic ratios; Tick's queueing model (our
 // cache/queueing.h) predicts contention analytically. This subsystem
 // *measures* it instead: it replays the same global-order reference
-// trace through HierCacheSim::step() (the flat MultiCacheSim whenever
-// no L2 is configured) and layers virtual time on top —
-// one clock per PE, a single shared bus kept as a timeline of busy
-// intervals (a word-granularity transaction is granted the earliest
-// free gap at/after its request time; requests for the same instant
-// are granted in global trace order, which is the emulator's
-// round-robin issue order — i.e. round-robin arbitration), n-way
-// interleaved memory, and an optional per-PE posted write buffer.
+// trace through MultiCacheSim's one replay loop (with or without an
+// L2) and, as that loop's per-reference observer, layers virtual time
+// on top of each reference's StepOutcome — one clock per PE, a single
+// shared bus kept as a timeline of busy intervals (a word-granularity
+// transaction is granted the earliest free gap at/after its request
+// time; requests for the same instant are granted in global trace
+// order, which is the emulator's round-robin issue order — i.e.
+// round-robin arbitration), n-way interleaved memory, and an optional
+// per-PE posted write buffer.
 //
 // Because the coherence engine is driven in exact trace order, the
 // TrafficStats a TimedReplay produces are bit-identical to an untimed
 // MultiCacheSim::replay() of the same trace for any timing parameters;
-// the differential suite (tests/test_timing_diff.cpp) pins this.
+// the differential suite (tests/test_timing_diff.cpp) pins this, and
+// tests/test_timing_oracle.cpp checks the whole TimingStats against a
+// naive re-implementation.
 #pragma once
 
 #include <deque>
@@ -138,7 +141,6 @@ class TimedReplay {
   TimedReplay(const CacheConfig& cfg, unsigned num_pes, const TimingParams& tp,
               DirRep rep = DirRep::Auto);
 
-  void step(const MemRef& r);
   void replay(const u64* packed, std::size_t n);
   void replay(const std::vector<u64>& packed) { replay(packed.data(), packed.size()); }
   /// Replays shared immutable chunk storage in place (no flattening).
@@ -148,7 +150,7 @@ class TimedReplay {
 
   /// Coherence-side results: identical to an untimed replay.
   const TrafficStats& traffic() const { return sim_.stats(); }
-  const HierCacheSim& sim() const { return sim_; }
+  const MultiCacheSim& sim() const { return sim_; }
   const TimingParams& params() const { return tp_; }
 
   /// Timing results; computes the makespan over per-PE clocks and any
@@ -175,6 +177,9 @@ class TimedReplay {
     std::deque<u64> wbuf;  ///< bus completion times of in-flight posted writes
   };
 
+  /// The replay loop's observer: advances PE r.pe's clock, the bus and
+  /// the write buffer by what reference `r` did (docs/DESIGN.md §7).
+  void advance(const MemRef& r, const StepOutcome& o);
   /// Bus cycles an n-word transaction occupies.
   u64 service_of(u64 words) const {
     return (words * tp_.bus_service_cycles + tp_.interleave - 1) / tp_.interleave;
@@ -187,7 +192,7 @@ class TimedReplay {
   /// are already past them), bounding the timeline's size.
   void prune_timeline();
 
-  HierCacheSim sim_;
+  MultiCacheSim sim_;
   TimingParams tp_;
   u32 l2_extra_ = 0;  ///< cfg.l2.hit_extra_cycles, cached
   std::vector<PeState> pes_;

@@ -61,18 +61,18 @@ TEST(CacheLru, InvalidateRemoves) {
 
 TEST(Copyback, ReadMissFetchesLine) {
   MultiCacheSim sim(cfg(Protocol::Copyback), 1);
-  sim.access(R(0, 100));
+  sim.step(R(0, 100));
   EXPECT_EQ(sim.stats().misses, 1u);
   EXPECT_EQ(sim.stats().bus_words, 4u);
-  sim.access(R(0, 101));  // same line: hit
+  sim.step(R(0, 101));  // same line: hit
   EXPECT_EQ(sim.stats().misses, 1u);
   EXPECT_EQ(sim.stats().bus_words, 4u);
 }
 
 TEST(Copyback, DirtyEvictionWritesBack) {
   MultiCacheSim sim(cfg(Protocol::Copyback, 16), 1);  // 4 lines
-  sim.access(W(0, 0));  // fill + dirty
-  for (u64 a = 4; a < 20; a += 4) sim.access(R(0, a));  // evict line 0
+  sim.step(W(0, 0));  // fill + dirty
+  for (u64 a = 4; a < 20; a += 4) sim.step(R(0, a));  // evict line 0
   // 5 fetches (1 write-allocate + 4 reads) + 1 writeback
   EXPECT_EQ(sim.stats().writeback_words, 4u);
   EXPECT_EQ(sim.stats().bus_words, 5 * 4u + 4u);
@@ -80,54 +80,54 @@ TEST(Copyback, DirtyEvictionWritesBack) {
 
 TEST(Copyback, NoWriteAllocateWritesThrough) {
   MultiCacheSim sim(cfg(Protocol::Copyback, 16, /*walloc=*/false), 1);
-  sim.access(W(0, 0));
+  sim.step(W(0, 0));
   EXPECT_EQ(sim.stats().bus_words, 1u);
   EXPECT_EQ(sim.cache(0).size(), 0u);  // not allocated
 }
 
 TEST(WriteThrough, EveryWriteCostsOneWord) {
   MultiCacheSim sim(cfg(Protocol::WriteThrough, 64, false), 2);
-  for (int i = 0; i < 10; ++i) sim.access(W(0, 0));
+  for (int i = 0; i < 10; ++i) sim.step(W(0, 0));
   EXPECT_EQ(sim.stats().writethrough_words, 10u);
   EXPECT_EQ(sim.stats().bus_words, 10u);
 }
 
 TEST(WriteThrough, RemoteWriteInvalidatesCopy) {
   MultiCacheSim sim(cfg(Protocol::WriteThrough), 2);
-  sim.access(R(0, 0));  // PE0 caches line 0
-  sim.access(W(1, 0));  // PE1 writes: PE0's copy must go
-  sim.access(R(0, 0));  // PE0 misses again
+  sim.step(R(0, 0));  // PE0 caches line 0
+  sim.step(W(1, 0));  // PE1 writes: PE0's copy must go
+  sim.step(R(0, 0));  // PE0 misses again
   EXPECT_EQ(sim.stats().misses, 3u);
   EXPECT_TRUE(sim.invariants_ok());
 }
 
 TEST(WriteInBroadcast, PrivateWritesAreFree) {
   MultiCacheSim sim(cfg(Protocol::WriteInBroadcast), 2);
-  sim.access(R(0, 0));  // fetch, Exclusive
+  sim.step(R(0, 0));  // fetch, Exclusive
   u64 before = sim.stats().bus_words;
-  for (int i = 0; i < 100; ++i) sim.access(W(0, 0));
+  for (int i = 0; i < 100; ++i) sim.step(W(0, 0));
   EXPECT_EQ(sim.stats().bus_words, before);  // no bus traffic at all
 }
 
 TEST(WriteInBroadcast, SharedWritePaysOneInvalidation) {
   MultiCacheSim sim(cfg(Protocol::WriteInBroadcast), 2);
-  sim.access(R(0, 0));
-  sim.access(R(1, 0));  // both share
+  sim.step(R(0, 0));
+  sim.step(R(1, 0));  // both share
   u64 before = sim.stats().bus_words;
-  sim.access(W(0, 0));  // invalidate PE1's copy: 1 word-time
+  sim.step(W(0, 0));  // invalidate PE1's copy: 1 word-time
   EXPECT_EQ(sim.stats().bus_words, before + 1);
   EXPECT_EQ(sim.stats().invalidations, 1u);
   // Subsequent writes are private.
-  sim.access(W(0, 0));
+  sim.step(W(0, 0));
   EXPECT_EQ(sim.stats().bus_words, before + 1);
   EXPECT_TRUE(sim.invariants_ok());
 }
 
 TEST(WriteInBroadcast, DirtyLineSuppliedCacheToCache) {
   MultiCacheSim sim(cfg(Protocol::WriteInBroadcast), 2);
-  sim.access(W(0, 0));  // PE0 dirty
+  sim.step(W(0, 0));  // PE0 dirty
   u64 before = sim.stats().bus_words;
-  sim.access(R(1, 0));  // PE1 read: flush from PE0
+  sim.step(R(1, 0));  // PE1 read: flush from PE0
   EXPECT_EQ(sim.stats().flush_words, 4u);
   EXPECT_EQ(sim.stats().bus_words, before + 4);
   EXPECT_TRUE(sim.invariants_ok());
@@ -135,32 +135,32 @@ TEST(WriteInBroadcast, DirtyLineSuppliedCacheToCache) {
 
 TEST(WriteUpdateBroadcast, SharedWriteBroadcastsWord) {
   MultiCacheSim sim(cfg(Protocol::WriteThroughBroadcast), 2);
-  sim.access(R(0, 0));
-  sim.access(R(1, 0));
+  sim.step(R(0, 0));
+  sim.step(R(1, 0));
   u64 before = sim.stats().bus_words;
-  sim.access(W(0, 0));  // update broadcast, both keep copies
+  sim.step(W(0, 0));  // update broadcast, both keep copies
   EXPECT_EQ(sim.stats().update_words, 1u);
   EXPECT_EQ(sim.stats().bus_words, before + 1);
   // PE1 still hits.
-  sim.access(R(1, 0));
+  sim.step(R(1, 0));
   EXPECT_EQ(sim.stats().misses, 2u);
   EXPECT_TRUE(sim.invariants_ok());
 }
 
 TEST(Hybrid, GlobalWritesGoThrough) {
   MultiCacheSim sim(cfg(Protocol::Hybrid), 2);
-  sim.access(R(0, 0, ObjClass::HeapTerm));  // heap = global
+  sim.step(R(0, 0, ObjClass::HeapTerm));  // heap = global
   u64 before = sim.stats().bus_words;
-  sim.access(W(0, 0, ObjClass::HeapTerm));
+  sim.step(W(0, 0, ObjClass::HeapTerm));
   EXPECT_EQ(sim.stats().writethrough_words, 1u);
   EXPECT_EQ(sim.stats().bus_words, before + 1);
 }
 
 TEST(Hybrid, LocalWritesCopyBack) {
   MultiCacheSim sim(cfg(Protocol::Hybrid), 2);
-  sim.access(W(0, 0, ObjClass::ChoicePoint));  // local: allocate dirty
+  sim.step(W(0, 0, ObjClass::ChoicePoint));  // local: allocate dirty
   u64 after_fill = sim.stats().bus_words;
-  for (int i = 0; i < 50; ++i) sim.access(W(0, 0, ObjClass::ChoicePoint));
+  for (int i = 0; i < 50; ++i) sim.step(W(0, 0, ObjClass::ChoicePoint));
   EXPECT_EQ(sim.stats().bus_words, after_fill);  // all absorbed
   EXPECT_EQ(sim.stats().writethrough_words, 0u);
 }
@@ -169,15 +169,15 @@ TEST(Hybrid, ViolationDetectedWhenTwoPEsDirtyLocalLine) {
   MultiCacheSim sim(cfg(Protocol::Hybrid), 2);
   // Two PEs treating the same line as their own copy-back-local data
   // can never happen per Table 1; the simulator flags it.
-  sim.access(W(1, 0, ObjClass::TrailEntry));  // PE1 dirties the line
-  sim.access(W(0, 0, ObjClass::TrailEntry));  // PE0 writes it local too
+  sim.step(W(1, 0, ObjClass::TrailEntry));  // PE1 dirties the line
+  sim.step(W(0, 0, ObjClass::TrailEntry));  // PE0 writes it local too
   EXPECT_GT(sim.stats().coherence_violations, 0u);
 }
 
 TEST(Traffic, RatioAccountsDemandWords) {
   MultiCacheSim sim(cfg(Protocol::Copyback, 8), 1);  // 2 lines
   // Stream with no reuse: every 4th word misses.
-  for (u64 a = 0; a < 400; ++a) sim.access(R(0, a));
+  for (u64 a = 0; a < 400; ++a) sim.step(R(0, a));
   EXPECT_EQ(sim.stats().refs, 400u);
   EXPECT_NEAR(sim.stats().traffic_ratio(), 1.0, 0.05);
   EXPECT_NEAR(sim.stats().miss_ratio(), 0.25, 0.01);
@@ -186,7 +186,7 @@ TEST(Traffic, RatioAccountsDemandWords) {
 TEST(Traffic, LargeCacheAbsorbsWorkingSet) {
   MultiCacheSim sim(cfg(Protocol::Copyback, 1024), 1);
   for (int pass = 0; pass < 10; ++pass)
-    for (u64 a = 0; a < 256; ++a) sim.access(R(0, a));
+    for (u64 a = 0; a < 256; ++a) sim.step(R(0, a));
   // 64 cold misses, everything else hits.
   EXPECT_EQ(sim.stats().misses, 64u);
   EXPECT_LT(sim.stats().traffic_ratio(), 0.11);
@@ -203,7 +203,7 @@ TEST(CacheConfigCheck, ZeroLineCacheIsRejected) {
   EXPECT_THROW(MultiCacheSim(cfg(Protocol::Copyback, 6), 1), Error);  // 6 % 4
   // One line is the smallest valid cache.
   MultiCacheSim one(cfg(Protocol::Copyback, 4), 1);
-  one.access(R(0, 0));
+  one.step(R(0, 0));
   EXPECT_EQ(one.stats().misses, 1u);
 }
 

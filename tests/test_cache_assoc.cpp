@@ -38,10 +38,10 @@ TEST(Assoc, DirectMappedConflicts) {
   u64 a = 0;
   u64 b = 16 * 4;  // same set in the 16-set direct-mapped cache
   for (int i = 0; i < 50; ++i) {
-    dm.access(R(a));
-    dm.access(R(b));
-    w2.access(R(a));
-    w2.access(R(b));
+    dm.step(R(a));
+    dm.step(R(b));
+    w2.step(R(a));
+    w2.step(R(b));
   }
   EXPECT_EQ(dm.stats().misses, 100u);  // every access misses
   EXPECT_EQ(w2.stats().misses, 2u);    // both lines stay resident

@@ -159,8 +159,8 @@ TEST(DirectoryDiff, WideLinesAndManyPes) {
 }
 
 TEST(DirectoryDiff, SingleAccessPathMatchesReplay) {
-  // access() (per-ref protocol dispatch) and replay() (batched fast
-  // path) must produce the same stats, flat and with an L2.
+  // step() (one reference per batch) and replay() (whole batches)
+  // must produce the same stats, flat and with an L2.
   for (Protocol p : kAllProtocols) {
     for (u32 line : {3u, 4u}) {
       CacheConfig cfg;
@@ -175,12 +175,12 @@ TEST(DirectoryDiff, SingleAccessPathMatchesReplay) {
            {random_trace(0x1234, 4, 10000), same_line_input(cfg, 4, 0x1234)}) {
         MultiCacheSim a(cfg, 4), b(cfg, 4);
         a.replay(trace);
-        for (u64 r : trace) b.access(MemRef::unpack(r));
+        for (u64 r : trace) b.step(MemRef::unpack(r));
         EXPECT_EQ(a.stats(), b.stats()) << what;
         EXPECT_TRUE(b.directory_consistent()) << what;
-        HierCacheSim c(hc, 4), d(hc, 4);
+        MultiCacheSim c(hc, 4), d(hc, 4);
         c.replay(trace);
-        for (u64 r : trace) d.access(MemRef::unpack(r));
+        for (u64 r : trace) d.step(MemRef::unpack(r));
         EXPECT_EQ(c.stats(), d.stats()) << what;
       }
     }

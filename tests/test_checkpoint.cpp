@@ -83,7 +83,7 @@ CacheConfig small_cfg() {
 /// Replays `upto` chunks into a fresh simulator and serializes it.
 std::string frame_at(const ChunkedTrace& t, const CacheConfig& cfg,
                      unsigned pes, std::size_t upto, u64 hash) {
-  HierCacheSim sim(cfg, pes);
+  MultiCacheSim sim(cfg, pes);
   for (std::size_t i = 0; i < upto; ++i)
     sim.replay(t.chunk(i).data(), t.chunk(i).size());
   CheckpointMeta meta;
@@ -166,7 +166,7 @@ TEST(CheckpointUnit, SerializeParseRoundTripRestoresMetaAndState) {
   EXPECT_EQ(r.meta.refs_done, r.sim->stats().refs);
 
   // The restored simulator equals a fresh replay of the same prefix.
-  HierCacheSim want(cfg, 4);
+  MultiCacheSim want(cfg, 4);
   want.replay(t->chunk(0).data(), t->chunk(0).size());
   EXPECT_EQ(r.sim->stats(), want.stats());
 }

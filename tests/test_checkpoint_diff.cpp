@@ -104,7 +104,7 @@ void expect_same_timing(const TimingStats& a, const TimingStats& b,
   }
 }
 
-void replay_chunks(HierCacheSim& sim, const ChunkedTrace& t, std::size_t from,
+void replay_chunks(MultiCacheSim& sim, const ChunkedTrace& t, std::size_t from,
                    std::size_t to) {
   for (std::size_t i = from; i < to; ++i)
     sim.replay(t.chunk(i).data(), t.chunk(i).size());
@@ -122,10 +122,10 @@ void check_untimed(const ChunkedTrace& t, const CacheConfig& cfg, unsigned pes,
                    DirRep rep, std::size_t boundary, const std::string& what) {
   const u64 hash = replay_config_hash(cfg, pes, resolve_wide(rep, pes),
                                       trace_fingerprint(t));
-  HierCacheSim full(cfg, pes, rep);
+  MultiCacheSim full(cfg, pes, rep);
   replay_chunks(full, t, 0, t.num_chunks());
 
-  HierCacheSim head(cfg, pes, rep);
+  MultiCacheSim head(cfg, pes, rep);
   replay_chunks(head, t, 0, boundary);
   CheckpointMeta meta;
   meta.config_hash = hash;
@@ -277,12 +277,12 @@ TEST(CheckpointDiff, FileRoundTripUntimed) {
   CacheConfig cfg = make_cfg(Protocol::Hybrid, /*hier=*/true);
   const u64 hash = replay_config_hash(cfg, 4, false, trace_fingerprint(*t));
 
-  HierCacheSim full(cfg, 4);
+  MultiCacheSim full(cfg, 4);
   replay_chunks(full, *t, 0, t->num_chunks());
 
   TempCkpt tc("untimed");
   CheckpointWriter w(tc.path);
-  HierCacheSim head(cfg, 4);
+  MultiCacheSim head(cfg, 4);
   replay_chunks(head, *t, 0, 2);
   CheckpointMeta meta;
   meta.config_hash = hash;
@@ -350,7 +350,7 @@ pid_t spawn_replaying_child(const ChunkedTrace& t, const CacheConfig& cfg,
   // it must never exit on its own, only by SIGKILL.
   try {
     CheckpointWriter w(path);
-    HierCacheSim sim(cfg, pes);
+    MultiCacheSim sim(cfg, pes);
     for (std::size_t i = 0; i < t.num_chunks(); ++i) {
       sim.replay(t.chunk(i).data(), t.chunk(i).size());
       CheckpointMeta meta;
@@ -373,7 +373,7 @@ TEST(CheckpointKill, SigkilledReplayResumesBitIdentical) {
   CacheConfig cfg = make_cfg(Protocol::WriteInBroadcast, /*hier=*/false);
   const u64 hash = replay_config_hash(cfg, 4, false, trace_fingerprint(*t));
 
-  HierCacheSim full(cfg, 4);
+  MultiCacheSim full(cfg, 4);
   replay_chunks(full, *t, 0, t->num_chunks());
 
   TempCkpt tc("kill");
@@ -412,7 +412,7 @@ TEST(CheckpointKill, KillAtArbitraryTimesAlwaysRecovers) {
   CacheConfig cfg = make_cfg(Protocol::Hybrid, /*hier=*/true);
   const u64 hash = replay_config_hash(cfg, 4, false, trace_fingerprint(*t));
 
-  HierCacheSim full(cfg, 4);
+  MultiCacheSim full(cfg, 4);
   replay_chunks(full, *t, 0, t->num_chunks());
 
   Lcg rng(0x6B11);
@@ -425,7 +425,7 @@ TEST(CheckpointKill, KillAtArbitraryTimesAlwaysRecovers) {
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
 
-    std::unique_ptr<HierCacheSim> tail;
+    std::unique_ptr<MultiCacheSim> tail;
     std::size_t start = 0;
     if (fs::exists(tc.path) || fs::exists(tc.path + ".prev")) {
       std::optional<ResumeOutcome> got =
@@ -434,7 +434,7 @@ TEST(CheckpointKill, KillAtArbitraryTimesAlwaysRecovers) {
       tail = std::move(got->restored.sim);
       start = got->restored.meta.chunk_index;
     }
-    if (!tail) tail = std::make_unique<HierCacheSim>(cfg, 4);
+    if (!tail) tail = std::make_unique<MultiCacheSim>(cfg, 4);
     replay_chunks(*tail, *t, start, t->num_chunks());
     EXPECT_EQ(tail->stats(), full.stats()) << "round " << round;
   }

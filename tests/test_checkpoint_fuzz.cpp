@@ -51,7 +51,7 @@ struct Fixture {
     // carries refs_done, not the chunk layout — so a small trace keeps
     // the reference frame to ~1 KB and the O(bytes^2) sweeps fast.
     hash = replay_config_hash(cfg, pes, false, trace_fingerprint(*trace));
-    HierCacheSim sim(cfg, pes);
+    MultiCacheSim sim(cfg, pes);
     sim.replay(trace->chunk(0).data(), 3000);
     CheckpointMeta meta;
     meta.config_hash = hash;

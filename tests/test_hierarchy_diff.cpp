@@ -112,7 +112,7 @@ TEST(HierarchyDiff, NoL2IsBitIdenticalToFlatAllProtocols) {
       CacheConfig cfg = flat_cfg(p);
       MultiCacheSim flat(cfg, pes);
       flat.replay(trace);
-      HierCacheSim hier(cfg, pes);  // cfg.l2 disabled by default
+      MultiCacheSim hier(cfg, pes);  // cfg.l2 disabled by default
       hier.replay(trace);
 
       const std::string what = protocol_name(p) + " pes=" + std::to_string(pes);
@@ -130,16 +130,16 @@ TEST(HierarchyDiff, NoL2StepOutcomesMatchFlatStep) {
   for (Protocol p : kAllProtocols) {
     CacheConfig cfg = flat_cfg(p);
     MultiCacheSim flat(cfg, 4);
-    HierCacheSim hier(cfg, 4);
+    MultiCacheSim hier(cfg, 4);
     for (u64 packed : trace) {
       MemRef r = MemRef::unpack(packed);
       StepOutcome a = flat.step(r);
       StepOutcome b = hier.step(r);
       ASSERT_EQ(a.miss, b.miss) << protocol_name(p);
-      ASSERT_EQ(a.supplier, b.supplier) << protocol_name(p);
-      ASSERT_EQ(a.bus_words, b.bus_words) << protocol_name(p);
-      ASSERT_EQ(a.demand_words, b.demand_words) << protocol_name(p);
-      ASSERT_EQ(a.posted_words, b.posted_words) << protocol_name(p);
+      ASSERT_EQ(a.supplier(), b.supplier()) << protocol_name(p);
+      ASSERT_EQ(a.bus_words(), b.bus_words()) << protocol_name(p);
+      ASSERT_EQ(a.demand_words(), b.demand_words()) << protocol_name(p);
+      ASSERT_EQ(a.posted_words(), b.posted_words()) << protocol_name(p);
       ASSERT_EQ(a.invalidations, b.invalidations) << protocol_name(p);
     }
     EXPECT_EQ(hier.stats(), flat.stats()) << protocol_name(p);
@@ -158,7 +158,7 @@ TEST(HierarchyDiff, NonInclusiveLeavesBusSideBitIdentical) {
       flat.replay(trace);
       // Small direct-mapped L2: plenty of L2 conflict evictions, but a
       // non-inclusive L2 must never feed back into L1 behaviour.
-      HierCacheSim hier(
+      MultiCacheSim hier(
           hier_cfg(p, 1024, 1, L2Config::Inclusion::NonInclusive), pes);
       hier.replay(trace);
 
@@ -183,11 +183,11 @@ TEST(HierarchyDiff, InclusionInvariantHoldsThroughoutReplay) {
     // Small 2-way L2 barely bigger than one L1: back-invalidation fires
     // constantly. Check the invariants repeatedly DURING the replay,
     // not just at the end.
-    HierCacheSim hier(hier_cfg(p, 1024, 2, L2Config::Inclusion::Inclusive), 8);
+    MultiCacheSim hier(hier_cfg(p, 1024, 2, L2Config::Inclusion::Inclusive), 8);
     std::vector<u64> trace = random_trace(0x1AC + static_cast<u64>(p), 8, 20000);
     std::size_t i = 0;
     for (u64 packed : trace) {
-      hier.access(MemRef::unpack(packed));
+      hier.step(MemRef::unpack(packed));
       if (++i % 1000 == 0) {
         ASSERT_TRUE(hier.inclusion_ok()) << protocol_name(p) << " at " << i;
         ASSERT_TRUE(hier.directory_consistent()) << protocol_name(p) << " at " << i;
@@ -214,10 +214,10 @@ TEST(HierarchyDiff, BackInvalidationLeavesNoStaleL1Copies) {
   // must mirror the caches exactly.
   for (Protocol p : {Protocol::WriteInBroadcast, Protocol::WriteThroughBroadcast,
                      Protocol::Copyback}) {
-    HierCacheSim hier(hier_cfg(p, 512, 1, L2Config::Inclusion::Inclusive), 8);
+    MultiCacheSim hier(hier_cfg(p, 512, 1, L2Config::Inclusion::Inclusive), 8);
     std::vector<u64> trace = random_trace(0xBAC0 + static_cast<u64>(p), 8, 4000);
     for (u64 packed : trace) {
-      hier.access(MemRef::unpack(packed));
+      hier.step(MemRef::unpack(packed));
       ASSERT_TRUE(hier.inclusion_ok()) << protocol_name(p);
       ASSERT_TRUE(hier.directory_consistent()) << protocol_name(p);
     }
@@ -233,7 +233,7 @@ TEST(HierarchyDiff, CapaciousInclusiveL2NeverBackInvalidates) {
     CacheConfig cfg = flat_cfg(p);
     MultiCacheSim flat(cfg, 8);
     flat.replay(trace);
-    HierCacheSim hier(hier_cfg(p, 1u << 17, 0, L2Config::Inclusion::Inclusive), 8);
+    MultiCacheSim hier(hier_cfg(p, 1u << 17, 0, L2Config::Inclusion::Inclusive), 8);
     hier.replay(trace);
     const std::string what = protocol_name(p);
     EXPECT_EQ(hier.stats().l2_back_invalidations, 0u) << what;
@@ -250,16 +250,16 @@ TEST(HierarchyDiff, CapaciousInclusiveL2NeverBackInvalidates) {
 TEST(HierarchyDiff, RejectsBadL2Geometry) {
   CacheConfig cfg = flat_cfg(Protocol::WriteInBroadcast);
   cfg.l2.size_words = 1026;  // not a multiple of the 4-word line
-  EXPECT_THROW(HierCacheSim(cfg, 4), Error);
+  EXPECT_THROW(MultiCacheSim(cfg, 4), Error);
   cfg.l2.size_words = 1024;
   cfg.l2.ways = 3;  // 256 lines not divisible by 3 ways
-  EXPECT_THROW(HierCacheSim(cfg, 4), Error);
+  EXPECT_THROW(MultiCacheSim(cfg, 4), Error);
   // The same rule for the L1, which used to build 3-way sets over
   // floor(256 / 3) * 3 = 255 lines and report "1024 words".
   CacheConfig l1 = flat_cfg(Protocol::WriteInBroadcast);
   l1.size_words = 1024;
   l1.ways = 3;
-  EXPECT_THROW(HierCacheSim(l1, 4), Error);
+  EXPECT_THROW(MultiCacheSim(l1, 4), Error);
   EXPECT_THROW(MultiCacheSim(l1, 4), Error);
   EXPECT_THROW(ReferenceCacheSim(l1, 4), Error);
   for (u32 ways : {0u, 1u, 2u, 128u, 256u, 1000u}) {  // 0, divisors, >= lines
@@ -292,7 +292,7 @@ TEST(HierarchyDiff, RealTraceAllProtocolsBothInclusionPolicies) {
       hc.l2.size_words = 4096;
       hc.l2.ways = 4;
       hc.l2.inclusion = inc;
-      HierCacheSim hier(hc, 4);
+      MultiCacheSim hier(hc, 4);
       hier.replay(*trace);
       const std::string what = protocol_name(p) + " " + inclusion_name(inc);
       EXPECT_EQ(hier.stats().refs, flat.stats().refs) << what;
@@ -319,7 +319,7 @@ TEST(HierarchyDiff, TimedReplayMatchesUntimedHierForAnyParams) {
                                     L2Config::Inclusion::NonInclusive}) {
       CacheConfig cfg = hier_cfg(p, 2048, 4, inc);
       cfg.l2.hit_extra_cycles = 3;
-      HierCacheSim untimed(cfg, 8);
+      MultiCacheSim untimed(cfg, 8);
       untimed.replay(trace);
       for (const TimingParams& tp : params) {
         TimedReplay timed(cfg, 8, tp);

@@ -75,7 +75,7 @@ TEST(ReplayJob, CallbackRunsAfterEachChunkIsReplayed) {
     EXPECT_EQ(seen[i].second, refs_before(*t, i + 1));
   }
   EXPECT_EQ(job.next_chunk(), 3u);
-  HierCacheSim direct(test_cfg(), kPes);
+  MultiCacheSim direct(test_cfg(), kPes);
   direct.replay(*t);
   EXPECT_EQ(job.traffic(), direct.stats());
 }

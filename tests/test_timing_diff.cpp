@@ -81,8 +81,8 @@ TEST(TimingDiff, AnyBusParamsLeaveTrafficStatsUnchanged) {
 }
 
 TEST(TimingDiff, StepApiAccumulatesExactlyLikeReplay) {
-  // The per-reference step() API (which TimedReplay is built on) must
-  // decompose every transaction consistently: per-ref outcome deltas
+  // The per-reference step() API (the StepOutcome TimedReplay times)
+  // must decompose every transaction consistently: per-ref outcome deltas
   // sum back to the aggregate counters, and demand+posted == bus.
   std::vector<u64> trace = random_trace(0x57E9, 4, 15000);
   for (Protocol p : kAllProtocols) {
@@ -91,11 +91,11 @@ TEST(TimingDiff, StepApiAccumulatesExactlyLikeReplay) {
     u64 bus = 0, demand = 0, posted = 0, misses = 0;
     for (u64 packed : trace) {
       StepOutcome o = stepped.step(MemRef::unpack(packed));
-      bus += o.bus_words;
-      demand += o.demand_words;
-      posted += o.posted_words;
+      bus += o.bus_words();
+      demand += o.demand_words();
+      posted += o.posted_words();
       misses += o.miss ? 1 : 0;
-      EXPECT_EQ(o.demand_words + o.posted_words, o.bus_words);
+      EXPECT_EQ(o.demand_words() + o.posted_words(), o.bus_words());
     }
     replayed.replay(trace);
     EXPECT_EQ(stepped.stats(), replayed.stats()) << protocol_name(p);

@@ -96,10 +96,10 @@ TEST(WidePeDiff, StepOutcomesMatchFlatPerReference) {
       StepOutcome a = flat.step(r);
       StepOutcome b = wide.step(r);
       ASSERT_EQ(a.miss, b.miss) << protocol_name(p);
-      ASSERT_EQ(a.supplier, b.supplier) << protocol_name(p);
-      ASSERT_EQ(a.bus_words, b.bus_words) << protocol_name(p);
-      ASSERT_EQ(a.demand_words, b.demand_words) << protocol_name(p);
-      ASSERT_EQ(a.posted_words, b.posted_words) << protocol_name(p);
+      ASSERT_EQ(a.supplier(), b.supplier()) << protocol_name(p);
+      ASSERT_EQ(a.bus_words(), b.bus_words()) << protocol_name(p);
+      ASSERT_EQ(a.demand_words(), b.demand_words()) << protocol_name(p);
+      ASSERT_EQ(a.posted_words(), b.posted_words()) << protocol_name(p);
       ASSERT_EQ(a.invalidations, b.invalidations) << protocol_name(p);
     }
     EXPECT_EQ(flat.stats(), wide.stats()) << protocol_name(p);
@@ -116,8 +116,8 @@ TEST(WidePeDiff, HierarchyForcedWideMatchesFlat) {
     cfg.l2.ways = 4;
     cfg.l2.inclusion = inc;
     std::vector<u64> trace = random_trace(0x1E5E + (inc == L2Config::Inclusion::Inclusive), 8, 20000);
-    HierCacheSim flat(cfg, 8, DirRep::Flat);
-    HierCacheSim wide(cfg, 8, DirRep::Wide);
+    MultiCacheSim flat(cfg, 8, DirRep::Flat);
+    MultiCacheSim wide(cfg, 8, DirRep::Wide);
     flat.replay(trace.data(), trace.size());
     wide.replay(trace.data(), trace.size());
     std::string what = std::string("hier-") + inclusion_name(inc);
@@ -192,7 +192,7 @@ TEST(WidePeDiff, HierarchyBackInvalidationAboveSixtyFourPes) {
   cfg.l2.ways = 8;
   cfg.l2.inclusion = L2Config::Inclusion::Inclusive;
   std::vector<u64> trace = random_trace(0xBAC4, 256, 40000);
-  HierCacheSim sim(cfg, 256);
+  MultiCacheSim sim(cfg, 256);
   ASSERT_TRUE(sim.wide_directory());
   sim.replay(trace.data(), trace.size());
   EXPECT_GT(sim.stats().l2_back_invalidations, 0u);
@@ -213,13 +213,13 @@ TEST(WidePeDiff, SharersAcrossWordBoundaries) {
   for (unsigned pe = 0; pe < pes; ++pe) {
     r.pe = static_cast<u8>(pe);
     r.write = false;
-    sim.access(r);
+    sim.step(r);
   }
   for (unsigned pe = 0; pe < pes; ++pe)
     EXPECT_NE(sim.cache(pe).lines().size(), 0u) << pe;
   r.pe = 0;
   r.write = true;
-  sim.access(r);
+  sim.step(r);
   EXPECT_EQ(sim.stats().invalidations, 1u);
   EXPECT_EQ(sim.cache(0).lines().size(), 1u);
   for (unsigned pe = 1; pe < pes; ++pe)
