@@ -404,216 +404,8 @@ void MultiCacheSim::restore_state(ByteReader& r) {
     fail("checkpoint: restored state violates the L2 inclusion invariant");
 }
 
-// --- protocol handlers ------------------------------------------------------
-//
-// Each handler is always inlined into the replay loops instantiated in
-// this file (flat replay and step()), where its StepOutcome never
-// reaches memory; the explicit instantiations at the bottom give the
-// observed loops of other files (TimedReplay) an out-of-line copy.
-
-// --- conventional coherent write-through --------------------------------
-
-template <typename E>
-[[gnu::always_inline]] inline StepOutcome
-MultiCacheSim::access_write_through(const MemRef& r) {
-  StepOutcome o;
-  u64 tag = tag_of(r.addr);
-  Line* l = caches_[r.pe].lookup(tag);
-  if (!r.write) {
-    if (l) return o;
-    o.miss = true;
-    o.fetch_words = L();
-    fill<E>(r.pe, tag, LineState::Shared, o);
-    return o;
-  }
-  // Every write goes to memory; snooping caches invalidate their copy.
-  o.writethrough_words = 1;
-  invalidate_others<E>(r.pe, tag);
-  if (l) return o;  // write hit: line updated in place
-  o.miss = true;
-  if (cfg_.write_allocate) {
-    o.fetch_words = L();
-    fill<E>(r.pe, tag, LineState::Shared, o);
-  }
-  return o;
-}
-
-// --- non-coherent copy-back (sequential baseline) ------------------------
-
-template <typename E>
-[[gnu::always_inline]] inline StepOutcome
-MultiCacheSim::access_copyback(const MemRef& r) {
-  StepOutcome o;
-  u64 tag = tag_of(r.addr);
-  Line* l = caches_[r.pe].lookup(tag);
-  if (l) {
-    if (r.write) l->state = LineState::Dirty;  // non-coherent: no directory
-    return o;
-  }
-  o.miss = true;
-  if (!r.write) {
-    o.fetch_words = L();
-    fill<E>(r.pe, tag, LineState::Exclusive, o);
-  } else if (cfg_.write_allocate) {
-    o.fetch_words = L();
-    fill<E>(r.pe, tag, LineState::Dirty, o);
-  } else {
-    o.writethrough_words = 1;
-  }
-  return o;
-}
-
-// --- write-in broadcast (invalidate, copy-back, cache-to-cache) ----------
-
-template <typename E>
-[[gnu::always_inline]] inline StepOutcome
-MultiCacheSim::access_write_in_broadcast(const MemRef& r) {
-  StepOutcome o;
-  u64 tag = tag_of(r.addr);
-  Line* l = caches_[r.pe].lookup(tag);
-
-  if (!r.write) {
-    if (l) return o;
-    o.miss = true;
-    fill<E>(r.pe, tag,
-            broadcast_miss_supply<E>(r.pe, tag, o) ? LineState::Shared
-                                                   : LineState::Exclusive,
-            o);
-    return o;
-  }
-
-  if (l) {
-    switch (l->state) {
-      case LineState::Dirty:
-        return o;
-      case LineState::Exclusive:
-        set_state<E>(r.pe, l, LineState::Dirty);
-        return o;
-      case LineState::Shared:
-        // One bus word-time to broadcast the invalidation.
-        o.invalidations = 1;
-        invalidate_others<E>(r.pe, tag);
-        set_state<E>(r.pe, l, LineState::Dirty);
-        return o;
-      case LineState::Invalid:
-        break;
-    }
-  }
-  o.miss = true;
-  if (cfg_.write_allocate) {
-    // Read-for-ownership: fetch the line (from a dirty owner or from
-    // memory) and invalidate all other copies in the same transaction.
-    if (other_dirty<E>(r.pe, tag)) o.flush_words = L();
-    else o.fetch_words = L();
-    invalidate_others<E>(r.pe, tag);
-    fill<E>(r.pe, tag, LineState::Dirty, o);
-  } else {
-    // Word write to memory plus invalidation of all copies.
-    o.writethrough_words = 1;
-    invalidate_others<E>(r.pe, tag);
-  }
-  return o;
-}
-
-// --- write-through broadcast (update) -------------------------------------
-
-template <typename E>
-[[gnu::always_inline]] inline StepOutcome
-MultiCacheSim::access_write_update_broadcast(const MemRef& r) {
-  StepOutcome o;
-  u64 tag = tag_of(r.addr);
-  Line* l = caches_[r.pe].lookup(tag);
-
-  if (!r.write) {
-    if (l) return o;
-    o.miss = true;
-    fill<E>(r.pe, tag,
-            broadcast_miss_supply<E>(r.pe, tag, o) ? LineState::Shared
-                                                   : LineState::Exclusive,
-            o);
-    return o;
-  }
-
-  if (l) {
-    if (l->state == LineState::Shared && others_hold<E>(r.pe, tag)) {
-      // Broadcast the word; sharers and memory update in place.
-      o.update_words = 1;
-    } else {
-      // Private, or the last sharer: private again.
-      set_state<E>(r.pe, l, LineState::Dirty);
-    }
-    return o;
-  }
-  o.miss = true;
-  if (cfg_.write_allocate) {
-    bool shared = broadcast_miss_supply<E>(r.pe, tag, o);
-    fill<E>(r.pe, tag, shared ? LineState::Shared : LineState::Dirty, o);
-    if (shared) o.update_words = 1;
-  } else {
-    o.update_words = 1;  // word to memory + snooping sharers
-  }
-  return o;
-}
-
-// --- hybrid (tag-driven) ---------------------------------------------------
-
-template <typename E>
-[[gnu::always_inline]] inline StepOutcome
-MultiCacheSim::access_hybrid(const MemRef& r) {
-  StepOutcome o;
-  u64 tag = tag_of(r.addr);
-  Line* l = caches_[r.pe].lookup(tag);
-  bool global = traits_of(r.cls).locality == Locality::Global;
-
-  if (!r.write) {
-    if (l) return o;
-    o.miss = true;
-    // A line may mix localities (e.g. environment control words and
-    // permanent variables): memory is kept current for its *global*
-    // words by write-through, so fetching from memory is always safe
-    // for global reads. Only a local-tagged read of a line that is
-    // dirty in another cache is a Table-1 violation.
-    o.violation = !global && dirty_holder<E>(r.pe, tag) >= 0;
-    o.fetch_words = L();
-    fill<E>(r.pe, tag, LineState::Shared, o);
-    return o;
-  }
-
-  if (global) {
-    // Write-through; remote copies are invalidated by the snooped
-    // memory write (no extra bus words). Own copy updated in place.
-    o.writethrough_words = 1;
-    invalidate_others<E>(r.pe, tag);
-    if (l) return o;
-    o.miss = true;
-    if (cfg_.write_allocate) {
-      o.fetch_words = L();
-      fill<E>(r.pe, tag, LineState::Shared, o);
-    }
-    return o;
-  }
-
-  // Local data: copy-back. Another PE modifying this PE's local line
-  // would be a violation; mere clean copies (from global words in the
-  // same line) are harmless.
-  o.violation = dirty_holder<E>(r.pe, tag) >= 0;
-  if (l) {
-    set_state<E>(r.pe, l, LineState::Dirty);
-    return o;
-  }
-  o.miss = true;
-  if (cfg_.write_allocate) {
-    o.fetch_words = L();
-    fill<E>(r.pe, tag, LineState::Dirty, o);
-  } else {
-    o.writethrough_words = 1;
-  }
-  return o;
-}
-
 // --- the replay loop's entry points ------------------------------------------
 
-// Defined after the handlers so the flat replay inlines them.
 void MultiCacheSim::replay(const u64* packed, std::size_t n) {
   replay(packed, n, [](const MemRef&, const StepOutcome&) {});
 }
@@ -625,15 +417,16 @@ StepOutcome MultiCacheSim::step(const MemRef& r) {
   return out;
 }
 
-// Explicit instantiations of both directory flavours: the replay loop
-// is a header template, and observed replays instantiated elsewhere
-// (TimedReplay) call the handlers defined here.
+// The handlers (multisim.h) inline into replay loops instantiated in
+// other files too (TimedReplay's); these are the helpers they call.
 #define RAPWAM_INSTANTIATE_DIR(E)                                                    \
-  template StepOutcome MultiCacheSim::access_write_through<E>(const MemRef&);        \
-  template StepOutcome MultiCacheSim::access_copyback<E>(const MemRef&);             \
-  template StepOutcome MultiCacheSim::access_write_in_broadcast<E>(const MemRef&);   \
-  template StepOutcome MultiCacheSim::access_write_update_broadcast<E>(const MemRef&); \
-  template StepOutcome MultiCacheSim::access_hybrid<E>(const MemRef&)
+  template bool MultiCacheSim::others_hold<E>(unsigned, u64) const;                  \
+  template int MultiCacheSim::dirty_holder<E>(unsigned, u64) const;                  \
+  template bool MultiCacheSim::other_dirty<E>(unsigned, u64) const;                  \
+  template void MultiCacheSim::invalidate_others<E>(unsigned, u64);                  \
+  template bool MultiCacheSim::broadcast_miss_supply<E>(unsigned, u64, StepOutcome&); \
+  template void MultiCacheSim::fill<E>(unsigned, u64, LineState, StepOutcome&);      \
+  template void MultiCacheSim::set_state<E>(unsigned, Line*, LineState)
 
 RAPWAM_INSTANTIATE_DIR(MultiCacheSim::DirEntry);
 RAPWAM_INSTANTIATE_DIR(MultiCacheSim::WideDirEntry);

@@ -252,9 +252,9 @@ class MultiCacheSim {
         return replay_loop<&MultiCacheSim::access_hybrid<E>>(packed, n, obs);
     }
   }
-  /// Kept out of replay(): each handler's loop is a function of its
-  /// own, small enough for the compiler to inline the handler and keep
-  /// the StepOutcome it returns in registers.
+  /// One function per handler loop: inlined into replay(), the twenty
+  /// loops of an observer would exhaust the compiler's inlining budget
+  /// for one function, and the handlers' helpers would stay calls.
   template <auto Handler, typename Obs>
   [[gnu::noinline]] void replay_loop(const u64* packed, std::size_t n, Obs& obs) {
     auto loop = [&](auto with_l2) {
@@ -323,7 +323,8 @@ class MultiCacheSim {
   template <typename E>
   void dir_remove(unsigned pe, u64 tag);
 
-  // Per-protocol reference handlers; E selects the directory flavour.
+  // Per-protocol reference handlers, defined below the class; E selects
+  // the directory flavour.
   template <typename E>
   StepOutcome access_write_through(const MemRef& r);
   template <typename E>
@@ -379,6 +380,212 @@ class MultiCacheSim {
   std::optional<Cache> l2_;  ///< engaged iff cfg.l2.enabled()
   TrafficStats stats_;
 };
+
+// --- protocol handlers ------------------------------------------------------
+//
+// Defined here and always inlined, so that in every replay loop, flat,
+// stepped or timed, a handler's StepOutcome stays in registers. The
+// directory helpers they call are instantiated in multisim.cpp.
+
+// --- conventional coherent write-through --------------------------------
+
+template <typename E>
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_write_through(const MemRef& r) {
+  StepOutcome o;
+  u64 tag = tag_of(r.addr);
+  Line* l = caches_[r.pe].lookup(tag);
+  if (!r.write) {
+    if (l) return o;
+    o.miss = true;
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Shared, o);
+    return o;
+  }
+  // Every write goes to memory; snooping caches invalidate their copy.
+  o.writethrough_words = 1;
+  invalidate_others<E>(r.pe, tag);
+  if (l) return o;  // write hit: line updated in place
+  o.miss = true;
+  if (cfg_.write_allocate) {
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Shared, o);
+  }
+  return o;
+}
+
+// --- non-coherent copy-back (sequential baseline) ------------------------
+
+template <typename E>
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_copyback(const MemRef& r) {
+  StepOutcome o;
+  u64 tag = tag_of(r.addr);
+  Line* l = caches_[r.pe].lookup(tag);
+  if (l) {
+    if (r.write) l->state = LineState::Dirty;  // non-coherent: no directory
+    return o;
+  }
+  o.miss = true;
+  if (!r.write) {
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Exclusive, o);
+  } else if (cfg_.write_allocate) {
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Dirty, o);
+  } else {
+    o.writethrough_words = 1;
+  }
+  return o;
+}
+
+// --- write-in broadcast (invalidate, copy-back, cache-to-cache) ----------
+
+template <typename E>
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_write_in_broadcast(const MemRef& r) {
+  StepOutcome o;
+  u64 tag = tag_of(r.addr);
+  Line* l = caches_[r.pe].lookup(tag);
+
+  if (!r.write) {
+    if (l) return o;
+    o.miss = true;
+    fill<E>(r.pe, tag,
+            broadcast_miss_supply<E>(r.pe, tag, o) ? LineState::Shared
+                                                   : LineState::Exclusive,
+            o);
+    return o;
+  }
+
+  if (l) {
+    switch (l->state) {
+      case LineState::Dirty:
+        return o;
+      case LineState::Exclusive:
+        set_state<E>(r.pe, l, LineState::Dirty);
+        return o;
+      case LineState::Shared:
+        // One bus word-time to broadcast the invalidation.
+        o.invalidations = 1;
+        invalidate_others<E>(r.pe, tag);
+        set_state<E>(r.pe, l, LineState::Dirty);
+        return o;
+      case LineState::Invalid:
+        break;
+    }
+  }
+  o.miss = true;
+  if (cfg_.write_allocate) {
+    // Read-for-ownership: fetch the line (from a dirty owner or from
+    // memory) and invalidate all other copies in the same transaction.
+    if (other_dirty<E>(r.pe, tag)) o.flush_words = L();
+    else o.fetch_words = L();
+    invalidate_others<E>(r.pe, tag);
+    fill<E>(r.pe, tag, LineState::Dirty, o);
+  } else {
+    // Word write to memory plus invalidation of all copies.
+    o.writethrough_words = 1;
+    invalidate_others<E>(r.pe, tag);
+  }
+  return o;
+}
+
+// --- write-through broadcast (update) -------------------------------------
+
+template <typename E>
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_write_update_broadcast(const MemRef& r) {
+  StepOutcome o;
+  u64 tag = tag_of(r.addr);
+  Line* l = caches_[r.pe].lookup(tag);
+
+  if (!r.write) {
+    if (l) return o;
+    o.miss = true;
+    fill<E>(r.pe, tag,
+            broadcast_miss_supply<E>(r.pe, tag, o) ? LineState::Shared
+                                                   : LineState::Exclusive,
+            o);
+    return o;
+  }
+
+  if (l) {
+    if (l->state == LineState::Shared && others_hold<E>(r.pe, tag)) {
+      // Broadcast the word; sharers and memory update in place.
+      o.update_words = 1;
+    } else {
+      // Private, or the last sharer: private again.
+      set_state<E>(r.pe, l, LineState::Dirty);
+    }
+    return o;
+  }
+  o.miss = true;
+  if (cfg_.write_allocate) {
+    bool shared = broadcast_miss_supply<E>(r.pe, tag, o);
+    fill<E>(r.pe, tag, shared ? LineState::Shared : LineState::Dirty, o);
+    if (shared) o.update_words = 1;
+  } else {
+    o.update_words = 1;  // word to memory + snooping sharers
+  }
+  return o;
+}
+
+// --- hybrid (tag-driven) ---------------------------------------------------
+
+template <typename E>
+[[gnu::always_inline]] inline StepOutcome
+MultiCacheSim::access_hybrid(const MemRef& r) {
+  StepOutcome o;
+  u64 tag = tag_of(r.addr);
+  Line* l = caches_[r.pe].lookup(tag);
+  bool global = traits_of(r.cls).locality == Locality::Global;
+
+  if (!r.write) {
+    if (l) return o;
+    o.miss = true;
+    // A line may mix localities (e.g. environment control words and
+    // permanent variables): memory is kept current for its *global*
+    // words by write-through, so fetching from memory is always safe
+    // for global reads. Only a local-tagged read of a line that is
+    // dirty in another cache is a Table-1 violation.
+    o.violation = !global && dirty_holder<E>(r.pe, tag) >= 0;
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Shared, o);
+    return o;
+  }
+
+  if (global) {
+    // Write-through; remote copies are invalidated by the snooped
+    // memory write (no extra bus words). Own copy updated in place.
+    o.writethrough_words = 1;
+    invalidate_others<E>(r.pe, tag);
+    if (l) return o;
+    o.miss = true;
+    if (cfg_.write_allocate) {
+      o.fetch_words = L();
+      fill<E>(r.pe, tag, LineState::Shared, o);
+    }
+    return o;
+  }
+
+  // Local data: copy-back. Another PE modifying this PE's local line
+  // would be a violation; mere clean copies (from global words in the
+  // same line) are harmless.
+  o.violation = dirty_holder<E>(r.pe, tag) >= 0;
+  if (l) {
+    set_state<E>(r.pe, l, LineState::Dirty);
+    return o;
+  }
+  o.miss = true;
+  if (cfg_.write_allocate) {
+    o.fetch_words = L();
+    fill<E>(r.pe, tag, LineState::Dirty, o);
+  } else {
+    o.writethrough_words = 1;
+  }
+  return o;
+}
 
 /// TrafficStats field-by-field serialization, shared by simulator
 /// checkpoints and the sweep journal. The static_assert in
