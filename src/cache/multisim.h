@@ -252,9 +252,9 @@ class MultiCacheSim {
         return replay_loop<&MultiCacheSim::access_hybrid<E>>(packed, n, obs);
     }
   }
-  /// One function per handler loop: inlined into replay(), the twenty
-  /// loops of an observer would exhaust the compiler's inlining budget
-  /// for one function, and the handlers' helpers would stay calls.
+  /// One function per handler loop: when the compiler folded an
+  /// observer's twenty loops into one replay(), flat replay took 4-21%
+  /// longer per reference (docs/DESIGN.md §6).
   template <auto Handler, typename Obs>
   [[gnu::noinline]] void replay_loop(const u64* packed, std::size_t n, Obs& obs) {
     auto loop = [&](auto with_l2) {
