@@ -28,7 +28,7 @@ struct DiffRun {
 };
 
 DiffRun run_with(const std::string& source, const std::string& goal, bool fuse,
-                 unsigned pes, unsigned max_solutions) {
+                 unsigned pes, unsigned max_solutions, bool strip = false) {
   Program prog;
   prog.consult(source);
   MachineConfig cfg;
@@ -36,6 +36,7 @@ DiffRun run_with(const std::string& source, const std::string& goal, bool fuse,
   cfg.sizes = bench_area_sizes();
   cfg.fuse = fuse;
   cfg.max_solutions = max_solutions;
+  cfg.strip_cge = strip;
   Machine m(prog, cfg);
   ChunkingSink sink(/*busy_only=*/false);  // idle refs must match too
   DiffRun out;
@@ -92,6 +93,27 @@ TEST(FuseDiff, PaperBenchmarksBitIdenticalAtOnePe) {
     EXPECT_EQ(sim_f.stats(), sim_u.stats());
     EXPECT_GT(sim_f.stats().refs, 0u);
   }
+}
+
+TEST(FuseDiff, OnePeAndStrippedWamBitIdenticalAtBothScales) {
+  // Every fused solve the reports make: the 1-PE RAP-WAM program and
+  // the sequential-WAM baseline (CGEs stripped), which Table 2, Figure
+  // 2 and run_wam all run fused. Whole RunStats, not a field subset.
+  for (BenchScale scale : {BenchScale::Small, BenchScale::Paper})
+    for (const char* name : {"qsort", "deriv", "matrix", "tak"})
+      for (bool strip : {false, true}) {
+        BenchProgram bp = bench_program(name, scale);
+        SCOPED_TRACE(std::string(name) +
+                     (scale == BenchScale::Paper ? "/paper" : "/small") +
+                     (strip ? "/wam" : "/rapwam"));
+        DiffRun fused = run_with(bp.source, bp.goal + ".", true, 1, 1, strip);
+        DiffRun unfused = run_with(bp.source, bp.goal + ".", false, 1, 1, strip);
+        ASSERT_TRUE(fused.result.success);
+        EXPECT_TRUE(fused.result.stats == unfused.result.stats);
+        EXPECT_EQ(fused.result.solutions, unfused.result.solutions);
+        EXPECT_EQ(fused.result.output, unfused.result.output);
+        EXPECT_EQ(fused.packed, unfused.packed);
+      }
 }
 
 TEST(FuseDiff, MultiPeMachinesCompileUnfusedEitherWay) {
