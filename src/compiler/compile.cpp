@@ -729,10 +729,4 @@ std::unique_ptr<CodeStore> compile_program(Program& prog, const CompileOptions& 
   return code;
 }
 
-std::unique_ptr<CodeStore> compile_program(Program& prog, bool strip_cge) {
-  CompileOptions opts;
-  opts.strip_cge = strip_cge;
-  return compile_program(prog, opts);
-}
-
 }  // namespace rapwam

@@ -43,7 +43,4 @@ struct CompileOptions {
 /// Throws Error for undefined predicates or unsupported constructs.
 std::unique_ptr<CodeStore> compile_program(Program& prog, const CompileOptions& opts);
 
-/// Back-compat shim: `strip_cge` only, fusion off.
-std::unique_ptr<CodeStore> compile_program(Program& prog, bool strip_cge = false);
-
 }  // namespace rapwam

@@ -116,8 +116,6 @@ void Machine::reset(TraceSink* sink) {
   stats_ = RunStats{};
   stats_.num_pes = cfg_.num_pes;
   heap_pushes_ = 0;
-  constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kOpCount);
-  pair_counts_.assign(cfg_.profile_ops ? kNumOps * kNumOps : 0, 0);
   out_.str("");
   done_ = false;
   query_failed_exhausted_ = false;
@@ -343,35 +341,11 @@ void Machine::step(Worker& w) {
 
 bool threaded_dispatch_enabled() { return RAPWAM_THREADED_DISPATCH != 0; }
 
-std::vector<Machine::OpPair> Machine::op_pair_profile() const {
-  constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kOpCount);
-  std::vector<OpPair> out;
-  for (std::size_t i = 0; i < pair_counts_.size(); ++i) {
-    if (pair_counts_[i] == 0) continue;
-    out.push_back({static_cast<Op>(i / kNumOps), static_cast<Op>(i % kNumOps),
-                   pair_counts_[i]});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const OpPair& a, const OpPair& b) { return a.count > b.count; });
-  return out;
-}
-
 void Machine::exec(Worker& w) {
   const Instr ins = code_->at(w.p);
   const i32 here = w.p;
   ++w.p;
   ++stats_.instructions;
-
-  if (!pair_counts_.empty()) [[unlikely]] {
-    // Count only contiguous-address successions: exactly the windows a
-    // static fusion pass could have rewritten.
-    if (here == w.prof_here + 1)
-      ++pair_counts_[static_cast<std::size_t>(w.prof_op) *
-                         static_cast<std::size_t>(Op::kOpCount) +
-                     static_cast<std::size_t>(ins.op)];
-    w.prof_here = here;
-    w.prof_op = static_cast<u8>(ins.op);
-  }
 
   auto fail_if = [&](bool bad) {
     if (bad) backtrack(w);

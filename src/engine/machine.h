@@ -89,10 +89,6 @@ struct MachineConfig {
   /// multi-PE machines always run unfused so the per-cycle cross-PE
   /// interleaving of the trace stream is untouched.
   bool fuse = true;
-  /// Count dynamic contiguous (op, next-op) pairs during execution
-  /// (the ranking that the fused opcode set is derived from). Read the
-  /// result with op_pair_profile(); dumped by `bench_mlips --profile-ops`.
-  bool profile_ops = false;
 };
 
 struct Solution {
@@ -185,18 +181,6 @@ class Machine {
   const CodeStore& code() const { return *code_; }
   const MachineConfig& config() const { return cfg_; }
 
-  /// One dynamic (op, next-op) pair observation: `second` executed
-  /// directly after `first` from the adjacent code address on the same
-  /// PE — exactly the windows the fusion pass could have rewritten.
-  struct OpPair {
-    Op first;
-    Op second;
-    u64 count;
-  };
-  /// Pair profile of the last solve, highest count first. Empty unless
-  /// MachineConfig::profile_ops was set.
-  std::vector<OpPair> op_pair_profile() const;
-
  private:
   struct Worker {
     enum class St : u8 { Idle, Running, Waiting, Halted };
@@ -221,8 +205,6 @@ class Machine {
     u64 ctop_floor = 0;  // lowest reclaimable point (retained sections below)
     u64 b_ltop = 0;   // local top saved in newest CP (shadow)
     unsigned steal_rr = 1;  // round-robin steal pointer
-    i32 prof_here = -2;     // opcode-pair profiler: last executed address
-    u8 prof_op = 0;         // opcode-pair profiler: last executed op
     // True high-water marks (words used), updated at allocation sites.
     u64 hw_heap = 0, hw_local = 0, hw_control = 0, hw_trail = 0;
     // Area bases/limits cached from the layout.
@@ -318,9 +300,6 @@ class Machine {
   std::unique_ptr<CodeStore> code_;
   i32 halt_addr_ = -1;
   u32 nil_atom_ = 0;
-  /// kOpCount x kOpCount contiguous-pair counters; empty (and the hot
-  /// path branch-free in practice) unless cfg_.profile_ops is set.
-  std::vector<u64> pair_counts_;
 
   // Per-run state.
   const CancelToken* cancel_ = nullptr;  ///< borrowed for one solve

@@ -27,7 +27,7 @@ struct RunStats {
   std::array<u64, kAreaCount> high_water{};
 
   /// Field-for-field equality: the fused-vs-unfused differential suite
-  /// and the CI fuse-smoke pin golden stats with this.
+  /// (tests/test_fuse.cpp) pins golden stats with this.
   bool operator==(const RunStats&) const = default;
 
   /// References issued while doing useful work ("work" in Fig. 2).

@@ -149,7 +149,7 @@ TEST(CompiledArith, InstructionSelection) {
   // to Math instructions, with no heap-building puts in between.
   Program p;
   p.consult("f(A, R) :- R is A + 1, g(R). g(_).");
-  auto code = compile_program(p);
+  auto code = compile_program(p, CompileOptions{});
   i32 pi = code->find_proc(p.pred_id("f", 2));
   bool saw_math = false, saw_put_structure = false;
   for (i32 i = code->proc(pi).entry; i < code->size(); ++i) {
@@ -167,7 +167,7 @@ TEST(CompiledArith, FallbackForUnknownFunctor) {
   // (and fails at run time because it is not evaluable).
   Program p;
   p.consult("f(R) :- R is gcd(4, 6).");
-  auto code = compile_program(p);
+  auto code = compile_program(p, CompileOptions{});
   i32 pi = code->find_proc(p.pred_id("f", 1));
   bool saw_builtin = false;
   for (i32 i = code->proc(pi).entry; i < code->size(); ++i) {

@@ -8,7 +8,9 @@ namespace rapwam {
 namespace {
 
 std::unique_ptr<CodeStore> comp(Program& p, bool strip = false) {
-  return compile_program(p, strip);
+  CompileOptions opts;
+  opts.strip_cge = strip;
+  return compile_program(p, opts);
 }
 
 /// Ops of the instruction block starting at the entry of pred.
