@@ -88,18 +88,8 @@ std::string CodeStore::disassemble(i32 from, i32 to) const {
         os << " var=" << ins.a << " const=" << ins.b << " list=" << ins.c
            << " struct=" << ins.imm;
         break;
-      // Fused superinstructions whose operands embed atom/proc ids
+      // The one fused superinstruction whose operands embed a proc id
       // (the register-only fused ops read fine via the generic case).
-      case Op::FusePutValueXExecute: {
-        const Proc& p = proc(ins.c);
-        os << " X" << ins.a << ",A" << ins.b << " ; " << atoms_.name(p.pred.name)
-           << "/" << p.pred.arity;
-        break;
-      }
-      case Op::FuseGetStructUnifyVarX:
-        os << " " << atoms_.name(static_cast<u32>(ins.a)) << "/" << ins.c
-           << " A" << ins.b << " ; X" << ins.imm;
-        break;
       case Op::FusePutValueX2Execute: {
         const Proc& p = proc(static_cast<i32>(ins.imm >> 32));
         os << " X" << ins.a << ",A" << ins.b << " ; X" << ins.c << ",A"

@@ -58,31 +58,14 @@ int fused_width(Op op) {
     case Op::FuseCmpGuard:
       return 5;
     case Op::FuseGetListUnifyVarX2:
-    case Op::FusePutValueX3:
     case Op::FusePutValueX2Execute:
     case Op::FuseNeckCutPutValueX2:
     case Op::FuseGetVarXGetListUnifyLocalX:
       return 3;
-    case Op::FuseNeckCutPutValueX:
-    case Op::FuseUnifyVarXPutValueX:
-    case Op::FusePutUnsafeY2:
-    case Op::FuseMathRIGetVarX:
-    case Op::FuseMathLoadMathRR:
-    case Op::FuseMathRRGetVarX:
     case Op::FusePutValueX2:
     case Op::FusePutValueXMathLoad:
-    case Op::FusePutValueXExecute:
-    case Op::FuseUnifyVarXGetVarX:
-    case Op::FuseUnifyVarX2:
-    case Op::FuseGetListUnifyVarX:
-    case Op::FuseGetListUnifyLocalX:
-    case Op::FuseGetVarXPutValueX:
     case Op::FuseGetVarX2:
-    case Op::FuseGetVarXGetList:
-    case Op::FuseMathLoadPutValueX:
-    case Op::FuseMathLoadMathCmp:
-    case Op::FuseUnifyLocalXUnifyVarX:
-    case Op::FuseGetStructUnifyVarX:
+    case Op::FuseMathRRGetVarX:
       return 2;
     default:
       return 1;
@@ -105,25 +88,14 @@ void candidates(const CodeStore& code, i32 a, Joinable&& joinable,
   const Instr& i1 = code.at(a);
   if (!joinable(1)) return;
   const Instr& i2 = code.at(a + 1);
+  const Instr* i3 = joinable(2) ? &code.at(a + 2) : nullptr;
   switch (i1.op) {
     case Op::PutValueX:
       if (i2.op == Op::PutValueX) {
         out.push_back({Op::FusePutValueX2, i1.a, i1.b, i2.a, i2.b});
-        if (joinable(2)) {
-          const Instr& i3 = code.at(a + 2);
-          if (i3.op == Op::PutValueX && reg16(i2.b) && reg16(i3.a) &&
-              reg16(i3.b)) {
-            out.push_back({Op::FusePutValueX3, i1.a, i1.b, i2.a,
-                           static_cast<i64>(i2.b) |
-                               (static_cast<i64>(i3.a) << 16) |
-                               (static_cast<i64>(i3.b) << 32)});
-          }
-          if (i3.op == Op::Execute && reg16(i2.b)) {
-            out.push_back({Op::FusePutValueX2Execute, i1.a, i1.b, i2.a,
-                           static_cast<i64>(i2.b) |
-                               (static_cast<i64>(i3.a) << 32)});
-          }
-        }
+        if (i3 && i3->op == Op::Execute && reg16(i2.b))
+          out.push_back({Op::FusePutValueX2Execute, i1.a, i1.b, i2.a,
+                         static_cast<i64>(i2.b) | (static_cast<i64>(i3->a) << 32)});
       }
       if (i2.op == Op::MathLoad) {
         out.push_back({Op::FusePutValueXMathLoad, i1.a, i1.b, i2.a, i2.b});
@@ -131,106 +103,38 @@ void candidates(const CodeStore& code, i32 a, Joinable&& joinable,
         // staged into temp registers, integer-checked in place, then
         // compared. Requires the in-place math_load shape (dst == src
         // == the staging register) the compiler emits.
-        if (joinable(2) && joinable(3) && joinable(4) && i2.a == i2.b &&
-            i2.a == i1.b) {
-          const Instr& i3 = code.at(a + 2);
+        if (i3 && joinable(3) && joinable(4) && i2.a == i2.b && i2.a == i1.b) {
           const Instr& i4 = code.at(a + 3);
           const Instr& i5 = code.at(a + 4);
-          if (i3.op == Op::PutValueX && i4.op == Op::MathLoad &&
-              i4.a == i4.b && i4.a == i3.b && i5.op == Op::MathCmp &&
-              i5.b == i1.b && i5.c == i3.b && reg16(i3.b) && i5.a >= 0 &&
-              i5.a <= 0xFF) {
-            out.push_back({Op::FuseCmpGuard, i1.a, i1.b, i3.a,
-                           static_cast<i64>(i3.b) |
-                               (static_cast<i64>(i5.a) << 16)});
-          }
+          if (i3->op == Op::PutValueX && i4.op == Op::MathLoad &&
+              i4.a == i4.b && i4.a == i3->b && i5.op == Op::MathCmp &&
+              i5.b == i1.b && i5.c == i3->b && reg16(i3->b) && i5.a >= 0 &&
+              i5.a <= 0xFF)
+            out.push_back({Op::FuseCmpGuard, i1.a, i1.b, i3->a,
+                           static_cast<i64>(i3->b) | (static_cast<i64>(i5.a) << 16)});
         }
       }
-      if (i2.op == Op::Execute)
-        out.push_back({Op::FusePutValueXExecute, i1.a, i1.b, i2.a, 0});
-      return;
-    case Op::UnifyVariableX:
-      if (i2.op == Op::GetVariableX)
-        out.push_back({Op::FuseUnifyVarXGetVarX, i1.a, 0, i2.a, i2.b});
-      if (i2.op == Op::UnifyVariableX)
-        out.push_back({Op::FuseUnifyVarX2, i1.a, 0, i2.a, 0});
-      if (i2.op == Op::PutValueX)
-        out.push_back({Op::FuseUnifyVarXPutValueX, i1.a, 0, i2.a, i2.b});
       return;
     case Op::GetList:
-      if (i2.op == Op::UnifyVariableX) {
-        if (joinable(2)) {
-          const Instr& i3 = code.at(a + 2);
-          if (i3.op == Op::UnifyVariableX)
-            out.push_back({Op::FuseGetListUnifyVarX2, i2.a, i1.b, i3.a, 0});
-        }
-        out.push_back({Op::FuseGetListUnifyVarX, i2.a, i1.b, 0, 0});
-      }
-      if (i2.op == Op::UnifyLocalValueX)
-        out.push_back({Op::FuseGetListUnifyLocalX, i2.a, i1.b, 0, 0});
+      if (i2.op == Op::UnifyVariableX && i3 && i3->op == Op::UnifyVariableX)
+        out.push_back({Op::FuseGetListUnifyVarX2, i2.a, i1.b, i3->a, 0});
       return;
     case Op::GetVariableX:
-      if (i2.op == Op::PutValueX)
-        out.push_back({Op::FuseGetVarXPutValueX, i1.a, i1.b, i2.a, i2.b});
       if (i2.op == Op::GetVariableX)
         out.push_back({Op::FuseGetVarX2, i1.a, i1.b, i2.a, i2.b});
-      if (i2.op == Op::GetList) {
-        out.push_back({Op::FuseGetVarXGetList, i1.a, i1.b, i2.b, 0});
-        if (joinable(2)) {
-          const Instr& i3 = code.at(a + 2);
-          if (i3.op == Op::UnifyLocalValueX)
-            out.push_back({Op::FuseGetVarXGetListUnifyLocalX, i1.a, i1.b,
-                           i2.b, i3.a});
-        }
-      }
-      return;
-    case Op::MathLoad:
-      if (i2.op == Op::PutValueX)
-        out.push_back({Op::FuseMathLoadPutValueX, i1.a, i1.b, i2.a, i2.b});
-      // The remaining math fusions pack register indices into imm; the
-      // compiler never allocates X registers anywhere near 2^16, but
-      // guard anyway — an unfusable pair is merely left alone.
-      if (i2.op == Op::MathCmp && reg16(i2.b) && reg16(i2.c))
-        out.push_back({Op::FuseMathLoadMathCmp, i1.a, i1.b, i2.a,
-                       (static_cast<i64>(i2.b) << 16) | static_cast<i64>(i2.c)});
-      if (i2.op == Op::MathRR && reg16(i2.b) && reg16(i2.c) &&
-          i2.imm >= 0 && i2.imm <= 0xFFFF)
-        out.push_back({Op::FuseMathLoadMathRR, i1.a, i1.b, i2.a,
-                       static_cast<i64>(i2.b) | (static_cast<i64>(i2.c) << 16) |
-                           (i2.imm << 32)});
-      return;
-    case Op::UnifyLocalValueX:
-      if (i2.op == Op::UnifyVariableX)
-        out.push_back({Op::FuseUnifyLocalXUnifyVarX, i1.a, 0, i2.a, 0});
-      return;
-    case Op::GetStructure:
-      if (i2.op == Op::UnifyVariableX)
-        out.push_back({Op::FuseGetStructUnifyVarX, i1.a, i1.b, i1.c, i2.a});
+      if (i2.op == Op::GetList && i3 && i3->op == Op::UnifyLocalValueX)
+        out.push_back({Op::FuseGetVarXGetListUnifyLocalX, i1.a, i1.b, i2.b, i3->a});
       return;
     case Op::NeckCut:
-      if (i2.op == Op::PutValueX) {
-        out.push_back({Op::FuseNeckCutPutValueX, i2.a, i2.b, 0, 0});
-        if (joinable(2)) {
-          const Instr& i3 = code.at(a + 2);
-          if (i3.op == Op::PutValueX)
-            out.push_back({Op::FuseNeckCutPutValueX2, i2.a, i2.b, i3.a, i3.b});
-        }
-      }
-      return;
-    case Op::PutUnsafeValue:
-      if (i2.op == Op::PutUnsafeValue)
-        out.push_back({Op::FusePutUnsafeY2, i1.a, i1.b, i2.a, i2.b});
-      return;
-    case Op::MathRI:
-      // Bind-the-result idiom: math_ri into a temp, then name it.
-      // Requires the get_variable source to be the math_ri destination
-      // and a small non-negative immediate so both pack into imm.
-      if (i2.op == Op::GetVariableX && i2.b == i1.b && reg16(i2.a) &&
-          i1.imm >= 0 && i1.imm <= 0x7FFFFFFF)
-        out.push_back({Op::FuseMathRIGetVarX, i1.a, i1.b, i1.c,
-                       (i1.imm << 16) | static_cast<i64>(i2.a)});
+      if (i2.op == Op::PutValueX && i3 && i3->op == Op::PutValueX)
+        out.push_back({Op::FuseNeckCutPutValueX2, i2.a, i2.b, i3->a, i3->b});
       return;
     case Op::MathRR:
+      // Bind-the-result idiom: math_rr into a temp, then name it.
+      // Requires the get_variable source to be the math_rr destination;
+      // both packed registers must fit 16 bits (the compiler never
+      // allocates X registers near 2^16, but an unfusable pair is
+      // merely left alone).
       if (i2.op == Op::GetVariableX && i2.b == i1.b && reg16(i2.a) &&
           i1.imm >= 0 && i1.imm <= 0xFFFF)
         out.push_back({Op::FuseMathRRGetVarX, i1.a, i1.b, i1.c,

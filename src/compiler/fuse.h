@@ -12,8 +12,9 @@
 // (the fused instruction replaces the window) and remaps every address
 // operand, proc entry and switch-table entry through the old->new map.
 //
-// The fused set is derived from the dynamic (op, next-op) pair profile
-// of the four paper benchmarks (`bench_mlips --profile-ops`).
+// The fused set is the smallest that keeps 90% of the dispatches a
+// wider 26-opcode set saved on the benchmark programs, found by greedy
+// backward elimination (docs/DESIGN.md §13).
 #pragma once
 
 #include <vector>

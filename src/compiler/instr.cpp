@@ -69,28 +69,9 @@ const char* op_name(Op op) {
     case Op::PWait: return "pwait";
     case Op::FusePutValueX2: return "put_value_x+put_value_x";
     case Op::FusePutValueXMathLoad: return "put_value_x+math_load";
-    case Op::FusePutValueXExecute: return "put_value_x+execute";
-    case Op::FuseUnifyVarXGetVarX: return "unify_variable_x+get_variable_x";
-    case Op::FuseUnifyVarX2: return "unify_variable_x+unify_variable_x";
     case Op::FuseGetListUnifyVarX2:
       return "get_list+unify_variable_x+unify_variable_x";
-    case Op::FuseGetListUnifyVarX: return "get_list+unify_variable_x";
-    case Op::FuseGetListUnifyLocalX: return "get_list+unify_local_value_x";
-    case Op::FuseGetVarXPutValueX: return "get_variable_x+put_value_x";
     case Op::FuseGetVarX2: return "get_variable_x+get_variable_x";
-    case Op::FuseGetVarXGetList: return "get_variable_x+get_list";
-    case Op::FuseMathLoadPutValueX: return "math_load+put_value_x";
-    case Op::FuseMathLoadMathCmp: return "math_load+math_cmp";
-    case Op::FuseUnifyLocalXUnifyVarX:
-      return "unify_local_value_x+unify_variable_x";
-    case Op::FuseGetStructUnifyVarX: return "get_structure+unify_variable_x";
-    case Op::FusePutValueX3:
-      return "put_value_x+put_value_x+put_value_x";
-    case Op::FuseNeckCutPutValueX: return "neck_cut+put_value_x";
-    case Op::FuseUnifyVarXPutValueX: return "unify_variable_x+put_value_x";
-    case Op::FusePutUnsafeY2: return "put_unsafe_value+put_unsafe_value";
-    case Op::FuseMathRIGetVarX: return "math_ri+get_variable_x";
-    case Op::FuseMathLoadMathRR: return "math_load+math_rr";
     case Op::FuseMathRRGetVarX: return "math_rr+get_variable_x";
     case Op::FuseCmpGuard:
       return "put_value_x+math_load+put_value_x+math_load+math_cmp";

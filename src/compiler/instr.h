@@ -93,35 +93,15 @@ enum class Op : u8 {
   PGoal,         // a=slot b=proc idx c=arity  snapshot A1..Ac, push goal
   PWait,         // a=PF env slot              schedule/execute/wait
   // Fused superinstructions (compiler/fuse.cpp): one dispatch for two
-  // or three of the above, emitted for the hottest dynamic contiguous
-  // (op, next-op) pairs of the four paper benchmarks as measured by
-  // `bench_mlips --profile-ops` (docs/DESIGN.md §13). Operand packing
-  // is per-op, noted as  first-op operands ; second-op operands.
+  // to five of the above. The set is the smallest that keeps 90% of the
+  // dispatches a 26-opcode set saved on the benchmark programs
+  // (docs/DESIGN.md §13). Operand packing is per-op, noted as
+  // first-op operands ; second-op operands; multi-register operands
+  // pack 16-bit register indices into imm.
   FusePutValueX2,          // put_value_x a,b ; put_value_x c,imm
   FusePutValueXMathLoad,   // put_value_x a,b ; math_load c,imm
-  FusePutValueXExecute,    // put_value_x a,b ; execute c
-  FuseUnifyVarXGetVarX,    // unify_variable_x a ; get_variable_x c,imm
-  FuseUnifyVarX2,          // unify_variable_x a ; unify_variable_x c
   FuseGetListUnifyVarX2,   // get_list b ; unify_variable_x a ; unify_variable_x c
-  FuseGetListUnifyVarX,    // get_list b ; unify_variable_x a
-  FuseGetListUnifyLocalX,  // get_list b ; unify_local_value_x a
-  FuseGetVarXPutValueX,    // get_variable_x a,b ; put_value_x c,imm
   FuseGetVarX2,            // get_variable_x a,b ; get_variable_x c,imm
-  FuseGetVarXGetList,      // get_variable_x a,b ; get_list c
-  FuseMathLoadPutValueX,   // math_load a,b ; put_value_x c,imm
-  FuseMathLoadMathCmp,     // math_load a,b ; math_cmp c,(imm>>16),(imm&0xFFFF)
-  FuseUnifyLocalXUnifyVarX,// unify_local_value_x a ; unify_variable_x c
-  FuseGetStructUnifyVarX,  // get_structure a,b,c ; unify_variable_x imm
-  // Wider windows for the dominant static idioms (same legality rules;
-  // multi-register operands pack 16-bit register indices into imm).
-  FusePutValueX3,          // put_value_x a,b ; put_value_x c,(imm&0xFFFF) ;
-                           //   put_value_x ((imm>>16)&0xFFFF),((imm>>32)&0xFFFF)
-  FuseNeckCutPutValueX,    // neck_cut ; put_value_x a,b
-  FuseUnifyVarXPutValueX,  // unify_variable_x a ; put_value_x c,imm
-  FusePutUnsafeY2,         // put_unsafe_value a,b ; put_unsafe_value c,imm
-  FuseMathRIGetVarX,       // math_ri a,b,c,(imm>>16) ; get_variable_x (imm&0xFFFF),b
-  FuseMathLoadMathRR,      // math_load a,b ; math_rr c,(imm&0xFFFF),
-                           //   ((imm>>16)&0xFFFF),((imm>>32)&0xFFFF)
   FuseMathRRGetVarX,       // math_rr a,b,c,(imm&0xFFFF) ; get_variable_x ((imm>>16)&0xFFFF),b
   FuseCmpGuard,            // the compiled arithmetic guard of a clause:
                            //   put_value_x a,b ; math_load b,b ;

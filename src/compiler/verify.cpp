@@ -269,9 +269,7 @@ class Verifier {
         break;
       // -- fused superinstructions (operand packing per instr.h) --------
       case Op::FusePutValueX2:
-      case Op::FuseGetVarXPutValueX:
       case Op::FuseGetVarX2:
-      case Op::FuseMathLoadPutValueX:
       case Op::FuseNeckCutPutValueX2:
         xreg(ins.a, "op1 source");
         xreg(ins.b, "op1 destination");
@@ -284,78 +282,10 @@ class Verifier {
         xreg(ins.c, "math destination");
         xreg(ins.imm, "math source");
         break;
-      case Op::FusePutValueXExecute:
-        xreg(ins.a, "source");
-        xreg(ins.b, "destination");
-        proc(ins.c, "tail call");
-        break;
-      case Op::FuseUnifyVarXGetVarX:
-        xreg(ins.a, "unify");
-        xreg(ins.c, "destination");
-        xreg(ins.imm, "source");
-        break;
-      case Op::FuseUnifyVarX2:
-      case Op::FuseUnifyLocalXUnifyVarX:
-        xreg(ins.a, "unify 1");
-        xreg(ins.c, "unify 2");
-        break;
       case Op::FuseGetListUnifyVarX2:
-      case Op::FuseGetVarXGetList:
         xreg(ins.a, "register");
         xreg(ins.b, "register");
         xreg(ins.c, "register");
-        break;
-      case Op::FuseGetListUnifyVarX:
-      case Op::FuseGetListUnifyLocalX:
-      case Op::FuseNeckCutPutValueX:
-        xreg(ins.a, "register");
-        xreg(ins.b, "register");
-        break;
-      case Op::FuseMathLoadMathCmp:
-        xreg(ins.a, "math destination");
-        xreg(ins.b, "math source");
-        cmp_fn(ins.c);
-        xreg((ins.imm >> 16) & 0xFFFF, "compare source 1");
-        xreg(ins.imm & 0xFFFF, "compare source 2");
-        break;
-      case Op::FuseGetStructUnifyVarX:
-        atom(ins.a, "functor");
-        arity(ins.c, "functor");
-        xreg(ins.b, "argument");
-        xreg(ins.imm, "unify");
-        break;
-      case Op::FusePutValueX3:
-        xreg(ins.a, "op1 source");
-        xreg(ins.b, "op1 destination");
-        xreg(ins.c, "op2 source");
-        xreg(ins.imm & 0xFFFF, "op2 destination");
-        xreg((ins.imm >> 16) & 0xFFFF, "op3 source");
-        xreg((ins.imm >> 32) & 0xFFFF, "op3 destination");
-        break;
-      case Op::FuseUnifyVarXPutValueX:
-        xreg(ins.a, "unify");
-        xreg(ins.c, "source");
-        xreg(ins.imm, "destination");
-        break;
-      case Op::FusePutUnsafeY2:
-        yslot(ins.a, "permanent 1");
-        xreg(ins.b, "argument 1");
-        yslot(ins.c, "permanent 2");
-        xreg(ins.imm, "argument 2");
-        break;
-      case Op::FuseMathRIGetVarX:
-        math_fn(ins.a);
-        xreg(ins.b, "destination");
-        xreg(ins.c, "source");
-        xreg(ins.imm & 0xFFFF, "copy destination");
-        break;
-      case Op::FuseMathLoadMathRR:
-        xreg(ins.a, "load destination");
-        xreg(ins.b, "load source");
-        math_fn(ins.c);
-        xreg(ins.imm & 0xFFFF, "math destination");
-        xreg((ins.imm >> 16) & 0xFFFF, "math source 1");
-        xreg((ins.imm >> 32) & 0xFFFF, "math source 2");
         break;
       case Op::FuseMathRRGetVarX:
         math_fn(ins.a);

@@ -412,16 +412,8 @@ void Machine::exec(Worker& w) {
       &&lbl_MathLoad, &&lbl_MathRR, &&lbl_MathRI, &&lbl_MathCmp, &&lbl_Builtin,
       &&lbl_CheckGround, &&lbl_CheckIndep, &&lbl_PFrame, &&lbl_PGoal,
       &&lbl_PWait, &&lbl_FusePutValueX2, &&lbl_FusePutValueXMathLoad,
-      &&lbl_FusePutValueXExecute, &&lbl_FuseUnifyVarXGetVarX,
-      &&lbl_FuseUnifyVarX2, &&lbl_FuseGetListUnifyVarX2,
-      &&lbl_FuseGetListUnifyVarX, &&lbl_FuseGetListUnifyLocalX,
-      &&lbl_FuseGetVarXPutValueX, &&lbl_FuseGetVarX2, &&lbl_FuseGetVarXGetList,
-      &&lbl_FuseMathLoadPutValueX, &&lbl_FuseMathLoadMathCmp,
-      &&lbl_FuseUnifyLocalXUnifyVarX, &&lbl_FuseGetStructUnifyVarX,
-      &&lbl_FusePutValueX3, &&lbl_FuseNeckCutPutValueX,
-      &&lbl_FuseUnifyVarXPutValueX, &&lbl_FusePutUnsafeY2,
-      &&lbl_FuseMathRIGetVarX, &&lbl_FuseMathLoadMathRR,
-      &&lbl_FuseMathRRGetVarX, &&lbl_FuseCmpGuard, &&lbl_FusePutValueX2Execute,
+      &&lbl_FuseGetListUnifyVarX2, &&lbl_FuseGetVarX2, &&lbl_FuseMathRRGetVarX,
+      &&lbl_FuseCmpGuard, &&lbl_FusePutValueX2Execute,
       &&lbl_FuseNeckCutPutValueX2, &&lbl_FuseGetVarXGetListUnifyLocalX};
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
                     static_cast<std::size_t>(Op::kOpCount),
@@ -862,63 +854,12 @@ void Machine::exec(Worker& w) {
       fused_step();
       w.x[static_cast<std::size_t>(ins.imm)] = w.x[static_cast<std::size_t>(ins.c)];
       return;
-    RW_OP(FusePutValueXMathLoad): {
+    RW_OP(FusePutValueXMathLoad):
       w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
       fused_step();
-      u64 v = deref(w, w.x[static_cast<std::size_t>(ins.imm)]);
-      if (cell_tag(v) == Tag::Int) {
-        w.x[static_cast<std::size_t>(ins.c)] = v;
-        return;
-      }
-      if (cell_tag(v) == Tag::Ref)
-        fail("arithmetic: expression is not sufficiently instantiated");
-      if (cell_tag(v) == Tag::Str) {
-        auto r = eval_arith(w, v);
-        if (r) {
-          w.x[static_cast<std::size_t>(ins.c)] = make_int(*r);
-          return;
-        }
-      }
-      backtrack(w);
+      fail_if(!math_load_x(static_cast<std::size_t>(ins.c),
+                           static_cast<std::size_t>(ins.imm)));
       return;
-    }
-    RW_OP(FusePutValueXExecute): {
-      w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
-      fused_step();
-      const Proc& pr = code_->proc(ins.c);
-      w.b0 = w.b;
-      w.p = resolved_entry(pr);
-      ++stats_.calls;
-      return;
-    }
-    RW_OP(FuseUnifyVarXGetVarX): {
-      if (w.write_mode) {
-        u64 addr = w.h;
-        heap_push(w, make_ref(addr));
-        w.x[static_cast<std::size_t>(ins.a)] = make_ref(addr);
-      } else {
-        w.x[static_cast<std::size_t>(ins.a)] = rd(w, w.s++, ObjClass::HeapTerm);
-      }
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.c)] = w.x[static_cast<std::size_t>(ins.imm)];
-      return;
-    }
-    RW_OP(FuseUnifyVarX2): {
-      if (w.write_mode) {
-        u64 a1 = w.h;
-        heap_push(w, make_ref(a1));
-        w.x[static_cast<std::size_t>(ins.a)] = make_ref(a1);
-        fused_step();
-        u64 a2 = w.h;
-        heap_push(w, make_ref(a2));
-        w.x[static_cast<std::size_t>(ins.c)] = make_ref(a2);
-      } else {
-        w.x[static_cast<std::size_t>(ins.a)] = rd(w, w.s++, ObjClass::HeapTerm);
-        fused_step();
-        w.x[static_cast<std::size_t>(ins.c)] = rd(w, w.s++, ObjClass::HeapTerm);
-      }
-      return;
-    }
     RW_OP(FuseGetListUnifyVarX2): {
       u64 d = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
       if (cell_tag(d) == Tag::Ref) {
@@ -944,271 +885,11 @@ void Machine::exec(Worker& w) {
       }
       return;
     }
-    RW_OP(FuseGetListUnifyVarX): {
-      u64 d = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
-      if (cell_tag(d) == Tag::Ref) {
-        bind(w, d, make_lis(w.h));
-        w.write_mode = true;
-        fused_step();
-        u64 a1 = w.h;
-        heap_push(w, make_ref(a1));
-        w.x[static_cast<std::size_t>(ins.a)] = make_ref(a1);
-      } else if (cell_tag(d) == Tag::Lis) {
-        w.s = cell_val(d);
-        w.write_mode = false;
-        fused_step();
-        w.x[static_cast<std::size_t>(ins.a)] = rd(w, w.s++, ObjClass::HeapTerm);
-      } else {
-        backtrack(w);
-      }
-      return;
-    }
-    RW_OP(FuseGetListUnifyLocalX): {
-      u64 d = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
-      if (cell_tag(d) == Tag::Ref) {
-        bind(w, d, make_lis(w.h));
-        w.write_mode = true;
-        fused_step();
-        u64 v = deref(w, w.x[static_cast<std::size_t>(ins.a)]);
-        if (cell_tag(v) == Tag::Ref &&
-            layout_->area_of(cell_val(v)) != Area::Heap) {
-          u64 ha = w.h;
-          heap_push(w, make_ref(ha));
-          bind(w, v, make_ref(ha));
-          w.x[static_cast<std::size_t>(ins.a)] = make_ref(ha);
-        } else {
-          heap_push(w, v);
-          w.x[static_cast<std::size_t>(ins.a)] = v;
-        }
-      } else if (cell_tag(d) == Tag::Lis) {
-        w.s = cell_val(d);
-        w.write_mode = false;
-        fused_step();
-        fail_if(!unify(w, w.x[static_cast<std::size_t>(ins.a)],
-                       rd(w, w.s++, ObjClass::HeapTerm)));
-      } else {
-        backtrack(w);
-      }
-      return;
-    }
-    RW_OP(FuseGetVarXPutValueX):
-      w.x[static_cast<std::size_t>(ins.a)] = w.x[static_cast<std::size_t>(ins.b)];
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm)] = w.x[static_cast<std::size_t>(ins.c)];
-      return;
     RW_OP(FuseGetVarX2):
       w.x[static_cast<std::size_t>(ins.a)] = w.x[static_cast<std::size_t>(ins.b)];
       fused_step();
       w.x[static_cast<std::size_t>(ins.c)] = w.x[static_cast<std::size_t>(ins.imm)];
       return;
-    RW_OP(FuseGetVarXGetList): {
-      w.x[static_cast<std::size_t>(ins.a)] = w.x[static_cast<std::size_t>(ins.b)];
-      fused_step();
-      u64 d = deref(w, w.x[static_cast<std::size_t>(ins.c)]);
-      if (cell_tag(d) == Tag::Ref) {
-        bind(w, d, make_lis(w.h));
-        w.write_mode = true;
-      } else if (cell_tag(d) == Tag::Lis) {
-        w.s = cell_val(d);
-        w.write_mode = false;
-      } else {
-        backtrack(w);
-      }
-      return;
-    }
-    RW_OP(FuseMathLoadPutValueX): {
-      u64 v = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
-      if (cell_tag(v) == Tag::Int) {
-        w.x[static_cast<std::size_t>(ins.a)] = v;
-      } else if (cell_tag(v) == Tag::Ref) {
-        fail("arithmetic: expression is not sufficiently instantiated");
-      } else {
-        bool ok = false;
-        if (cell_tag(v) == Tag::Str) {
-          auto r = eval_arith(w, v);
-          if (r) {
-            w.x[static_cast<std::size_t>(ins.a)] = make_int(*r);
-            ok = true;
-          }
-        }
-        if (!ok) {
-          backtrack(w);
-          return;
-        }
-      }
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm)] = w.x[static_cast<std::size_t>(ins.c)];
-      return;
-    }
-    RW_OP(FuseMathLoadMathCmp): {
-      u64 v = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
-      if (cell_tag(v) == Tag::Int) {
-        w.x[static_cast<std::size_t>(ins.a)] = v;
-      } else if (cell_tag(v) == Tag::Ref) {
-        fail("arithmetic: expression is not sufficiently instantiated");
-      } else {
-        bool ok = false;
-        if (cell_tag(v) == Tag::Str) {
-          auto r = eval_arith(w, v);
-          if (r) {
-            w.x[static_cast<std::size_t>(ins.a)] = make_int(*r);
-            ok = true;
-          }
-        }
-        if (!ok) {
-          backtrack(w);
-          return;
-        }
-      }
-      fused_step();
-      i64 s1 = int_val(w.x[static_cast<std::size_t>((ins.imm >> 16) & 0xFFFF)]);
-      i64 s2 = int_val(w.x[static_cast<std::size_t>(ins.imm & 0xFFFF)]);
-      bool ok;
-      switch (static_cast<CmpFn>(ins.c)) {
-        case CmpFn::Lt: ok = s1 < s2; break;
-        case CmpFn::Gt: ok = s1 > s2; break;
-        case CmpFn::Le: ok = s1 <= s2; break;
-        case CmpFn::Ge: ok = s1 >= s2; break;
-        case CmpFn::Eq: ok = s1 == s2; break;
-        default: ok = s1 != s2; break;
-      }
-      if (!ok) backtrack(w);
-      return;
-    }
-    RW_OP(FuseUnifyLocalXUnifyVarX): {
-      if (!w.write_mode) {
-        if (!unify(w, w.x[static_cast<std::size_t>(ins.a)],
-                   rd(w, w.s++, ObjClass::HeapTerm))) {
-          backtrack(w);
-          return;
-        }
-        fused_step();
-        w.x[static_cast<std::size_t>(ins.c)] = rd(w, w.s++, ObjClass::HeapTerm);
-        return;
-      }
-      u64 v = deref(w, w.x[static_cast<std::size_t>(ins.a)]);
-      if (cell_tag(v) == Tag::Ref &&
-          layout_->area_of(cell_val(v)) != Area::Heap) {
-        u64 ha = w.h;
-        heap_push(w, make_ref(ha));
-        bind(w, v, make_ref(ha));
-        w.x[static_cast<std::size_t>(ins.a)] = make_ref(ha);
-      } else {
-        heap_push(w, v);
-        w.x[static_cast<std::size_t>(ins.a)] = v;
-      }
-      fused_step();
-      u64 a2 = w.h;
-      heap_push(w, make_ref(a2));
-      w.x[static_cast<std::size_t>(ins.c)] = make_ref(a2);
-      return;
-    }
-    RW_OP(FuseGetStructUnifyVarX): {
-      u64 d = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
-      if (cell_tag(d) == Tag::Ref) {
-        u64 addr = w.h;
-        heap_push(w, make_fun(static_cast<u32>(ins.a), static_cast<u32>(ins.c)));
-        bind(w, d, make_str(addr));
-        w.write_mode = true;
-        fused_step();
-        u64 a1 = w.h;
-        heap_push(w, make_ref(a1));
-        w.x[static_cast<std::size_t>(ins.imm)] = make_ref(a1);
-      } else if (cell_tag(d) == Tag::Str) {
-        u64 f = rd(w, cell_val(d), ObjClass::HeapTerm);
-        if (f != make_fun(static_cast<u32>(ins.a), static_cast<u32>(ins.c))) {
-          backtrack(w);
-          return;
-        }
-        w.s = cell_val(d) + 1;
-        w.write_mode = false;
-        fused_step();
-        w.x[static_cast<std::size_t>(ins.imm)] = rd(w, w.s++, ObjClass::HeapTerm);
-      } else {
-        backtrack(w);
-      }
-      return;
-    }
-    RW_OP(FusePutValueX3):
-      w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm & 0xFFFF)] =
-          w.x[static_cast<std::size_t>(ins.c)];
-      fused_step();
-      w.x[static_cast<std::size_t>((ins.imm >> 32) & 0xFFFF)] =
-          w.x[static_cast<std::size_t>((ins.imm >> 16) & 0xFFFF)];
-      return;
-    RW_OP(FuseNeckCutPutValueX):
-      do_cut(w, w.b0);
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
-      return;
-    RW_OP(FuseUnifyVarXPutValueX): {
-      if (w.write_mode) {
-        u64 addr = w.h;
-        heap_push(w, make_ref(addr));
-        w.x[static_cast<std::size_t>(ins.a)] = make_ref(addr);
-      } else {
-        w.x[static_cast<std::size_t>(ins.a)] = rd(w, w.s++, ObjClass::HeapTerm);
-      }
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm)] = w.x[static_cast<std::size_t>(ins.c)];
-      return;
-    }
-    RW_OP(FusePutUnsafeY2): {
-      {
-        u64 v = deref(w, rd(w, env_y(ins.a), ObjClass::EnvPermVar));
-        if (cell_tag(v) == Tag::Ref) {
-          u64 addr = cell_val(v);
-          u64 ny = cell_val(rd(w, w.e + kEnvNY, ObjClass::EnvControl));
-          if (addr >= w.e && addr < w.e + env_size(ny)) {
-            u64 ha = w.h;
-            heap_push(w, make_ref(ha));
-            bind(w, v, make_ref(ha));
-            v = make_ref(ha);
-          }
-        }
-        w.x[static_cast<std::size_t>(ins.b)] = v;
-      }
-      fused_step();
-      {
-        u64 v = deref(w, rd(w, env_y(ins.c), ObjClass::EnvPermVar));
-        if (cell_tag(v) == Tag::Ref) {
-          u64 addr = cell_val(v);
-          u64 ny = cell_val(rd(w, w.e + kEnvNY, ObjClass::EnvControl));
-          if (addr >= w.e && addr < w.e + env_size(ny)) {
-            u64 ha = w.h;
-            heap_push(w, make_ref(ha));
-            bind(w, v, make_ref(ha));
-            v = make_ref(ha);
-          }
-        }
-        w.x[static_cast<std::size_t>(ins.imm)] = v;
-      }
-      return;
-    }
-    RW_OP(FuseMathRIGetVarX): {
-      i64 s1 = int_val(w.x[static_cast<std::size_t>(ins.c)]);
-      w.x[static_cast<std::size_t>(ins.b)] =
-          make_int(math_apply(static_cast<MathFn>(ins.a), s1, ins.imm >> 16));
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm & 0xFFFF)] =
-          w.x[static_cast<std::size_t>(ins.b)];
-      return;
-    }
-    RW_OP(FuseMathLoadMathRR): {
-      if (!math_load_x(static_cast<std::size_t>(ins.a),
-                       static_cast<std::size_t>(ins.b))) {
-        backtrack(w);
-        return;
-      }
-      fused_step();
-      i64 s1 = int_val(w.x[static_cast<std::size_t>((ins.imm >> 16) & 0xFFFF)]);
-      i64 s2 = int_val(w.x[static_cast<std::size_t>((ins.imm >> 32) & 0xFFFF)]);
-      w.x[static_cast<std::size_t>(ins.imm & 0xFFFF)] =
-          make_int(math_apply(static_cast<MathFn>(ins.c), s1, s2));
-      return;
-    }
     RW_OP(FuseMathRRGetVarX): {
       i64 s1 = int_val(w.x[static_cast<std::size_t>(ins.c)]);
       i64 s2 = int_val(w.x[static_cast<std::size_t>(ins.imm & 0xFFFF)]);

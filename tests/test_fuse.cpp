@@ -179,7 +179,7 @@ TEST(FuseDiff, FusedHandlerBacktrackPathsBitIdentical) {
   const char* src =
       "p([H|T],R) :- H > 100, R = T.\n"     // guard fails on every elem
       "p([_|T],R) :- p(T,R).\n"
-      "q(f(X,Y),X,Y).\n"                    // get_structure+unify windows
+      "q(f(X,Y),X,Y).\n"                    // get_structure head
       "r([X,Y|T],X,Y,T).\n";                // get_list+unify windows
   std::string goal = "r([1,2,3],A,B,C), q(f(A,B),A2,B2), p([1,2,3,4],P).";
   DiffRun fused = run_with(src, goal, true, 1, 8);
@@ -349,6 +349,30 @@ TEST(FusePass, CompileOptionsToggleControlsFusion) {
   // verifies internally; pin the invariant explicitly here too).
   EXPECT_NO_THROW(verify_code(*fused));
   EXPECT_NO_THROW(verify_code(*unfused));
+}
+
+TEST(FusePass, EveryFusedOpcodeIsEmitted) {
+  // A fused opcode no benchmark program produces is dead code kept in
+  // step in the enum, the pass, the engine, the verifier and op_name.
+  // Compile the four benchmarks fused, as RAP-WAM and as stripped WAM,
+  // and require every fused opcode in some code array.
+  std::vector<bool> seen(static_cast<std::size_t>(Op::kOpCount), false);
+  for (const char* name : {"qsort", "deriv", "matrix", "tak"})
+    for (bool strip : {false, true}) {
+      Program prog;
+      prog.consult(bench_program(name, BenchScale::Paper).source);
+      CompileOptions opts;
+      opts.strip_cge = strip;
+      opts.fuse = true;
+      auto code = compile_program(prog, opts);
+      for (i32 a = 0; a < code->size(); ++a)
+        seen[static_cast<std::size_t>(code->at(a).op)] = true;
+    }
+  for (int v = 0; v < static_cast<int>(Op::kOpCount); ++v) {
+    Op op = static_cast<Op>(v);
+    if (fused_width(op) > 1)
+      EXPECT_TRUE(seen[static_cast<std::size_t>(v)]) << op_name(op);
+  }
 }
 
 }  // namespace

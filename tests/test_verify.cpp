@@ -262,10 +262,10 @@ TEST(VerifierRules, RejectsFusedImmRegisterOverflow) {
 TEST(VerifierRules, RejectsFusedHighImmFieldOverflow) {
   Interner atoms;
   CodeStore code(atoms);
-  // FusePutValueX3's third window packs (src,dst) into imm bits 16..47.
-  i64 imm = (i64{300} << 32) | (i64{1} << 16) | 2;
-  code.emit({Op::FusePutValueX3, 1, 2, 3, imm});
-  expect_reject(code, "op3 destination X register 300");
+  // FuseMathRRGetVarX packs its copy destination into imm bits 16..31.
+  i64 imm = (i64{300} << 16) | 2;
+  code.emit({Op::FuseMathRRGetVarX, static_cast<i32>(MathFn::Add), 1, 3, imm});
+  expect_reject(code, "copy destination X register 300");
 }
 
 TEST(VerifierRules, RejectsFusedCmpGuardBadCompareFn) {
@@ -283,14 +283,6 @@ TEST(VerifierRules, RejectsFusedExecuteProcOutOfRange) {
   i64 imm = (i64{7} << 32) | 3;  // proc 7 of 1
   code.emit({Op::FusePutValueX2Execute, 1, 2, 3, imm});
   expect_reject(code, "tail call proc index 7");
-}
-
-TEST(VerifierRules, RejectsFusedMathCmpPackedRegisterOverflow) {
-  Interner atoms;
-  CodeStore code(atoms);
-  i64 imm = (i64{999} << 16) | 1;  // compare source 1 = X999
-  code.emit({Op::FuseMathLoadMathCmp, 1, 2, static_cast<i32>(CmpFn::Lt), imm});
-  expect_reject(code, "compare source 1 X register 999");
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +399,6 @@ TEST(VerifierFuzz, ForgedOperandOverflowsAlwaysRejected) {
       case Op::PutVariableX:
       case Op::PutValueX:
       case Op::FusePutValueX2:
-      case Op::FuseGetVarXPutValueX:
       case Op::FuseGetVarX2:
         ins.b = kVerifyMaxXRegs + at;
         break;
