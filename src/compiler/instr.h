@@ -93,11 +93,10 @@ enum class Op : u8 {
   PGoal,         // a=slot b=proc idx c=arity  snapshot A1..Ac, push goal
   PWait,         // a=PF env slot              schedule/execute/wait
   // Fused superinstructions (compiler/fuse.cpp): one dispatch for two
-  // to five of the above. The set is the smallest that keeps 90% of the
-  // dispatches a 26-opcode set saved on the benchmark programs
-  // (docs/DESIGN.md §13). Operand packing is per-op, noted as
-  // first-op operands ; second-op operands; multi-register operands
-  // pack 16-bit register indices into imm.
+  // to five of the above; docs/DESIGN.md §13 says how the set was
+  // chosen. Operand packing is per-op, noted as  first-op operands ;
+  // second-op operands; multi-register operands pack 16-bit register
+  // indices into imm.
   FusePutValueX2,          // put_value_x a,b ; put_value_x c,imm
   FusePutValueXMathLoad,   // put_value_x a,b ; math_load c,imm
   FuseGetListUnifyVarX2,   // get_list b ; unify_variable_x a ; unify_variable_x c

@@ -854,12 +854,26 @@ void Machine::exec(Worker& w) {
       fused_step();
       w.x[static_cast<std::size_t>(ins.imm)] = w.x[static_cast<std::size_t>(ins.c)];
       return;
-    RW_OP(FusePutValueXMathLoad):
+    RW_OP(FusePutValueXMathLoad): {
       w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
       fused_step();
-      fail_if(!math_load_x(static_cast<std::size_t>(ins.c),
-                           static_cast<std::size_t>(ins.imm)));
+      u64 v = deref(w, w.x[static_cast<std::size_t>(ins.imm)]);
+      if (cell_tag(v) == Tag::Int) {
+        w.x[static_cast<std::size_t>(ins.c)] = v;
+        return;
+      }
+      if (cell_tag(v) == Tag::Ref)
+        fail("arithmetic: expression is not sufficiently instantiated");
+      if (cell_tag(v) == Tag::Str) {
+        auto r = eval_arith(w, v);
+        if (r) {
+          w.x[static_cast<std::size_t>(ins.c)] = make_int(*r);
+          return;
+        }
+      }
+      backtrack(w);
       return;
+    }
     RW_OP(FuseGetListUnifyVarX2): {
       u64 d = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
       if (cell_tag(d) == Tag::Ref) {

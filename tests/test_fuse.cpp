@@ -370,8 +370,9 @@ TEST(FusePass, EveryFusedOpcodeIsEmitted) {
     }
   for (int v = 0; v < static_cast<int>(Op::kOpCount); ++v) {
     Op op = static_cast<Op>(v);
-    if (fused_width(op) > 1)
+    if (fused_width(op) > 1) {
       EXPECT_TRUE(seen[static_cast<std::size_t>(v)]) << op_name(op);
+    }
   }
 }
 
