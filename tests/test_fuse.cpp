@@ -4,8 +4,9 @@
 // included), solution sets, RunStats and replayed TrafficStats — on
 // the four paper benchmarks and on randomized programs. Plus
 // structural unit tests that the fusion pass never rewrites across a
-// branch target, switch-table entry, or choice-point chain slot, and
-// that every address operand survives the rewrite.
+// branch target, switch-table entry, or choice-point chain slot, that
+// every address operand survives the rewrite, and that every fused
+// opcode is emitted for some benchmark program.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -45,31 +46,15 @@ DiffRun run_with(const std::string& source, const std::string& goal, bool fuse,
   return out;
 }
 
-void expect_stats_eq(const RunStats& a, const RunStats& b) {
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.calls, b.calls);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.wait_polls, b.wait_polls);
-  EXPECT_EQ(a.refs.total, b.refs.total);
-  EXPECT_EQ(a.refs.writes, b.refs.writes);
-  EXPECT_EQ(a.refs.busy, b.refs.busy);
-  EXPECT_EQ(a.goals_pushed, b.goals_pushed);
-  EXPECT_EQ(a.goals_stolen, b.goals_stolen);
-  EXPECT_EQ(a.goals_local, b.goals_local);
-  EXPECT_EQ(a.parcalls, b.parcalls);
-  EXPECT_EQ(a.kills, b.kills);
-  EXPECT_EQ(a.solutions, b.solutions);
-  EXPECT_EQ(a.high_water, b.high_water);
-}
-
+/// Whole RunStats (operator==; instructions compared first so that a
+/// fused-accounting slip prints both counts), solutions, output and
+/// the packed trace.
 void expect_identical(const DiffRun& fused, const DiffRun& unfused) {
   EXPECT_EQ(fused.result.success, unfused.result.success);
   EXPECT_EQ(fused.result.output, unfused.result.output);
-  ASSERT_EQ(fused.result.solutions.size(), unfused.result.solutions.size());
-  for (std::size_t i = 0; i < fused.result.solutions.size(); ++i)
-    EXPECT_EQ(fused.result.solutions[i].bindings,
-              unfused.result.solutions[i].bindings);
-  expect_stats_eq(fused.result.stats, unfused.result.stats);
+  EXPECT_EQ(fused.result.solutions, unfused.result.solutions);
+  EXPECT_EQ(fused.result.stats.instructions, unfused.result.stats.instructions);
+  EXPECT_TRUE(fused.result.stats == unfused.result.stats);
   ASSERT_EQ(fused.packed.size(), unfused.packed.size());
   EXPECT_EQ(fused.packed, unfused.packed);
 }
@@ -98,7 +83,7 @@ TEST(FuseDiff, PaperBenchmarksBitIdenticalAtOnePe) {
 TEST(FuseDiff, OnePeAndStrippedWamBitIdenticalAtBothScales) {
   // Every fused solve the reports make: the 1-PE RAP-WAM program and
   // the sequential-WAM baseline (CGEs stripped), which Table 2, Figure
-  // 2 and run_wam all run fused. Whole RunStats, not a field subset.
+  // 2 and run_wam all run fused.
   for (BenchScale scale : {BenchScale::Small, BenchScale::Paper})
     for (const char* name : {"qsort", "deriv", "matrix", "tak"})
       for (bool strip : {false, true}) {
@@ -109,10 +94,7 @@ TEST(FuseDiff, OnePeAndStrippedWamBitIdenticalAtBothScales) {
         DiffRun fused = run_with(bp.source, bp.goal + ".", true, 1, 1, strip);
         DiffRun unfused = run_with(bp.source, bp.goal + ".", false, 1, 1, strip);
         ASSERT_TRUE(fused.result.success);
-        EXPECT_TRUE(fused.result.stats == unfused.result.stats);
-        EXPECT_EQ(fused.result.solutions, unfused.result.solutions);
-        EXPECT_EQ(fused.result.output, unfused.result.output);
-        EXPECT_EQ(fused.packed, unfused.packed);
+        expect_identical(fused, unfused);
       }
 }
 
