@@ -88,15 +88,6 @@ std::string CodeStore::disassemble(i32 from, i32 to) const {
         os << " var=" << ins.a << " const=" << ins.b << " list=" << ins.c
            << " struct=" << ins.imm;
         break;
-      // The one fused superinstruction whose operands embed a proc id
-      // (the register-only fused ops read fine via the generic case).
-      case Op::FusePutValueX2Execute: {
-        const Proc& p = proc(static_cast<i32>(ins.imm >> 32));
-        os << " X" << ins.a << ",A" << ins.b << " ; X" << ins.c << ",A"
-           << (ins.imm & 0xFFFF) << " ; " << atoms_.name(p.pred.name) << "/"
-           << p.pred.arity;
-        break;
-      }
       default:
         if (ins.a || ins.b || ins.c || ins.imm) {
           os << " " << ins.a;

@@ -78,7 +78,7 @@ class CodeStore {
   std::string disassemble_all() const { return disassemble(0, size()); }
 
   /// Visits every switch-table entry as (table, key, addr). Used by the
-  /// fusion pass's branch-target analysis and by tests.
+  /// verifier's target check.
   template <class Fn>
   void for_each_switch_entry(Fn&& fn) const {
     for (std::size_t t = 0; t < tables_.size(); ++t)
@@ -86,18 +86,10 @@ class CodeStore {
         fn(static_cast<i32>(t), key, addr);
   }
 
-  // -- fusion-pass support (compiler/fuse.cpp) ----------------------------
-
-  /// Replaces the instruction array wholesale (the fusion pass rebuilds
-  /// it compacted). The caller is responsible for remapping every
-  /// address that pointed into the old array.
+  /// Replaces the instruction array wholesale, leaving proc entries and
+  /// switch tables as they are. The verifier tests use it to forge
+  /// truncated and corrupted stores.
   void replace_code(std::vector<Instr> c) { code_ = std::move(c); }
-  /// Rewrites every switch-table target through `fn` (old addr -> new).
-  template <class Fn>
-  void remap_switch_entries(Fn&& fn) {
-    for (auto& tbl : tables_)
-      for (auto& [key, addr] : tbl) addr = fn(addr);
-  }
 
   /// Lowers the i32-index overflow bound (default kMaxCodeIndex) so the
   /// guard is unit-testable without 2^31 emits.

@@ -1,6 +1,5 @@
 #include "compiler/compile.h"
 
-#include "compiler/fuse.h"
 #include "compiler/verify.h"
 
 #include <algorithm>
@@ -722,10 +721,6 @@ class ProgramCompiler {
 std::unique_ptr<CodeStore> compile_program(Program& prog, const CompileOptions& opts) {
   auto code = ProgramCompiler(prog, opts.strip_cge).run();
   verify_code(*code);
-  if (opts.fuse) {
-    fuse_code(*code);
-    verify_code(*code);  // the fuse pass must preserve verifiability
-  }
   return code;
 }
 

@@ -31,11 +31,9 @@ inline constexpr u32 kMaxParGoalArity = 12;
 /// Code-generation switches.
 struct CompileOptions {
   bool strip_cge = false;  ///< sequential-WAM baseline compilation
-  /// Run the superinstruction fusion pass (compiler/fuse.h) after code
-  /// generation, rewriting hot straight-line opcode pairs/triples into
-  /// fused opcodes. Off by default at this layer; the Machine turns it
-  /// on for single-PE runs, where fused execution is provably
-  /// trace-identical to unfused (docs/DESIGN.md §13).
+  /// Inert: nothing reads it. It selected the superinstruction fusion
+  /// pass, which is gone (docs/DESIGN.md §13); pipebench still sets it,
+  /// and the benchmark change that refreshes pipebench removes it.
   bool fuse = false;
 };
 

@@ -67,20 +67,6 @@ const char* op_name(Op op) {
     case Op::PFrame: return "pframe";
     case Op::PGoal: return "pgoal";
     case Op::PWait: return "pwait";
-    case Op::FusePutValueX2: return "put_value_x+put_value_x";
-    case Op::FusePutValueXMathLoad: return "put_value_x+math_load";
-    case Op::FuseGetListUnifyVarX2:
-      return "get_list+unify_variable_x+unify_variable_x";
-    case Op::FuseGetVarX2: return "get_variable_x+get_variable_x";
-    case Op::FuseMathRRGetVarX: return "math_rr+get_variable_x";
-    case Op::FuseCmpGuard:
-      return "put_value_x+math_load+put_value_x+math_load+math_cmp";
-    case Op::FusePutValueX2Execute:
-      return "put_value_x+put_value_x+execute";
-    case Op::FuseNeckCutPutValueX2:
-      return "neck_cut+put_value_x+put_value_x";
-    case Op::FuseGetVarXGetListUnifyLocalX:
-      return "get_variable_x+get_list+unify_local_value_x";
     case Op::kOpCount: break;
   }
   return "?";

@@ -92,26 +92,6 @@ enum class Op : u8 {
   PFrame,        // a=#slots b=PF env slot imm=pwait addr
   PGoal,         // a=slot b=proc idx c=arity  snapshot A1..Ac, push goal
   PWait,         // a=PF env slot              schedule/execute/wait
-  // Fused superinstructions (compiler/fuse.cpp): one dispatch for two
-  // to five of the above; docs/DESIGN.md §13 says how the set was
-  // chosen. Operand packing is per-op, noted as  first-op operands ;
-  // second-op operands; multi-register operands pack 16-bit register
-  // indices into imm.
-  FusePutValueX2,          // put_value_x a,b ; put_value_x c,imm
-  FusePutValueXMathLoad,   // put_value_x a,b ; math_load c,imm
-  FuseGetListUnifyVarX2,   // get_list b ; unify_variable_x a ; unify_variable_x c
-  FuseGetVarX2,            // get_variable_x a,b ; get_variable_x c,imm
-  FuseMathRRGetVarX,       // math_rr a,b,c,(imm&0xFFFF) ; get_variable_x ((imm>>16)&0xFFFF),b
-  FuseCmpGuard,            // the compiled arithmetic guard of a clause:
-                           //   put_value_x a,b ; math_load b,b ;
-                           //   put_value_x c,(imm&0xFFFF) ;
-                           //   math_load (imm&0xFFFF),(imm&0xFFFF) ;
-                           //   math_cmp ((imm>>16)&0xFF),b,(imm&0xFFFF)
-  FusePutValueX2Execute,   // put_value_x a,b ; put_value_x c,(imm&0xFFFF) ;
-                           //   execute (imm>>32)
-  FuseNeckCutPutValueX2,   // neck_cut ; put_value_x a,b ; put_value_x c,imm
-  FuseGetVarXGetListUnifyLocalX,  // get_variable_x a,b ; get_list c ;
-                                  //   unify_local_value_x imm
   kOpCount,      // sentinel — keep last (sizes the threaded-dispatch table)
 };
 

@@ -267,53 +267,6 @@ class Verifier {
       case Op::PWait:
         yslot(ins.a, "frame");
         break;
-      // -- fused superinstructions (operand packing per instr.h) --------
-      case Op::FusePutValueX2:
-      case Op::FuseGetVarX2:
-      case Op::FuseNeckCutPutValueX2:
-        xreg(ins.a, "op1 source");
-        xreg(ins.b, "op1 destination");
-        xreg(ins.c, "op2 source");
-        xreg(ins.imm, "op2 destination");
-        break;
-      case Op::FusePutValueXMathLoad:
-        xreg(ins.a, "source");
-        xreg(ins.b, "destination");
-        xreg(ins.c, "math destination");
-        xreg(ins.imm, "math source");
-        break;
-      case Op::FuseGetListUnifyVarX2:
-        xreg(ins.a, "register");
-        xreg(ins.b, "register");
-        xreg(ins.c, "register");
-        break;
-      case Op::FuseMathRRGetVarX:
-        math_fn(ins.a);
-        xreg(ins.b, "destination");
-        xreg(ins.c, "source 1");
-        xreg(ins.imm & 0xFFFF, "source 2");
-        xreg((ins.imm >> 16) & 0xFFFF, "copy destination");
-        break;
-      case Op::FuseCmpGuard:
-        xreg(ins.a, "guard source 1");
-        xreg(ins.b, "guard temp 1");
-        xreg(ins.c, "guard source 2");
-        xreg(ins.imm & 0xFFFF, "guard temp 2");
-        cmp_fn((ins.imm >> 16) & 0xFF);
-        break;
-      case Op::FusePutValueX2Execute:
-        xreg(ins.a, "op1 source");
-        xreg(ins.b, "op1 destination");
-        xreg(ins.c, "op2 source");
-        xreg(ins.imm & 0xFFFF, "op2 destination");
-        proc(ins.imm >> 32, "tail call");
-        break;
-      case Op::FuseGetVarXGetListUnifyLocalX:
-        xreg(ins.a, "destination");
-        xreg(ins.b, "source");
-        xreg(ins.c, "list argument");
-        xreg(ins.imm, "unify");
-        break;
       case Op::kOpCount:
         reject("sentinel opcode in code stream");
     }

@@ -1,18 +1,16 @@
-// Bytecode verifier: a static pass over a compiled (and possibly
-// fused) CodeStore that proves every instruction the dispatch cores
-// could fetch is safe to execute blindly — all branch / switch /
-// try-retry-trust targets land inside the code array, every operand
-// used as an X register, Y slot, proc index, switch-table id, atom id
-// or enum discriminant is within bounds, and fused superinstructions
-// (compiler/fuse.cpp) decode to legal windows including the register
-// indices packed into `imm`.
+// Bytecode verifier: a static pass over a compiled CodeStore that
+// proves every instruction the dispatch cores could fetch is safe to
+// execute blindly — all branch / switch / try-retry-trust targets land
+// inside the code array, and every operand used as an X register, Y
+// slot, proc index, switch-table id, atom id or enum discriminant is
+// within bounds.
 //
-// Runs after compile_program (post-fuse, so verified addresses are
-// final) and over any CodeStore a test forges by hand. Rejection is a
-// structured rapwam::Error whose message pins the offending address
-// and rule ("verify: @12 Jump: target 999 out of range [0,34)"), so a
-// corrupted or malicious program fails loudly before the first
-// instruction executes instead of as UB inside the computed-goto loop.
+// Runs at the end of compile_program and over any CodeStore a test
+// forges by hand. Rejection is a structured rapwam::Error whose
+// message pins the offending address and rule ("verify: @12 Jump:
+// target 999 out of range [0,34)"), so a corrupted or malicious
+// program fails loudly before the first instruction executes instead
+// of as UB inside the computed-goto loop.
 #pragma once
 
 #include "compiler/code.h"

@@ -61,12 +61,6 @@ RunResult Machine::solve_term(const Term* goal, TraceSink* sink,
   }
   CompileOptions copts;
   copts.strip_cge = cfg_.strip_cge;
-  // Fusion compresses a PE's instruction stream in virtual time, which
-  // at >1 PE would reorder the cross-PE interleaving of the global
-  // MemRef stream and shift goal-steal/kill timing. At one PE neither
-  // is observable, so that is the only regime where the compiler may
-  // fuse while keeping traces bit-identical (docs/DESIGN.md §13).
-  copts.fuse = cfg_.fuse && cfg_.num_pes == 1;
   code_ = compile_program(prog_, copts);
   halt_addr_ = code_->emit({Op::HaltSuccess, 0, 0, 0, 0});
   return run_query(entry_goal, sink);
@@ -351,46 +345,6 @@ void Machine::exec(Worker& w) {
     if (bad) backtrack(w);
   };
   auto env_y = [&](i32 y) { return w.e + kEnvY + static_cast<u64>(y); };
-  // Retires one more original instruction inside a fused handler, so
-  // RunStats (instructions AND virtual cycles) stay bit-identical to
-  // the unfused run. Called exactly when the unfused machine would
-  // have started the corresponding constituent instruction — never
-  // after the first sub-op backtracked.
-  auto fused_step = [&] {
-    ++stats_.instructions;
-    ++stats_.cycles;
-  };
-  // In-place MathLoad body for the fused arithmetic ops (dst/src are X
-  // register indices). Returns false when the unfused instruction would
-  // have backtracked; the caller backtracks. Throws on unbound, exactly
-  // as the standalone handler does.
-  auto math_load_x = [&](std::size_t d, std::size_t s) -> bool {
-    u64 v = deref(w, w.x[s]);
-    if (cell_tag(v) == Tag::Int) {
-      w.x[d] = v;
-      return true;
-    }
-    if (cell_tag(v) == Tag::Ref)
-      fail("arithmetic: expression is not sufficiently instantiated");
-    if (cell_tag(v) == Tag::Str) {
-      auto r = eval_arith(w, v);
-      if (r) {
-        w.x[d] = make_int(*r);
-        return true;
-      }
-    }
-    return false;
-  };
-  auto math_cmp_ok = [](CmpFn fn, i64 s1, i64 s2) {
-    switch (fn) {
-      case CmpFn::Lt: return s1 < s2;
-      case CmpFn::Gt: return s1 > s2;
-      case CmpFn::Le: return s1 <= s2;
-      case CmpFn::Ge: return s1 >= s2;
-      case CmpFn::Eq: return s1 == s2;
-      default: return s1 != s2;
-    }
-  };
 
 #if RAPWAM_THREADED_DISPATCH
   // One label per opcode, indexed by the Op value — the entries must
@@ -411,10 +365,7 @@ void Machine::exec(Worker& w) {
       &&lbl_UnifyConstant, &&lbl_UnifyInteger, &&lbl_UnifyNil, &&lbl_UnifyVoid,
       &&lbl_MathLoad, &&lbl_MathRR, &&lbl_MathRI, &&lbl_MathCmp, &&lbl_Builtin,
       &&lbl_CheckGround, &&lbl_CheckIndep, &&lbl_PFrame, &&lbl_PGoal,
-      &&lbl_PWait, &&lbl_FusePutValueX2, &&lbl_FusePutValueXMathLoad,
-      &&lbl_FuseGetListUnifyVarX2, &&lbl_FuseGetVarX2, &&lbl_FuseMathRRGetVarX,
-      &&lbl_FuseCmpGuard, &&lbl_FusePutValueX2Execute,
-      &&lbl_FuseNeckCutPutValueX2, &&lbl_FuseGetVarXGetListUnifyLocalX};
+      &&lbl_PWait};
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
                     static_cast<std::size_t>(Op::kOpCount),
                 "dispatch table out of sync with enum Op");
@@ -839,152 +790,6 @@ void Machine::exec(Worker& w) {
       w.p = here;  // pwait re-executes until the parcall completes
       exec_pwait(w);
       return;
-
-    // ----- Fused superinstructions (docs/DESIGN.md §13) ---------------
-    // Each body is the literal concatenation of its constituents' bodies
-    // above, with operands repacked per the comments in compiler/instr.h.
-    // fused_step() sits exactly where the unfused machine would fetch
-    // the next constituent, so a backtrack in an earlier sub-op skips
-    // it — RunStats stay bit-identical either way. Only single-PE
-    // machines compile fused code (see solve_term), so the MemRef
-    // stream ordering is the single worker's program order and matches
-    // the unfused stream cell for cell.
-    RW_OP(FusePutValueX2):
-      w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm)] = w.x[static_cast<std::size_t>(ins.c)];
-      return;
-    RW_OP(FusePutValueXMathLoad): {
-      w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
-      fused_step();
-      u64 v = deref(w, w.x[static_cast<std::size_t>(ins.imm)]);
-      if (cell_tag(v) == Tag::Int) {
-        w.x[static_cast<std::size_t>(ins.c)] = v;
-        return;
-      }
-      if (cell_tag(v) == Tag::Ref)
-        fail("arithmetic: expression is not sufficiently instantiated");
-      if (cell_tag(v) == Tag::Str) {
-        auto r = eval_arith(w, v);
-        if (r) {
-          w.x[static_cast<std::size_t>(ins.c)] = make_int(*r);
-          return;
-        }
-      }
-      backtrack(w);
-      return;
-    }
-    RW_OP(FuseGetListUnifyVarX2): {
-      u64 d = deref(w, w.x[static_cast<std::size_t>(ins.b)]);
-      if (cell_tag(d) == Tag::Ref) {
-        bind(w, d, make_lis(w.h));
-        w.write_mode = true;
-        fused_step();
-        u64 a1 = w.h;
-        heap_push(w, make_ref(a1));
-        w.x[static_cast<std::size_t>(ins.a)] = make_ref(a1);
-        fused_step();
-        u64 a2 = w.h;
-        heap_push(w, make_ref(a2));
-        w.x[static_cast<std::size_t>(ins.c)] = make_ref(a2);
-      } else if (cell_tag(d) == Tag::Lis) {
-        w.s = cell_val(d);
-        w.write_mode = false;
-        fused_step();
-        w.x[static_cast<std::size_t>(ins.a)] = rd(w, w.s++, ObjClass::HeapTerm);
-        fused_step();
-        w.x[static_cast<std::size_t>(ins.c)] = rd(w, w.s++, ObjClass::HeapTerm);
-      } else {
-        backtrack(w);
-      }
-      return;
-    }
-    RW_OP(FuseGetVarX2):
-      w.x[static_cast<std::size_t>(ins.a)] = w.x[static_cast<std::size_t>(ins.b)];
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.c)] = w.x[static_cast<std::size_t>(ins.imm)];
-      return;
-    RW_OP(FuseMathRRGetVarX): {
-      i64 s1 = int_val(w.x[static_cast<std::size_t>(ins.c)]);
-      i64 s2 = int_val(w.x[static_cast<std::size_t>(ins.imm & 0xFFFF)]);
-      w.x[static_cast<std::size_t>(ins.b)] =
-          make_int(math_apply(static_cast<MathFn>(ins.a), s1, s2));
-      fused_step();
-      w.x[static_cast<std::size_t>((ins.imm >> 16) & 0xFFFF)] =
-          w.x[static_cast<std::size_t>(ins.b)];
-      return;
-    }
-    RW_OP(FuseCmpGuard): {
-      const auto t1 = static_cast<std::size_t>(ins.b);
-      const auto t2 = static_cast<std::size_t>(ins.imm & 0xFFFF);
-      w.x[t1] = w.x[static_cast<std::size_t>(ins.a)];
-      fused_step();
-      if (!math_load_x(t1, t1)) {
-        backtrack(w);
-        return;
-      }
-      fused_step();
-      w.x[t2] = w.x[static_cast<std::size_t>(ins.c)];
-      fused_step();
-      if (!math_load_x(t2, t2)) {
-        backtrack(w);
-        return;
-      }
-      fused_step();
-      if (!math_cmp_ok(static_cast<CmpFn>((ins.imm >> 16) & 0xFF),
-                       int_val(w.x[t1]), int_val(w.x[t2])))
-        backtrack(w);
-      return;
-    }
-    RW_OP(FusePutValueX2Execute): {
-      w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm & 0xFFFF)] =
-          w.x[static_cast<std::size_t>(ins.c)];
-      fused_step();
-      const Proc& pr = code_->proc(static_cast<i32>(ins.imm >> 32));
-      w.b0 = w.b;
-      w.p = resolved_entry(pr);
-      ++stats_.calls;
-      return;
-    }
-    RW_OP(FuseNeckCutPutValueX2):
-      do_cut(w, w.b0);
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.b)] = w.x[static_cast<std::size_t>(ins.a)];
-      fused_step();
-      w.x[static_cast<std::size_t>(ins.imm)] = w.x[static_cast<std::size_t>(ins.c)];
-      return;
-    RW_OP(FuseGetVarXGetListUnifyLocalX): {
-      w.x[static_cast<std::size_t>(ins.a)] = w.x[static_cast<std::size_t>(ins.b)];
-      fused_step();
-      u64 d = deref(w, w.x[static_cast<std::size_t>(ins.c)]);
-      if (cell_tag(d) == Tag::Ref) {
-        bind(w, d, make_lis(w.h));
-        w.write_mode = true;
-        fused_step();
-        u64 v = deref(w, w.x[static_cast<std::size_t>(ins.imm)]);
-        if (cell_tag(v) == Tag::Ref &&
-            layout_->area_of(cell_val(v)) != Area::Heap) {
-          u64 ha = w.h;
-          heap_push(w, make_ref(ha));
-          bind(w, v, make_ref(ha));
-          w.x[static_cast<std::size_t>(ins.imm)] = make_ref(ha);
-        } else {
-          heap_push(w, v);
-          w.x[static_cast<std::size_t>(ins.imm)] = v;
-        }
-      } else if (cell_tag(d) == Tag::Lis) {
-        w.s = cell_val(d);
-        w.write_mode = false;
-        fused_step();
-        fail_if(!unify(w, w.x[static_cast<std::size_t>(ins.imm)],
-                       rd(w, w.s++, ObjClass::HeapTerm)));
-      } else {
-        backtrack(w);
-      }
-      return;
-    }
 #if !RAPWAM_THREADED_DISPATCH
   }
   RW_CHECK(false, "unhandled opcode");

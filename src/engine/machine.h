@@ -83,11 +83,10 @@ struct MachineConfig {
   ResourceLimits limits{};         ///< resource budgets (0 = uncapped)
   EngineFaults faults{};           ///< engine-side fault injection
   bool strip_cge = false;          ///< compile the sequential-WAM baseline
-  /// Superinstruction fusion (docs/DESIGN.md §13). Only single-PE
-  /// machines actually compile fused code — at one PE fused execution
-  /// is provably bit-identical (same MemRef stream, same RunStats);
-  /// multi-PE machines always run unfused so the per-cycle cross-PE
-  /// interleaving of the trace stream is untouched.
+  /// Inert: nothing reads it. It enabled superinstruction fusion for
+  /// single-PE machines, which is gone (docs/DESIGN.md §13); pipebench
+  /// still sets it, and the benchmark change that refreshes pipebench
+  /// removes it.
   bool fuse = true;
 };
 

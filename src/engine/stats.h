@@ -26,8 +26,8 @@ struct RunStats {
   /// Max words ever in use per area (max over PEs).
   std::array<u64, kAreaCount> high_water{};
 
-  /// Field-for-field equality: the fused-vs-unfused differential suite
-  /// (tests/test_fuse.cpp) pins golden stats with this.
+  /// Field-for-field equality: the sink differential suites
+  /// (tests/test_pipeline_diff.cpp) compare whole runs with this.
   bool operator==(const RunStats&) const = default;
 
   /// References issued while doing useful work ("work" in Fig. 2).

@@ -315,8 +315,8 @@ TEST(CodeStoreGuards, NewSwitchTableThrowsAtIndexLimit) {
 }
 
 TEST(Disassembler, EveryOpcodeHasANameAndListing) {
-  // Round-trip over the whole opcode space, fused ops included: no Op
-  // value may disassemble to the "?" fallback, so adding an opcode
+  // Round-trip over the whole opcode space: no Op value may
+  // disassemble to the "?" fallback, so adding an opcode
   // without teaching op_name/disassemble about it fails here instead
   // of drifting silently.
   Program p;

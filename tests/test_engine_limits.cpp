@@ -125,7 +125,7 @@ TEST(EngineLimits, ExhaustedMachineRerunsBitIdenticalToFresh) {
   // The clean-unwind contract: trip a budget, then run the real
   // benchmark on the same machine — trace stream, stats, solutions all
   // bit-identical to a fresh, ungoverned machine. All four paper
-  // benchmarks, single-PE fused path.
+  // benchmarks, single PE.
   for (const char* name : {"qsort", "deriv", "matrix", "tak"}) {
     SCOPED_TRACE(name);
     BenchProgram bp = bench_program(name, BenchScale::Small);

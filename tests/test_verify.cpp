@@ -1,7 +1,6 @@
 // Bytecode-verifier suite (DESIGN.md §14): the static pass in
 // compiler/verify.{h,cpp} must accept everything the compiler emits —
-// all four paper benchmarks, fused and unfused — and reject every
-// malformed CodeStore with a structured "verify:" Error before the
+// all four paper benchmarks — and reject every malformed CodeStore with a structured "verify:" Error before the
 // first instruction could execute. Rule-by-rule unit tests forge
 // stores by hand; the fuzz tests mutate real compiled programs
 // (bit flips, truncation, opcode forgery) and require rejection, or —
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "compiler/compile.h"
-#include "compiler/fuse.h"
 #include "compiler/verify.h"
 #include "harness/programs.h"
 #include "support/interner.h"
@@ -33,13 +31,10 @@ struct CompiledBench {
   std::unique_ptr<CodeStore> code;
 };
 
-CompiledBench compile_bench(const std::string& name, bool fuse,
-                            BenchScale scale = BenchScale::Small) {
+CompiledBench compile_bench(const std::string& name) {
   CompiledBench out;
-  out.prog.consult(bench_program(name, scale).source);
-  CompileOptions opts;
-  opts.fuse = fuse;
-  out.code = compile_program(out.prog, opts);
+  out.prog.consult(bench_program(name, BenchScale::Small).source);
+  out.code = compile_program(out.prog, CompileOptions{});
   return out;
 }
 
@@ -250,53 +245,16 @@ TEST(VerifierRules, RejectsStoreTooShortForPrelude) {
   expect_reject(code, "lacks the reserved prelude");
 }
 
-// -- fused superinstructions: the register indices packed into imm ----------
-
-TEST(VerifierRules, RejectsFusedImmRegisterOverflow) {
-  Interner atoms;
-  CodeStore code(atoms);
-  code.emit({Op::FusePutValueX2, 1, 2, 3, 300});
-  expect_reject(code, "op2 destination X register 300");
-}
-
-TEST(VerifierRules, RejectsFusedHighImmFieldOverflow) {
-  Interner atoms;
-  CodeStore code(atoms);
-  // FuseMathRRGetVarX packs its copy destination into imm bits 16..31.
-  i64 imm = (i64{300} << 16) | 2;
-  code.emit({Op::FuseMathRRGetVarX, static_cast<i32>(MathFn::Add), 1, 3, imm});
-  expect_reject(code, "copy destination X register 300");
-}
-
-TEST(VerifierRules, RejectsFusedCmpGuardBadCompareFn) {
-  Interner atoms;
-  CodeStore code(atoms);
-  i64 imm = (i64{99} << 16) | 4;  // cmp fn 99, legal temp register 4
-  code.emit({Op::FuseCmpGuard, 1, 2, 3, imm});
-  expect_reject(code, "compare function 99");
-}
-
-TEST(VerifierRules, RejectsFusedExecuteProcOutOfRange) {
-  Interner atoms;
-  CodeStore code(atoms);
-  code.proc_index(PredId{atoms.intern("p"), 2});
-  i64 imm = (i64{7} << 32) | 3;  // proc 7 of 1
-  code.emit({Op::FusePutValueX2Execute, 1, 2, 3, imm});
-  expect_reject(code, "tail call proc index 7");
-}
-
 // ---------------------------------------------------------------------------
-// Corpus: everything the compiler emits must verify clean, fused and
-// unfused, at both benchmark scales (the golden-corpus programs are
-// exactly these four benchmarks).
+// Corpus: everything the compiler emits must verify clean, at both
+// benchmark scales (the golden-corpus programs are exactly these four
+// benchmarks).
 
 TEST(VerifierCorpus, AcceptsCompiledPaperBenchmarks) {
   for (const char* name : {"qsort", "deriv", "matrix", "tak"}) {
-    for (bool fuse : {false, true}) {
-      SCOPED_TRACE(std::string(name) + (fuse ? "/fused" : "/plain"));
-      auto [prog, code] = compile_bench(name, fuse);
-      EXPECT_NO_THROW(verify_code(*code));
-    }
+    SCOPED_TRACE(name);
+    auto [prog, code] = compile_bench(name);
+    EXPECT_NO_THROW(verify_code(*code));
   }
 }
 
@@ -307,17 +265,8 @@ TEST(VerifierCorpus, AcceptsPaperScaleAndStrippedCompilation) {
     prog.consult(bp.source);
     CompileOptions opts;
     opts.strip_cge = true;  // sequential-WAM baseline path
-    opts.fuse = true;
     EXPECT_NO_THROW(verify_code(*compile_program(prog, opts)));
   }
-}
-
-TEST(VerifierCorpus, AcceptsFusePassAppliedDirectly) {
-  // The differential path tests run fuse_code on stores compiled with
-  // fusion off; that combination must stay verifiable too.
-  auto [prog, code] = compile_bench("deriv", /*fuse=*/false);
-  fuse_code(*code);
-  EXPECT_NO_THROW(verify_code(*code));
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +281,7 @@ std::vector<Instr> snapshot(const CodeStore& code) {
 }
 
 TEST(VerifierFuzz, TruncatedStoresAlwaysRejected) {
-  auto [prog, code] = compile_bench("qsort", /*fuse=*/true);
+  auto [prog, code] = compile_bench("qsort");
   const std::vector<Instr> full = snapshot(*code);
   // Any cut at or below the highest proc entry leaves that entry
   // dangling, so every such truncation is guaranteed-invalid.
@@ -352,7 +301,7 @@ TEST(VerifierFuzz, TruncatedStoresAlwaysRejected) {
 }
 
 TEST(VerifierFuzz, ForgedOpcodeBytesAlwaysRejected) {
-  auto [prog, code] = compile_bench("deriv", /*fuse=*/true);
+  auto [prog, code] = compile_bench("deriv");
   const std::vector<Instr> full = snapshot(*code);
   Lcg rng(0xBADC0DEu);
   for (int i = 0; i < 64; ++i) {
@@ -366,9 +315,9 @@ TEST(VerifierFuzz, ForgedOpcodeBytesAlwaysRejected) {
 }
 
 TEST(VerifierFuzz, ForgedOperandOverflowsAlwaysRejected) {
-  // Walk a real fused program and, per opcode, plant an operand the
+  // Walk a real compiled program and, per opcode, plant an operand the
   // rule table guarantees is invalid. Every plant must reject.
-  auto [prog, code] = compile_bench("qsort", /*fuse=*/true);
+  auto [prog, code] = compile_bench("qsort");
   const std::vector<Instr> full = snapshot(*code);
   int planted = 0;
   for (i32 at = 3; at < code->size(); ++at) {
@@ -398,8 +347,6 @@ TEST(VerifierFuzz, ForgedOperandOverflowsAlwaysRejected) {
       case Op::GetValueX:
       case Op::PutVariableX:
       case Op::PutValueX:
-      case Op::FusePutValueX2:
-      case Op::FuseGetVarX2:
         ins.b = kVerifyMaxXRegs + at;
         break;
       case Op::GetConstant:
@@ -437,7 +384,7 @@ TEST(VerifierFuzz, RandomBitFlipsRejectStructuredOrPassClean) {
   // Arbitrary single-bit corruption: the verifier must either throw a
   // structured "verify:" Error or accept the store — never crash or
   // index out of bounds itself (the ASan shard enforces the latter).
-  auto [prog, code] = compile_bench("matrix", /*fuse=*/true);
+  auto [prog, code] = compile_bench("matrix");
   const std::vector<Instr> full = snapshot(*code);
   Lcg rng(0xF11BB5EEu);
   int rejected = 0;
