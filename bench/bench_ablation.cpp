@@ -32,12 +32,8 @@ TrafficStats simulate(const ChunkedTrace& trace, Protocol p, u32 size,
   return sim.stats();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
-  BenchScale scale = cli.get("scale", "paper") == "small" ? BenchScale::Small
-                                                          : BenchScale::Paper;
+int run(const Cli& cli) {
+  BenchScale scale = scale_from_name(cli.get("scale", "paper"));
 
   BenchProgram qs = bench_program("qsort", scale);
   ChunkingSink sink;
@@ -113,3 +109,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, {"scale"}, run); }

@@ -3,16 +3,17 @@
 // the plain sequential WAM running the un-annotated program.
 //
 //   --scale small|paper   workload size (default paper)
+//   --csv                 print the table as CSV
 #include <cstdio>
 
 #include "harness/reports.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
-  rapwam::Cli cli(argc, argv);
+namespace {
+
+int run(const rapwam::Cli& cli) {
   rapwam::ReportOptions opt;
-  opt.scale = cli.get("scale", "paper") == "small" ? rapwam::BenchScale::Small
-                                                   : rapwam::BenchScale::Paper;
+  opt.scale = rapwam::scale_from_name(cli.get("scale", "paper"));
   rapwam::TextTable t = rapwam::fig2_report(opt);
   std::fputs(cli.has("csv") ? t.csv().c_str() : t.str().c_str(), stdout);
   std::puts(
@@ -22,4 +23,10 @@ int main(int argc, char** argv) {
       "absolute overhead is higher because every scheduler word (parcall\n"
       "frames, goal stack, markers, locks) is traced — see EXPERIMENTS.md.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rapwam::cli_main(argc, argv, {"scale", "csv"}, run);
 }

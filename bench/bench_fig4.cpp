@@ -8,16 +8,17 @@
 //   --threads N           host threads for the sweep (default: all)
 //   --l2                  also sweep a shared L2 under the paper point
 //                         (size × inclusion policy; docs/DESIGN.md §9)
+//   --csv                 print the tables as CSV
 #include <cstdio>
 
 #include "harness/reports.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
-  rapwam::Cli cli(argc, argv);
+namespace {
+
+int run(const rapwam::Cli& cli) {
   rapwam::ReportOptions opt;
-  opt.scale = cli.get("scale", "paper") == "small" ? rapwam::BenchScale::Small
-                                                   : rapwam::BenchScale::Paper;
+  opt.scale = rapwam::scale_from_name(cli.get("scale", "paper"));
   opt.pool_threads = cli.get_u32("threads", 0);
   for (const rapwam::TextTable& t : rapwam::fig4_report(opt)) {
     std::fputs(cli.has("csv") ? t.csv().c_str() : t.str().c_str(), stdout);
@@ -38,4 +39,10 @@ int main(int argc, char** argv) {
       "  * 8 PEs with >=128-word broadcast caches capture >70% of traffic\n"
       "    (ratio < 0.3).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rapwam::cli_main(argc, argv, {"scale", "threads", "l2", "csv"}, run);
 }

@@ -10,11 +10,17 @@
 #include "harness/reports.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
-  rapwam::Cli cli(argc, argv);
+namespace {
+
+int run(const rapwam::Cli& cli) {
   rapwam::ReportOptions opt;
-  opt.scale = cli.get("scale", "paper") == "small" ? rapwam::BenchScale::Small
-                                                   : rapwam::BenchScale::Paper;
+  opt.scale = rapwam::scale_from_name(cli.get("scale", "paper"));
   std::fputs(rapwam::mlips_report(opt).str().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rapwam::cli_main(argc, argv, {"scale"}, run);
 }

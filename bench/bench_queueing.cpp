@@ -25,10 +25,10 @@
 
 using namespace rapwam;
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
-  BenchScale scale = cli.get("scale", "paper") == "small" ? BenchScale::Small
-                                                          : BenchScale::Paper;
+namespace {
+
+int run(const Cli& cli) {
+  BenchScale scale = scale_from_name(cli.get("scale", "paper"));
   // One trace per PE count, shared by both protocols, all bus speeds
   // and the timing report below (the generate-once library).
   const unsigned pe_counts[] = {2u, 4u, 8u, 16u};
@@ -80,4 +80,10 @@ int main(int argc, char** argv) {
       "write-through traffic saturates the bus and efficiency collapses.\n"
       "The timed replay measures the same effect on the actual traces.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, {"scale", "no-report"}, run);
 }

@@ -3,18 +3,20 @@
 // goals actually run in parallel.
 //
 //   --scale small|paper   workload size (default paper)
-//   --pes N               PE count (default 8)
+//   --pes N               PE count, 1..256 (default 8)
+//   --csv                 print the table as CSV
 #include <cstdio>
 
+#include "engine/machine.h"
 #include "harness/reports.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
-  rapwam::Cli cli(argc, argv);
+namespace {
+
+int run(const rapwam::Cli& cli) {
   rapwam::ReportOptions opt;
-  opt.scale = cli.get("scale", "paper") == "small" ? rapwam::BenchScale::Small
-                                                   : rapwam::BenchScale::Paper;
-  opt.table2_pes = static_cast<unsigned>(cli.get_int("pes", 8));
+  opt.scale = rapwam::scale_from_name(cli.get("scale", "paper"));
+  opt.table2_pes = rapwam::check_machine_pes(cli.get_u32("pes", 8));
   rapwam::TextTable t = rapwam::table2_report(opt);
   std::fputs(cli.has("csv") ? t.csv().c_str() : t.str().c_str(), stdout);
   std::puts(
@@ -24,4 +26,10 @@ int main(int argc, char** argv) {
       "  References (WAM)      82519    169599   499526   95357\n"
       "  Goals actually in //  97       263      97       24");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rapwam::cli_main(argc, argv, {"scale", "pes", "csv"}, run);
 }

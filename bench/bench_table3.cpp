@@ -9,11 +9,11 @@
 #include "harness/reports.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
-  rapwam::Cli cli(argc, argv);
+namespace {
+
+int run(const rapwam::Cli& cli) {
   rapwam::ReportOptions opt;
-  opt.scale = cli.get("scale", "paper") == "small" ? rapwam::BenchScale::Small
-                                                   : rapwam::BenchScale::Paper;
+  opt.scale = rapwam::scale_from_name(cli.get("scale", "paper"));
   rapwam::TextTable t = rapwam::table3_report(opt);
   std::fputs(t.str().c_str(), stdout);
   std::puts(
@@ -24,4 +24,10 @@ int main(int argc, char** argv) {
       "z-scores: |z| of order 1-2 means the small kernels' sequential\n"
       "locality is typical of larger programs.)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rapwam::cli_main(argc, argv, {"scale"}, run);
 }

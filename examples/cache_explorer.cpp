@@ -10,9 +10,11 @@
 #include "support/stats.h"
 #include "support/table.h"
 
-int main(int argc, char** argv) {
-  using namespace rapwam;
-  Cli cli(argc, argv);
+using namespace rapwam;
+
+namespace {
+
+int run(const Cli& cli) {
   std::string bench = cli.get("bench", "qsort");
   unsigned pes = cli.get_u32("pes", 4);
   if (pes < 1 || pes > 64) {
@@ -20,8 +22,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   u32 line = cli.get_u32("line", 4);
-  BenchScale scale = cli.get("scale", "small") == "paper" ? BenchScale::Paper
-                                                          : BenchScale::Small;
+  BenchScale scale = scale_from_name(cli.get("scale", "small"));
 
   std::printf("tracing %s on %u PEs...\n", bench.c_str(), pes);
   std::shared_ptr<const GeneratedTrace> g =
@@ -65,4 +66,10 @@ int main(int argc, char** argv) {
   std::fputs(t.str().c_str(), stdout);
   std::puts("\nLower is better; copyback ignores coherence (lower bound).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, {"bench", "pes", "line", "scale"}, run);
 }

@@ -10,10 +10,12 @@
 #include "harness/library.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
-  using namespace rapwam;
-  Cli cli(argc, argv);
-  unsigned pes = static_cast<unsigned>(cli.get_int("pes", 8));
+using namespace rapwam;
+
+namespace {
+
+int run(const Cli& cli) {
+  unsigned pes = check_machine_pes(cli.get_u32("pes", 8));
   long max_n = cli.get_int("max-n", 7);
 
   Program prog;
@@ -69,3 +71,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(r.stats.cycles));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, {"pes", "max-n"}, run); }

@@ -11,11 +11,13 @@
 #include "support/stats.h"
 #include "support/table.h"
 
-int main(int argc, char** argv) {
-  using namespace rapwam;
-  Cli cli(argc, argv);
+using namespace rapwam;
+
+namespace {
+
+int run(const Cli& cli) {
   int nodes = static_cast<int>(cli.get_int("nodes", 400));
-  unsigned max_pes = static_cast<unsigned>(cli.get_int("max-pes", 16));
+  unsigned max_pes = check_machine_pes(cli.get_u32("max-pes", 16));
 
   std::string src = bench_program("deriv", BenchScale::Small).source;
   BenchProgram bp{"deriv", src, "d(" + gen_deriv_expr(nodes, 42) + ",x,D)"};
@@ -41,4 +43,10 @@ int main(int argc, char** argv) {
   std::puts("claim that AND-parallelism adds bounded overhead regardless of");
   std::puts("the PE count.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, {"nodes", "max-pes"}, run);
 }

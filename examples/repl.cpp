@@ -13,10 +13,12 @@
 #include "engine/machine.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
-  using namespace rapwam;
-  Cli cli(argc, argv);
-  unsigned pes = static_cast<unsigned>(cli.get_int("pes", 4));
+using namespace rapwam;
+
+namespace {
+
+int run(const Cli& cli) {
+  unsigned pes = check_machine_pes(cli.get_u32("pes", 4));
 
   Program prog;
   prog.consult("'$repl_init'.");  // ensure at least one predicate exists
@@ -83,3 +85,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, {"pes"}, run); }

@@ -10,10 +10,15 @@ namespace rapwam {
 
 using namespace frames;
 
+unsigned check_machine_pes(unsigned pes) {
+  if (pes < 1 || pes > kMaxTracePes)
+    fail("PE count " + std::to_string(pes) + " is outside 1.." +
+         std::to_string(kMaxTracePes) + " (the trace format's PE-id range)");
+  return pes;
+}
+
 Machine::Machine(Program& prog, MachineConfig cfg) : prog_(prog), cfg_(std::move(cfg)) {
-  // Capped by the trace format's 8-bit PE-id field (trace/memref.h).
-  RW_CHECK(cfg_.num_pes >= 1 && cfg_.num_pes <= kMaxTracePes,
-           "num_pes must be in [1,kMaxTracePes]");
+  check_machine_pes(cfg_.num_pes);
   nil_atom_ = prog_.atoms().intern("[]");
 }
 

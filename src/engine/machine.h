@@ -73,6 +73,11 @@ struct EngineFaults {
   bool any() const { return fail_heap_growth_n || stall_every_cycles; }
 };
 
+/// Validates an emulator PE count: 1..kMaxTracePes, the range of the
+/// trace format's PE-id field. Returns `pes` so call sites can
+/// validate inline.
+unsigned check_machine_pes(unsigned pes);
+
 struct MachineConfig {
   unsigned num_pes = 1;
   AreaSizes sizes{};

@@ -1,6 +1,5 @@
 #include "harness/golden.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -8,6 +7,7 @@
 
 #include "cache/sweep.h"
 #include "harness/trace_lib.h"
+#include "server/json.h"
 
 namespace rapwam {
 
@@ -153,99 +153,25 @@ std::string golden_to_json(const std::string& bench,
   return out;
 }
 
-namespace {
-
-/// Minimal scanner for the corpus format: quoted strings, unsigned
-/// integers and the punctuation golden_to_json emits. Strings carry no
-/// escapes (keys and field names are plain identifiers).
-struct JsonScanner {
-  const std::string& s;
-  std::size_t i = 0;
-
-  explicit JsonScanner(const std::string& text) : s(text) {}
-
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  void expect(char c) {
-    if (!eat(c))
-      fail(std::string("golden corpus: expected '") + c + "' at offset " +
-           std::to_string(i));
-  }
-  std::string string_tok() {
-    expect('"');
-    std::size_t start = i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') fail("golden corpus: escapes not supported");
-      ++i;
-    }
-    if (i == s.size()) fail("golden corpus: unterminated string");
-    return s.substr(start, i++ - start);
-  }
-  u64 number_tok() {
-    skip_ws();
-    std::size_t start = i;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i == start) fail("golden corpus: expected number at offset " +
-                         std::to_string(i));
-    u64 v = 0;
-    for (std::size_t k = start; k < i; ++k) {
-      u64 d = static_cast<u64>(s[k] - '0');
-      // Checked before multiplying: a wrap test after the fact misses
-      // most overflows (v*10 can wrap far past v).
-      if (v > (~u64(0) - d) / 10) fail("golden corpus: number overflow");
-      v = v * 10 + d;
-    }
-    return v;
-  }
-};
-
-}  // namespace
-
 std::vector<GoldenEntry> golden_from_json(const std::string& text) {
-  JsonScanner sc(text);
-  sc.expect('{');
+  JsonValue doc = json_parse(text);
+  if (!doc.is_object()) fail("golden corpus: expected a JSON object");
   std::vector<GoldenEntry> out;
-  bool first_top = true;
-  while (!sc.eat('}')) {
-    if (!first_top) sc.expect(',');
-    first_top = false;
-    std::string key = sc.string_tok();
-    sc.expect(':');
-    if (key == "entries") {
-      sc.expect('{');
-      bool first_entry = true;
-      while (!sc.eat('}')) {
-        if (!first_entry) sc.expect(',');
-        first_entry = false;
-        GoldenEntry e;
-        e.key = sc.string_tok();
-        sc.expect(':');
-        sc.expect('{');
-        bool first_field = true;
-        while (!sc.eat('}')) {
-          if (!first_field) sc.expect(',');
-          first_field = false;
-          std::string name = sc.string_tok();
-          sc.expect(':');
-          e.fields.emplace_back(name, sc.number_tok());
-        }
-        out.push_back(std::move(e));
-      }
-    } else {
-      sc.string_tok();  // "bench"/"scale" metadata: informational
+  // "bench" and "scale" are informational; only the entries are read.
+  const JsonValue* entries = doc.find("entries");
+  if (!entries) return out;
+  if (!entries->is_object()) fail("golden corpus: \"entries\" is not an object");
+  for (const auto& [key, fields] : entries->members()) {
+    if (!fields.is_object()) fail("golden corpus: entry " + key + " is not an object");
+    GoldenEntry e{key, {}};
+    for (const auto& [name, v] : fields.members()) {
+      if (!v.is_uint())
+        fail("golden corpus: " + key + " field " + name +
+             " is not a non-negative integer");
+      e.fields.emplace_back(name, v.as_uint());
     }
+    out.push_back(std::move(e));
   }
-  sc.skip_ws();
-  if (sc.i != sc.s.size()) fail("golden corpus: trailing data");
   return out;
 }
 

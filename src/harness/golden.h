@@ -43,9 +43,10 @@ std::vector<std::pair<std::string, u64>> run_stats_fields(const RunStats& s);
 /// generate each (bench, pes) stream once.
 std::vector<GoldenEntry> golden_compute(const std::string& bench);
 
-/// Serialization to/from the corpus JSON (a flat two-level object; the
-/// parser accepts exactly what golden_to_json emits and throws Error on
-/// anything malformed).
+/// Serialization to/from the corpus JSON (a flat two-level object).
+/// golden_from_json parses with the strict json_parse (server/json.h)
+/// and throws Error on malformed JSON or on a field value that is not
+/// a non-negative integer.
 std::string golden_to_json(const std::string& bench,
                            const std::vector<GoldenEntry>& entries);
 std::vector<GoldenEntry> golden_from_json(const std::string& text);

@@ -150,6 +150,12 @@ std::string gen_deriv_expr(int nodes, u32 seed) {
   return os.str();
 }
 
+BenchScale scale_from_name(const std::string& name) {
+  if (name == "small") return BenchScale::Small;
+  if (name == "paper") return BenchScale::Paper;
+  fail("unknown scale \"" + name + "\" (expected small, paper)");
+}
+
 std::vector<std::string> small_bench_names() {
   return {"deriv", "tak", "qsort", "matrix"};
 }

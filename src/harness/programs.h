@@ -20,6 +20,9 @@ struct BenchProgram {
 /// Workload scale. Paper sizes are tuned so instruction counts land in
 /// the same order of magnitude as Table 2; Small keeps tests fast.
 enum class BenchScale { Small, Paper };
+/// "small" or "paper"; throws Error naming the string otherwise. The
+/// CLI `--scale` flags and the server's "scale" member all parse here.
+BenchScale scale_from_name(const std::string& name);
 
 /// The four benchmarks of Table 2: "deriv", "tak", "qsort", "matrix".
 BenchProgram bench_program(const std::string& name, BenchScale scale);

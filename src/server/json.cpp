@@ -18,7 +18,10 @@ void JsonValue::require(Kind k) const {
 }
 
 i64 JsonValue::as_int() const {
-  if (kind_ == Kind::Int) return i_;
+  if (kind_ == Kind::Int) {
+    if (above_i64_) fail("json: integer out of range");
+    return i_;
+  }
   if (kind_ == Kind::Double) {
     if (std::nearbyint(d_) != d_ || d_ < -9.2e18 || d_ > 9.2e18)
       fail("json: number is not an integer");
@@ -27,8 +30,14 @@ i64 JsonValue::as_int() const {
   fail("json: value is not a number");
 }
 
+u64 JsonValue::as_uint() const {
+  if (!is_uint()) fail("json: value is not a non-negative integer");
+  return static_cast<u64>(i_);
+}
+
 double JsonValue::as_double() const {
-  if (kind_ == Kind::Int) return static_cast<double>(i_);
+  if (kind_ == Kind::Int)
+    return above_i64_ ? static_cast<double>(as_uint()) : static_cast<double>(i_);
   if (kind_ == Kind::Double) return d_;
   fail("json: value is not a number");
 }
@@ -40,11 +49,9 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-namespace {
-
-class Parser {
+class JsonParser {
  public:
-  Parser(const std::string& text, const JsonLimits& lim) : s_(text), lim_(lim) {}
+  JsonParser(const std::string& text, const JsonLimits& lim) : s_(text), lim_(lim) {}
 
   JsonValue run() {
     if (s_.size() > lim_.max_bytes)
@@ -235,7 +242,16 @@ class Parser {
       i64 v = 0;
       auto [p, ec] = std::from_chars(s_.data() + start, s_.data() + i_, v);
       if (ec == std::errc() && p == s_.data() + i_) return JsonValue::integer(v);
-      // Out of i64 range: fall through to double (magnitude preserved
+      // Above INT64_MAX but within u64 (from_chars takes no '-' here):
+      // kept exact for as_uint.
+      u64 u = 0;
+      auto [pu, ecu] = std::from_chars(s_.data() + start, s_.data() + i_, u);
+      if (ecu == std::errc() && pu == s_.data() + i_) {
+        JsonValue out = JsonValue::integer(static_cast<i64>(u));
+        out.above_i64_ = true;
+        return out;
+      }
+      // Out of u64 range: fall through to double (magnitude preserved
       // approximately — the protocol layer range-checks anyway).
     }
     double d = 0.0;
@@ -249,6 +265,8 @@ class Parser {
   const JsonLimits& lim_;
   std::size_t i_ = 0;
 };
+
+namespace {
 
 void write_string(std::string& out, const std::string& s) {
   out.push_back('"');
@@ -278,7 +296,9 @@ void write_value(std::string& out, const JsonValue& v) {
   switch (v.kind()) {
     case JsonValue::Kind::Null: out += "null"; break;
     case JsonValue::Kind::Bool: out += v.as_bool() ? "true" : "false"; break;
-    case JsonValue::Kind::Int: out += std::to_string(v.as_int()); break;
+    case JsonValue::Kind::Int:
+      out += v.is_uint() ? std::to_string(v.as_uint()) : std::to_string(v.as_int());
+      break;
     case JsonValue::Kind::Double: {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.17g", v.as_double());
@@ -316,7 +336,7 @@ void write_value(std::string& out, const JsonValue& v) {
 }  // namespace
 
 JsonValue json_parse(const std::string& text, const JsonLimits& limits) {
-  return Parser(text, limits).run();
+  return JsonParser(text, limits).run();
 }
 
 std::string json_write(const JsonValue& v) {

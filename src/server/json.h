@@ -1,10 +1,9 @@
 // Small JSON value model + strict parser/writer for the server's
-// line-delimited request/response protocol (docs/DESIGN.md §10).
+// line-delimited request/response protocol (docs/DESIGN.md §10). The
+// golden-corpus reader (harness/golden.cpp) parses with it too.
 //
-// The golden corpus has its own purpose-built scanner (it accepts
-// exactly what it emits); the server cannot be that lucky — request
-// lines arrive from arbitrary clients and the fuzz suite feeds the
-// parser truncated, hostile and garbage input. json_parse() is a
+// Request lines arrive from arbitrary clients and the fuzz suite feeds
+// the parser truncated, hostile and garbage input. json_parse() is a
 // strict recursive-descent JSON parser with explicit resource bounds
 // (nesting depth, input size) that throws Error on anything malformed
 // and never reads out of bounds — every request is fully validated
@@ -20,6 +19,8 @@
 namespace rapwam {
 
 class JsonValue {
+  friend class JsonParser;
+
  public:
   enum class Kind { Null, Bool, Int, Double, String, Array, Object };
 
@@ -45,7 +46,12 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::Object; }
 
   bool as_bool() const { require(Kind::Bool); return b_; }
-  i64 as_int() const;      ///< Int, or a Double holding an exact integer
+  i64 as_int() const;      ///< Int within i64, or a Double holding an exact integer
+  /// A non-negative Int. The parser keeps integer literals up to
+  /// 2^64-1 exact (the golden corpus stores u64 counters), so this
+  /// reaches past as_int's range.
+  bool is_uint() const { return kind_ == Kind::Int && (above_i64_ || i_ >= 0); }
+  u64 as_uint() const;
   double as_double() const;
   const std::string& as_string() const { require(Kind::String); return s_; }
   const std::vector<JsonValue>& items() const { require(Kind::Array); return arr_; }
@@ -71,6 +77,7 @@ class JsonValue {
   Kind kind_;
   bool b_ = false;
   i64 i_ = 0;
+  bool above_i64_ = false;  ///< an Int above INT64_MAX; i_ holds its u64 bits
   double d_ = 0.0;
   std::string s_;
   std::vector<JsonValue> arr_;

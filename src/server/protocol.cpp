@@ -69,12 +69,6 @@ std::string check_bench(const std::string& name) {
   return name;
 }
 
-BenchScale scale_from(const std::string& s) {
-  if (s == "small") return BenchScale::Small;
-  if (s == "paper") return BenchScale::Paper;
-  fail("unknown scale \"" + s + "\" (expected small, paper)");
-}
-
 /// Is `key` meaningful for `op`? Unknown-for-this-op members are
 /// rejected rather than ignored: a typoed "protcol" silently running
 /// the default point is worse than an error.
@@ -138,7 +132,7 @@ Request parse_request(const std::string& line, const RequestLimits& lim) {
       r.trace_path = string_of(val, key);
       if (r.trace_path.empty()) fail("member \"trace\" must be a non-empty path");
     } else if (key == "scale") {
-      r.scale = scale_from(string_of(val, key));
+      r.scale = scale_from_name(string_of(val, key));
     } else if (key == "pes") {
       // Single source of truth for the bound: the simulator's own cap
       // (check_pes re-validates; the range here makes int_in produce

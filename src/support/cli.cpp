@@ -1,6 +1,9 @@
 #include "support/cli.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
+#include <exception>
 #include <limits>
 
 namespace rapwam {
@@ -31,13 +34,15 @@ Cli::Cli(int argc, const char* const* argv) {
     }
     a = a.substr(2);
     auto eq = a.find('=');
+    std::string name = a.substr(0, eq);
     if (eq != std::string::npos) {
-      flags_[a.substr(0, eq)] = a.substr(eq + 1);
+      flags_[name] = a.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags_[a] = argv[++i];
+      flags_[name] = argv[++i];
     } else {
-      flags_[a] = "1";
+      flags_[name] = "1";
     }
+    names_.push_back(std::move(name));
   }
 }
 
@@ -56,6 +61,29 @@ i64 Cli::get_int(const std::string& name, i64 dflt) const {
 u32 Cli::get_u32(const std::string& name, u32 dflt) const {
   auto it = flags_.find(name);
   return it == flags_.end() ? dflt : parse_u32(it->second, "--" + name);
+}
+
+std::string Cli::unknown_flag(const std::vector<std::string_view>& known) const {
+  for (const std::string& name : names_)
+    if (std::find(known.begin(), known.end(), name) == known.end()) return name;
+  return "";
+}
+
+int cli_main(int argc, const char* const* argv,
+             const std::vector<std::string_view>& known,
+             const std::function<int(const Cli&)>& body) {
+  Cli cli(argc, argv);
+  std::string unknown = cli.unknown_flag(known);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+    return 2;
+  }
+  try {
+    return body(cli);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace rapwam

@@ -1,8 +1,13 @@
-// Minimal command-line flag parser for the examples and bench binaries.
-// Supports `--name value`, `--name=value` and `--flag` (boolean).
+// Minimal command-line flag parser for the examples, bench binaries
+// and rapwam_trace. Supports `--name value`, `--name=value` and
+// `--flag` (boolean). Each binary names the flags it accepts, and any
+// other flag is an error: a misspelt flag silently running the default
+// is worse than refusing it.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,9 +36,22 @@ class Cli {
   /// Non-flag positional arguments in order.
   const std::vector<std::string>& positional() const { return pos_; }
 
+  /// The first flag on the command line that is not in `known`, or ""
+  /// when every flag given is known.
+  std::string unknown_flag(const std::vector<std::string_view>& known) const;
+
  private:
   std::unordered_map<std::string, std::string> flags_;
+  std::vector<std::string> names_;  ///< flag names in command-line order
   std::vector<std::string> pos_;
 };
+
+/// Runs a binary's main body over its parsed command line. A flag
+/// outside `known` prints "error: unknown flag --NAME" and returns 2
+/// before `body` runs; an exception from `body` prints "error: <what>"
+/// and returns 1. Otherwise returns what `body` returns.
+int cli_main(int argc, const char* const* argv,
+             const std::vector<std::string_view>& known,
+             const std::function<int(const Cli&)>& body);
 
 }  // namespace rapwam

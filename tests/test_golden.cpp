@@ -105,5 +105,16 @@ TEST(GoldenFormat, ParserRejectsMalformedCorpus) {
                Error);
 }
 
+TEST(GoldenFormat, ParserRejectsNegativeAndFractionalFields) {
+  EXPECT_EQ(golden_from_json("{\"entries\": {\"k\": {\"a\": 0}}}")
+                .at(0)
+                .fields.at(0)
+                .second,
+            0u);
+  EXPECT_THROW(golden_from_json("{\"entries\": {\"k\": {\"a\": -1}}}"), Error);
+  EXPECT_THROW(golden_from_json("{\"entries\": {\"k\": {\"a\": 1.5}}}"), Error);
+  EXPECT_THROW(golden_from_json("{\"entries\": {\"k\": {\"a\": \"7\"}}}"), Error);
+}
+
 }  // namespace
 }  // namespace rapwam

@@ -18,6 +18,21 @@ std::string binding(const RunResult& r, const std::string& var) {
   return "<unbound?>";
 }
 
+TEST(Programs, ScaleNamesAreExact) {
+  EXPECT_EQ(scale_from_name("small"), BenchScale::Small);
+  EXPECT_EQ(scale_from_name("paper"), BenchScale::Paper);
+  // Neither a misspelling nor another case falls back to a default.
+  for (const char* bad : {"smal", "Paper", "PAPER", "", "small "}) {
+    try {
+      scale_from_name(bad);
+      ADD_FAILURE() << "accepted scale '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown scale"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Generators, Deterministic) {
   EXPECT_EQ(gen_int_list(10, 7), gen_int_list(10, 7));
   EXPECT_NE(gen_int_list(10, 7), gen_int_list(10, 8));

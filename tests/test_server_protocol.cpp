@@ -34,6 +34,19 @@ TEST(JsonParse, Values) {
   EXPECT_TRUE(json_parse("  {\"x\": 0}  ").is_object());  // outer whitespace ok
 }
 
+TEST(JsonParse, IntegersUpToTwoToTheSixtyFourStayExact) {
+  JsonValue max = json_parse("18446744073709551615");
+  ASSERT_TRUE(max.is_uint());
+  EXPECT_EQ(max.as_uint(), ~u64(0));
+  EXPECT_THROW(max.as_int(), Error);  // outside i64
+  EXPECT_EQ(json_write(max), "18446744073709551615");
+  EXPECT_EQ(json_parse("7").as_uint(), 7u);
+  EXPECT_FALSE(json_parse("-7").is_uint());
+  EXPECT_THROW(json_parse("-7").as_uint(), Error);
+  EXPECT_FALSE(json_parse("7.0").is_uint());
+  EXPECT_FALSE(json_parse("18446744073709551616").is_int());  // past u64: a double
+}
+
 TEST(JsonParse, SurrogatePairs) {
   // U+1F600 as \uD83D\uDE00 -> 4-byte UTF-8.
   EXPECT_EQ(json_parse("\"\\uD83D\\uDE00\"").as_string(), "\xF0\x9F\x98\x80");

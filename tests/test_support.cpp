@@ -107,6 +107,38 @@ TEST(Cli, UnsignedFlagsRejectNegativesAndOverflow) {
   EXPECT_EQ(cli.get_u32("absent", 7), 7u);
 }
 
+TEST(Cli, UnknownFlagIsTheFirstOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "--scale", "small", "pos", "--csv",
+                        "--bogus", "1",     "--oops=2"};
+  Cli cli(8, argv);
+  EXPECT_EQ(cli.unknown_flag({"scale", "csv"}), "bogus");  // command-line order
+  EXPECT_EQ(cli.unknown_flag({"scale", "csv", "bogus"}), "oops");  // --name=value
+  EXPECT_EQ(cli.unknown_flag({"oops", "bogus", "csv", "scale"}), "");
+  EXPECT_EQ(cli.unknown_flag({}), "scale");
+  const char* bare[] = {"prog", "pos"};
+  EXPECT_EQ(Cli(2, bare).unknown_flag({}), "");  // positionals are not flags
+}
+
+TEST(Cli, MainRejectsUnknownFlagsBeforeRunningAndReportsErrors) {
+  bool ran = false;
+  auto body = [&](const Cli& cli) {
+    ran = true;
+    return static_cast<int>(cli.get_u32("pes", 8));
+  };
+  const char* typo[] = {"prog", "--pse", "4"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli_main(3, typo, {"pes"}, body), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "error: unknown flag --pse\n");
+  EXPECT_FALSE(ran);
+  const char* ok[] = {"prog", "--pes", "4"};
+  EXPECT_EQ(cli_main(3, ok, {"pes"}, body), 4);
+  EXPECT_TRUE(ran);
+  const char* bad[] = {"prog", "--pes", "abc"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli_main(3, bad, {"pes"}, body), 1);  // an Error, not an abort
+  EXPECT_EQ(testing::internal::GetCapturedStderr().rfind("error: --pes:", 0), 0u);
+}
+
 TEST(Cli, ListEntriesParseLikeFlags) {
   // rapwam_trace sweep checks each --sizes entry with the same parser.
   EXPECT_EQ(parse_u32("1024", "--sizes"), 1024u);

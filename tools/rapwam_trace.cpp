@@ -6,7 +6,7 @@
 //   rapwam_trace run    --bench qsort --pes 4 [--scale paper] [--wam]
 //                       [--solutions N] [--max-heap-mb MB] [--max-steps N]
 //                       [--timeout-ms MS]
-//   rapwam_trace stats  qsort4.trc [--pes 4]
+//   rapwam_trace stats  qsort4.trc
 //   rapwam_trace replay qsort4.trc --protocol broadcast --size 1024 [--pes 4]
 //                       [--l2 4096] [--l2-ways 8] [--l2-noninclusive]
 //                       [--checkpoint PATH [--checkpoint-every N] [--resume]]
@@ -49,11 +49,16 @@
 // budget), --timeout-ms deadline-kills the generation mid-run, and
 // --enable-faults --fault '{"gen_...": N}' drives the engine-side
 // fault sites. Traces are the 8-byte packed records of src/trace/memref.h.
+//
+// Each command accepts exactly the flags listed above; any other flag
+// prints "error: unknown flag --NAME" and exits 2.
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cache/hierarchy.h"
 #include "cache/queueing.h"
@@ -210,10 +215,9 @@ EngineFaults engine_faults_from_cli(const Cli& cli) {
 
 int cmd_record(const Cli& cli) {
   std::string bench = cli.get("bench", "qsort");
-  unsigned pes = check_pes(cli.get_u32("pes", 4));
+  unsigned pes = check_machine_pes(cli.get_u32("pes", 4));
   std::string out = cli.get("out", bench + ".trc");
-  BenchScale scale = cli.get("scale", "small") == "paper" ? BenchScale::Paper
-                                                          : BenchScale::Small;
+  BenchScale scale = scale_from_name(cli.get("scale", "small"));
   std::optional<CancelToken> deadline = timeout_from_cli(cli);
   // Chunks stream straight from the emulator to the file: recording a
   // multi-million-reference trace needs O(chunk) memory.
@@ -231,9 +235,8 @@ int cmd_record(const Cli& cli) {
 /// front end (budgets, timeout, engine faults) plus a RunStats summary.
 int cmd_run(const Cli& cli) {
   std::string bench = cli.get("bench", "qsort");
-  unsigned pes = check_pes(cli.get_u32("pes", 1));
-  BenchScale scale = cli.get("scale", "small") == "paper" ? BenchScale::Paper
-                                                          : BenchScale::Small;
+  unsigned pes = check_machine_pes(cli.get_u32("pes", 1));
+  BenchScale scale = scale_from_name(cli.get("scale", "small"));
   unsigned sols = cli.get_u32("solutions", 1);
   std::optional<CancelToken> deadline = timeout_from_cli(cli);
   RunResult res = run_into(bench_program(bench, scale), pes,
@@ -568,6 +571,42 @@ int cmd_dump(const Cli& cli) {
   return 0;
 }
 
+using Flags = std::vector<std::string_view>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// Flag sets shared by several commands (the helpers above read them).
+const Flags kCacheFlags = {"protocol", "size",    "line",           "ways",  "no-allocate",
+                           "l2",       "l2-ways", "l2-noninclusive", "l2-hit"};
+const Flags kFaultFlags = {"fault", "enable-faults"};
+const Flags kCheckpointFlags = Flags{"checkpoint", "checkpoint-every", "resume"} + kFaultFlags;
+const Flags kEngineFlags = Flags{"max-heap-mb", "max-steps", "timeout-ms"} + kFaultFlags;
+
+struct Command {
+  const char* name;
+  int (*run)(const Cli&);
+  bool takes_trace;  ///< the second positional argument is a trace file
+  Flags flags;
+};
+
+const Command kCommands[] = {
+    {"record", cmd_record, false, Flags{"bench", "pes", "out", "scale"} + kEngineFlags},
+    {"run", cmd_run, false, Flags{"bench", "pes", "scale", "solutions", "wam"} + kEngineFlags},
+    {"stats", cmd_stats, true, {}},
+    {"replay", cmd_replay, true, Flags{"pes"} + kCacheFlags + kCheckpointFlags},
+    {"time", cmd_time, true,
+     Flags{"pes", "cpr", "service", "interleave", "wbuf", "mem-extra"} + kCacheFlags +
+         kCheckpointFlags},
+    {"sweep", cmd_sweep, true, {"line", "protocols", "sizes", "pes", "threads", "journal"}},
+    {"dump", cmd_dump, true, {"head"}},
+    {"golden", cmd_golden, false, {"update", "dir", "bench"}},
+    {"serve", cmd_serve, false, {"socket", "workers", "queue", "deadline", "enable-faults"}},
+    {"request", cmd_request, false, {"socket", "timeout", "attempts", "seed"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -579,26 +618,25 @@ int main(int argc, char** argv) {
           "serve|request ... (see source header)");
       return 2;
     }
-    const std::string& cmd = cli.positional()[0];
-    if ((cmd == "stats" || cmd == "replay" || cmd == "time" || cmd == "sweep" ||
-         cmd == "dump") &&
-        cli.positional().size() < 2) {
-      std::fprintf(stderr, "usage: rapwam_trace %s TRACE ... (see source header)\n",
-                   cmd.c_str());
+    const std::string& name = cli.positional()[0];
+    const Command* cmd = nullptr;
+    for (const Command& c : kCommands)
+      if (name == c.name) cmd = &c;
+    if (!cmd) {
+      std::fprintf(stderr, "unknown command: %s\n", name.c_str());
       return 2;
     }
-    if (cmd == "record") return cmd_record(cli);
-    if (cmd == "run") return cmd_run(cli);
-    if (cmd == "stats") return cmd_stats(cli);
-    if (cmd == "replay") return cmd_replay(cli);
-    if (cmd == "time") return cmd_time(cli);
-    if (cmd == "sweep") return cmd_sweep(cli);
-    if (cmd == "dump") return cmd_dump(cli);
-    if (cmd == "golden") return cmd_golden(cli);
-    if (cmd == "serve") return cmd_serve(cli);
-    if (cmd == "request") return cmd_request(cli);
-    std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
-    return 2;
+    std::string unknown = cli.unknown_flag(cmd->flags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+      return 2;
+    }
+    if (cmd->takes_trace && cli.positional().size() < 2) {
+      std::fprintf(stderr, "usage: rapwam_trace %s TRACE ... (see source header)\n",
+                   name.c_str());
+      return 2;
+    }
+    return cmd->run(cli);
   } catch (const ResourceExhaustedError& e) {
     // Structured budget trip: name the budget so scripts can branch on
     // it without parsing the prose.
