@@ -28,5 +28,5 @@ int run(const rapwam::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return rapwam::cli_main(argc, argv, {"scale", "csv"}, run);
+  return rapwam::cli_main(argc, argv, {"scale", rapwam::Flag::boolean("csv")}, run);
 }

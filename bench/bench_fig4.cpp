@@ -44,5 +44,6 @@ int run(const rapwam::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return rapwam::cli_main(argc, argv, {"scale", "threads", "l2", "csv"}, run);
+  return rapwam::cli_main(argc, argv, {"scale", "threads", rapwam::Flag::boolean("l2"),
+                                        rapwam::Flag::boolean("csv")}, run);
 }

@@ -85,5 +85,5 @@ int run(const Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cli_main(argc, argv, {"scale", "no-report"}, run);
+  return cli_main(argc, argv, {"scale", Flag::boolean("no-report")}, run);
 }

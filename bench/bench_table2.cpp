@@ -31,5 +31,5 @@ int run(const rapwam::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return rapwam::cli_main(argc, argv, {"scale", "pes", "csv"}, run);
+  return rapwam::cli_main(argc, argv, {"scale", "pes", rapwam::Flag::boolean("csv")}, run);
 }

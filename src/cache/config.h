@@ -5,6 +5,7 @@
 #include <string>
 
 #include "support/common.h"
+#include "trace/memref.h"
 
 namespace rapwam {
 
@@ -24,21 +25,17 @@ std::string protocol_name(Protocol p);
 /// unknown name, listing the accepted spellings.
 Protocol protocol_from_name(const std::string& s);
 
-/// Hard cap on the simulator's PE count. Below 65 PEs the sharing
-/// directory uses flat u64 masks (the zero-cost fast path); above, the
-/// multi-word PeSet representation (cache/peset.h, docs/DESIGN.md §11)
-/// carries it to this limit. Note the trace *format* caps lower — a
-/// packed MemRef has 8 PE-id bits (trace/memref.h, kMaxTracePes) — so
-/// only traces of up to kMaxTracePes PEs can drive a simulator this
-/// large.
-inline constexpr unsigned kMaxPes = 1024;
+/// Hard cap on the simulator's PE count: the PE ids a packed MemRef can
+/// name (trace/memref.h), since a PE no trace can drive only ever holds
+/// an empty cache. Below 65 PEs the sharing directory uses flat u64
+/// masks (the zero-cost fast path); above, the multi-word PeSet
+/// representation (cache/peset.h, docs/DESIGN.md §11).
+inline constexpr unsigned kMaxPes = kMaxTracePes;
 
-/// Validates a PE count against the simulator's directory limit
-/// (1..kMaxPes). Returns `pes` so call sites can validate inline.
-unsigned check_pes(unsigned pes);
-/// check_pes, and also that `pes` covers a loaded trace's PE span
-/// (ChunkedTrace::num_pes(), `trace_pes`): every reference's PE needs
-/// a cache. The CLI and the server check this before any replay.
+/// Validates a PE count against the simulator's limit (1..kMaxPes) and
+/// a loaded trace's PE span (ChunkedTrace::num_pes(), `trace_pes`):
+/// every reference's PE needs a cache. The CLI and the server check
+/// this before any replay. Returns `pes`.
 unsigned check_pes(unsigned pes, unsigned trace_pes);
 
 /// Optional shared second-level cache between the snooping bus and
@@ -102,6 +99,8 @@ struct CacheConfig {
   /// Any other `ways` would leave slots unused and quietly simulate a
   /// smaller cache than the size reports.
   void check_geometry() const;
+
+  friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
 };
 
 /// The paper's Figure-4 policy: no-write-allocate for small caches,

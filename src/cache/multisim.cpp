@@ -30,15 +30,11 @@ std::string inclusion_name(L2Config::Inclusion inc) {
   return inc == L2Config::Inclusion::Inclusive ? "inclusive" : "non-inclusive";
 }
 
-unsigned check_pes(unsigned pes) {
+unsigned check_pes(unsigned pes, unsigned trace_pes) {
   if (pes < 1 || pes > kMaxPes)
     fail("PE count must be 1.." + std::to_string(kMaxPes) +
-         " (the sharing directory's per-PE masks are sized for kMaxPes)");
-  return pes;
-}
-
-unsigned check_pes(unsigned pes, unsigned trace_pes) {
-  if (check_pes(pes) < trace_pes)
+         " (the PE ids a trace can name)");
+  if (pes < trace_pes)
     fail("PE count " + std::to_string(pes) + " is below the trace's " +
          std::to_string(trace_pes) + " PEs (its references name PE ids up to " +
          std::to_string(trace_pes - 1) + ")");

@@ -14,37 +14,38 @@ JsonValue JsonValue::unsigned_int(u64 u) {
 }
 
 void JsonValue::require(Kind k) const {
-  if (kind_ != k) fail("json: value has wrong type");
+  if (kind() != k) fail("json: value has wrong type");
 }
 
 i64 JsonValue::as_int() const {
-  if (kind_ == Kind::Int) {
+  if (is_int()) {
     if (above_i64_) fail("json: integer out of range");
-    return i_;
+    return std::get<i64>(v_);
   }
-  if (kind_ == Kind::Double) {
-    if (std::nearbyint(d_) != d_ || d_ < -9.2e18 || d_ > 9.2e18)
+  if (kind() == Kind::Double) {
+    double d = std::get<double>(v_);
+    if (std::nearbyint(d) != d || d < -9.2e18 || d > 9.2e18)
       fail("json: number is not an integer");
-    return static_cast<i64>(d_);
+    return static_cast<i64>(d);
   }
   fail("json: value is not a number");
 }
 
 u64 JsonValue::as_uint() const {
   if (!is_uint()) fail("json: value is not a non-negative integer");
-  return static_cast<u64>(i_);
+  return static_cast<u64>(std::get<i64>(v_));
 }
 
 double JsonValue::as_double() const {
-  if (kind_ == Kind::Int)
-    return above_i64_ ? static_cast<double>(as_uint()) : static_cast<double>(i_);
-  if (kind_ == Kind::Double) return d_;
+  if (is_int())
+    return above_i64_ ? static_cast<double>(as_uint())
+                      : static_cast<double>(std::get<i64>(v_));
+  if (kind() == Kind::Double) return std::get<double>(v_);
   fail("json: value is not a number");
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
-  require(Kind::Object);
-  for (const auto& [k, v] : obj_)
+  for (const auto& [k, v] : members())
     if (k == key) return &v;
   return nullptr;
 }

@@ -12,7 +12,8 @@
 // parse_request() validates EVERYTHING — JSON shape, op, member
 // applicability, types, ranges — before any server state is touched;
 // a hostile line can only ever produce a structured bad_request
-// error. The fuzz suite (tests/test_server_protocol.cpp) pins that
+// error. Experiment members are read through the field table of
+// harness/experiment.h, as rapwam_trace reads its flags. The fuzz suite (tests/test_server_protocol.cpp) pins that
 // the parser either yields a valid Request or throws Error, on any
 // input.
 #pragma once
@@ -21,17 +22,11 @@
 #include <string>
 #include <vector>
 
-#include "cache/config.h"
-#include "harness/programs.h"
+#include "harness/experiment.h"
 #include "server/faults.h"
 #include "server/json.h"
-#include "timing/timed_replay.h"
 
 namespace rapwam {
-
-enum class ReqOp { Ping, Stats, Replay, Time, Sweep, Golden, Shutdown };
-
-std::string op_name(ReqOp op);
 
 /// Machine-readable failure taxonomy; the retrying client keys its
 /// behaviour off these (retry overloaded, give up on bad_request).
@@ -48,42 +43,22 @@ enum class ErrCode {
 
 std::string err_code_name(ErrCode c);
 
-/// Bounds a request may not exceed — the "oversized sweep" guardrails.
-/// Violations are bad_request at parse time, before admission.
-struct RequestLimits {
-  u32 max_size_words = u32(1) << 22;  ///< 4M words per cache
-  u32 max_sweep_points = 512;
-  u32 max_solutions = 64;
-  i64 max_deadline_ms = 3'600'000;
-};
-
-/// A fully validated request. Workload members default to the paper's
-/// standard measurement point.
-struct Request {
+/// A fully validated request: an op, its envelope members and, for
+/// replay/time/sweep/golden, the experiment it runs (harness/experiment.h).
+struct Request : Experiment {
   ReqOp op = ReqOp::Ping;
   JsonValue id;  ///< echoed verbatim in the response; Null if absent
   u32 deadline_ms = 0;  ///< 0 = server default
   std::optional<FaultPlan> fault;
-
-  // -- workload (replay / time / sweep / golden)
-  std::string bench;       ///< generated workload (TraceLibrary key)
-  std::string trace_path;  ///< or a recorded trace file; mutually exclusive
-  BenchScale scale = BenchScale::Small;
-  unsigned pes = 4;
-  bool explicit_pes = false;  ///< false + trace file => PEs from metadata
-  CacheConfig cfg;            ///< replay/time point
-  unsigned max_solutions = 1;
-  TimingParams timing;  ///< time only
-
-  // -- sweep grid: protocols × sizes
-  std::vector<Protocol> sweep_protocols;
-  std::vector<u32> sweep_sizes;
 };
+
+/// The longest per-request deadline a client may ask for.
+inline constexpr i64 kMaxDeadlineMs = 3'600'000;
 
 /// Parses and validates one request line. Throws Error (the message
 /// becomes the bad_request response) on anything out of shape; never
 /// mutates any state.
-Request parse_request(const std::string& line, const RequestLimits& limits = {});
+Request parse_request(const std::string& line);
 
 // -- response building (always single-line, newline appended by the
 //    connection writer, not here)

@@ -58,7 +58,7 @@ std::string Service::handle_line(const std::string& line, bool* saw_shutdown) {
   }
   Request req;
   try {
-    req = parse_request(line, cfg_.limits);
+    req = parse_request(line);
     if (req.fault && !cfg_.enable_faults)
       fail("fault injection is disabled (start the server with "
            "--enable-faults)");
@@ -188,29 +188,6 @@ std::string Service::execute(const Request& req) {
   }
 }
 
-std::shared_ptr<const ChunkedTrace> Service::acquire_trace(
-    const Request& req, const CancelToken& cancel, unsigned& pes_out) {
-  if (!req.trace_path.empty()) {
-    // Validated load: corrupt or truncated files throw Error before
-    // any record reaches a simulator (trace/chunks.h).
-    std::shared_ptr<const ChunkedTrace> t =
-        load_chunked_trace(req.trace_path, /*busy_only=*/false);
-    pes_out = check_pes(req.explicit_pes ? req.pes : t->num_pes(), t->num_pes());
-    return t;
-  }
-  pes_out = req.pes;
-  // Shared memoized library: concurrent requests for the same
-  // (bench, pes) wait on one generation; a failed/cancelled generation
-  // is evicted, never cached (harness/trace_lib.h). The request's
-  // engine-side fault slice (gen_*) rides into the generation run so
-  // slow/failing generations are provokable deterministically.
-  EngineFaults ef = req.fault ? req.fault->engine_faults() : EngineFaults{};
-  std::shared_ptr<const GeneratedTrace> g =
-      TraceLibrary::instance().get(req.bench, req.scale, req.pes, /*wam=*/false,
-                                   req.max_solutions, &cancel, ef);
-  return g->trace;
-}
-
 void Service::store_checkpoint(u64 key, std::string frame) {
   std::scoped_lock lk(mu_);
   if (saved_.size() >= kMaxSavedCheckpoints && !saved_.count(key)) {
@@ -236,8 +213,10 @@ JsonValue Service::run_replay(const Request& req, const CancelToken& cancel,
                               FaultInjector* faults) {
   const bool timed = req.op == ReqOp::Time;
   if (faults) faults->on_alloc();  // alloc site 1: trace acquisition
-  unsigned pes = 0;
-  std::shared_ptr<const ChunkedTrace> trace = acquire_trace(req, cancel, pes);
+  // The request's engine-side fault slice (gen_*) rides into a bench
+  // trace's generation, so slow or failing generations are provokable.
+  auto [trace, pes] = resolve_source(
+      req, &cancel, req.fault ? req.fault->engine_faults() : EngineFaults{});
   if (faults) faults->on_alloc();  // alloc site 2: simulator arena
   ReplayJob job(*trace, req.cfg, pes, timed ? &req.timing : nullptr);
   const u64 key = job.config_hash();
@@ -288,22 +267,10 @@ JsonValue Service::run_replay(const Request& req, const CancelToken& cancel,
 JsonValue Service::run_sweep_op(const Request& req, const CancelToken& cancel,
                                 FaultInjector* faults) {
   if (faults) faults->on_alloc();
-  unsigned pes = 0;
-  std::shared_ptr<const ChunkedTrace> trace = acquire_trace(req, cancel, pes);
+  auto [trace, pes] = resolve_source(
+      req, &cancel, req.fault ? req.fault->engine_faults() : EngineFaults{});
   if (faults) faults->on_alloc();
-
-  std::vector<SweepPoint> points;
-  points.reserve(req.sweep_protocols.size() * req.sweep_sizes.size());
-  for (Protocol p : req.sweep_protocols) {
-    for (u32 size : req.sweep_sizes) {
-      SweepPoint pt;
-      pt.cfg = paper_cache_config(p, size);
-      pt.cfg.line_words = req.cfg.line_words;
-      pt.num_pes = pes;
-      pt.chunks = trace.get();
-      points.push_back(pt);
-    }
-  }
+  std::vector<SweepPoint> points = sweep_points(req, trace.get(), pes);
   // The points run on the request's own worker, serially: a sweep
   // request occupies exactly one pool slot, so a burst of sweeps
   // degrades into queueing/shedding instead of a pool-wide pile-up.

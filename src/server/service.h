@@ -35,7 +35,6 @@ struct ServiceConfig {
   std::size_t queue_limit = 16;    ///< admitted-but-not-running cap
   u32 default_deadline_ms = 0;     ///< 0 = no implicit deadline
   bool enable_faults = false;      ///< honor "fault" members (tests)
-  RequestLimits limits;
 };
 
 /// Monotonic counters, readable while the service runs (the `stats`
@@ -95,12 +94,6 @@ class Service {
                          FaultInjector* faults);
   JsonValue run_golden(const Request& req, const CancelToken& cancel);
   JsonValue run_stats();
-
-  /// The trace a replay/time request works on: memoized generation
-  /// (bench) or a validated file load (trace path).
-  std::shared_ptr<const ChunkedTrace> acquire_trace(const Request& req,
-                                                    const CancelToken& cancel,
-                                                    unsigned& pes_out);
 
   /// Bounded in-memory store of checkpoints from cancelled requests,
   /// keyed by the run's config hash (same config + trace = same key,

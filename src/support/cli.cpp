@@ -25,7 +25,15 @@ u32 parse_u32(const std::string& text, const std::string& what) {
   return static_cast<u32>(v);
 }
 
-Cli::Cli(int argc, const char* const* argv) {
+std::string flag_usage(const std::vector<Flag>& flags) {
+  std::string out;
+  for (const Flag& f : flags)
+    out += " [--" + f.name + (f.takes_value() ? std::string(" ") + f.value : "") + "]";
+  return out;
+}
+
+Cli::Cli(int argc, const char* const* argv, const std::vector<Flag>& flags)
+    : known_(flags) {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) != 0) {
@@ -35,13 +43,20 @@ Cli::Cli(int argc, const char* const* argv) {
     a = a.substr(2);
     auto eq = a.find('=');
     std::string name = a.substr(0, eq);
+    auto spec = std::find_if(flags.begin(), flags.end(),
+                             [&](const Flag& f) { return f.name == name; });
+    const bool known = spec != flags.end(), boolean = known && !spec->takes_value();
+    std::string problem;
     if (eq != std::string::npos) {
+      if (boolean) problem = "--" + name + " takes no value";
       flags_[name] = a.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (!boolean && i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[name] = argv[++i];
     } else {
-      flags_[name] = "1";
+      if (known && !boolean) problem = "--" + name + " needs a value";
+      flags_[name] = "";
     }
+    if (value_error_.empty()) value_error_ = problem;
     names_.push_back(std::move(name));
   }
 }
@@ -63,19 +78,25 @@ u32 Cli::get_u32(const std::string& name, u32 dflt) const {
   return it == flags_.end() ? dflt : parse_u32(it->second, "--" + name);
 }
 
-std::string Cli::unknown_flag(const std::vector<std::string_view>& known) const {
+std::string Cli::unknown_flag(const std::vector<Flag>& known) const {
   for (const std::string& name : names_)
-    if (std::find(known.begin(), known.end(), name) == known.end()) return name;
+    if (std::none_of(known.begin(), known.end(),
+                     [&](const Flag& f) { return f.name == name; }))
+      return name;
   return "";
 }
 
-int cli_main(int argc, const char* const* argv,
-             const std::vector<std::string_view>& known,
+std::string Cli::usage_error() const {
+  std::string unknown = unknown_flag(known_);
+  return unknown.empty() ? value_error_ : "unknown flag --" + unknown;
+}
+
+int cli_main(int argc, const char* const* argv, const std::vector<Flag>& known,
              const std::function<int(const Cli&)>& body) {
-  Cli cli(argc, argv);
-  std::string unknown = cli.unknown_flag(known);
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+  Cli cli(argc, argv, known);
+  std::string usage = cli.usage_error();
+  if (!usage.empty()) {
+    std::fprintf(stderr, "error: %s\n", usage.c_str());
     return 2;
   }
   try {

@@ -71,6 +71,8 @@ struct TimingParams {
   double effective_service() const {
     return interleave ? static_cast<double>(bus_service_cycles) / interleave : 0.0;
   }
+
+  friend bool operator==(const TimingParams&, const TimingParams&) = default;
 };
 
 struct PeTiming {

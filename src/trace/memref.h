@@ -20,9 +20,8 @@ namespace rapwam {
 
 /// Trace-format PE cap: a packed MemRef carries the PE id in 8 bits
 /// (bits 40..47), so traces — and everything that records or replays
-/// them, including the emulator's machine layout — top out at 256 PEs.
-/// The cache simulator itself scales past this (cache/config.h,
-/// kMaxPes) but can only be *driven* up to kMaxTracePes by a trace.
+/// them, including the emulator's machine layout and the cache
+/// simulator (cache/config.h, kMaxPes) — top out at 256 PEs.
 inline constexpr unsigned kMaxTracePes = 256;
 
 struct MemRef {

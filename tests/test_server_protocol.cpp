@@ -166,10 +166,14 @@ TEST(ParseRequest, SweepDefaultsAndCaps) {
   EXPECT_EQ(r.sweep_protocols.size(), 5u);  // all five paper protocols
   EXPECT_EQ(r.sweep_sizes.size(), 4u);
 
-  RequestLimits lim;
-  lim.max_sweep_points = 4;
-  EXPECT_THROW(
-      parse_request(R"({"op":"sweep","sizes":[16,32,48,64,80]})", lim), Error);
+  // The point cap: one protocol × 512 sizes fits, × 513 does not.
+  auto sweep_of = [](int points) {
+    std::string sizes;
+    for (int i = 0; i < points; ++i) sizes += (i ? ",256" : "256");
+    return R"({"op":"sweep","protocols":["wt"],"sizes":[)" + sizes + "]}";
+  };
+  EXPECT_EQ(parse_request(sweep_of(512)).sweep_sizes.size(), 512u);
+  EXPECT_THROW(parse_request(sweep_of(513)), Error);
 }
 
 TEST(ParseRequest, RejectsInvalid) {

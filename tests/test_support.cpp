@@ -139,6 +139,25 @@ TEST(Cli, MainRejectsUnknownFlagsBeforeRunningAndReportsErrors) {
   EXPECT_EQ(testing::internal::GetCapturedStderr().rfind("error: --pes:", 0), 0u);
 }
 
+TEST(Cli, BooleanFlagNeverTakesTheNextArgument) {
+  const std::vector<Flag> flags = {Flag::boolean("no-allocate"), "size"};
+  const char* argv[] = {"prog", "replay", "--no-allocate", "q.trc", "--size", "512"};
+  Cli cli(6, argv, flags);
+  EXPECT_EQ(cli.usage_error(), "");
+  EXPECT_TRUE(cli.has("no-allocate"));
+  EXPECT_EQ(cli.positional(), (std::vector<std::string>{"replay", "q.trc"}));
+  EXPECT_EQ(cli.get_u32("size", 0), 512u);
+
+  const char* with_value[] = {"prog", "--no-allocate=1"};
+  EXPECT_EQ(Cli(2, with_value, flags).usage_error(), "--no-allocate takes no value");
+  const char* last[] = {"prog", "q.trc", "--size"};
+  EXPECT_EQ(Cli(3, last, flags).usage_error(), "--size needs a value");
+  const char* before_flag[] = {"prog", "--size", "--no-allocate"};
+  EXPECT_EQ(Cli(3, before_flag, flags).usage_error(), "--size needs a value");
+  const char* unknown[] = {"prog", "--size", "4", "--bogus"};
+  EXPECT_EQ(Cli(4, unknown, flags).usage_error(), "unknown flag --bogus");
+}
+
 TEST(Cli, ListEntriesParseLikeFlags) {
   // rapwam_trace sweep checks each --sizes entry with the same parser.
   EXPECT_EQ(parse_u32("1024", "--sizes"), 1024u);

@@ -7,21 +7,34 @@
 //                       [--solutions N] [--max-heap-mb MB] [--max-steps N]
 //                       [--timeout-ms MS]
 //   rapwam_trace stats  qsort4.trc
-//   rapwam_trace replay qsort4.trc --protocol broadcast --size 1024 [--pes 4]
-//                       [--l2 4096] [--l2-ways 8] [--l2-noninclusive]
+//   rapwam_trace replay TRACE|--bench NAME [--scale small] [--pes 4]
+//                       [--protocol broadcast] [--size 1024] [--line 4] [--ways 0]
+//                       [--no-allocate] [--l2 4096] [--l2-ways 8]
+//                       [--l2-noninclusive] [--l2-hit 2] [--max-solutions 1]
 //                       [--checkpoint PATH [--checkpoint-every N] [--resume]]
-//   rapwam_trace time   qsort4.trc [--service 1] [--interleave 2] [--wbuf 4]
-//                       [--cpr 1] [--protocol broadcast] [--size 1024] [--pes 4]
-//                       [--l2 4096] [--l2-hit 2] [--mem-extra 10]
-//                       [--checkpoint PATH [--checkpoint-every N] [--resume]]
-//   rapwam_trace sweep  qsort4.trc [--protocols wt,broadcast,...] [--sizes 512,1024]
-//                       [--pes 4] [--threads 4] [--journal PATH]
+//   rapwam_trace time   TRACE|--bench NAME [the replay flags] [--service 1]
+//                       [--interleave 1] [--wbuf 0] [--cpr 1] [--mem-extra 0]
+//   rapwam_trace sweep  TRACE|--bench NAME [--scale small] [--pes 4] [--line 4]
+//                       [--protocols write-thru,broadcast,update,hybrid,copyback]
+//                       [--sizes 256,512,1024,2048] [--threads 4] [--journal PATH]
 //   rapwam_trace dump   qsort4.trc [--head 20]
 //   rapwam_trace golden [--update] [--dir PATH] [--bench NAME]
 //   rapwam_trace serve  --socket unix:/tmp/rapwam.sock [--workers 4]
 //                       [--queue 16] [--deadline MS] [--enable-faults]
 //   rapwam_trace request '<json-request>' --socket unix:/tmp/rapwam.sock
 //                       [--timeout MS] [--attempts N] [--seed S]
+//
+// `replay`, `time` and `sweep` read one experiment (harness/experiment.h,
+// the same field table the server's requests go through): TRACE is a
+// recorded trace file, loaded with every record it holds, or --bench
+// names a program whose trace is generated at --pes PEs. The defaults
+// are the same as the server's: bench qsort at 4 PEs and Small scale,
+// or a trace file's own PE count; a 1024-word broadcast (write-in)
+// cache with 4-word lines and the paper's write-allocate rule; a bus
+// of 1 cycle per word, 1-way interleave, no write buffers, 1 cycle
+// per reference and no extra memory latency; and a sweep over all
+// five protocols × 256, 512, 1024 and 2048 words. Without TRACE or
+// --bench they print their usage line and exit 2.
 //
 // `time` replays through the event-driven timed engine (per-PE clocks,
 // shared bus, write buffers — docs/DESIGN.md §7) and prints measured
@@ -51,7 +64,8 @@
 // fault sites. Traces are the 8-byte packed records of src/trace/memref.h.
 //
 // Each command accepts exactly the flags listed above; any other flag
-// prints "error: unknown flag --NAME" and exits 2.
+// prints "error: unknown flag --NAME" and exits 2, as does a value flag
+// with no value. A boolean flag never takes the next argument.
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -65,6 +79,7 @@
 #include "cache/sweep.h"
 #include "checkpoint/journal.h"
 #include "checkpoint/replay_job.h"
+#include "harness/experiment.h"
 #include "harness/golden.h"
 #include "harness/runner.h"
 #include "server/client.h"
@@ -79,28 +94,6 @@
 using namespace rapwam;
 
 namespace {
-
-/// Cache geometry/protocol flags shared by `replay` and `time`.
-CacheConfig config_from_cli(const Cli& cli) {
-  CacheConfig cfg;
-  cfg.protocol = protocol_from_name(cli.get("protocol", "broadcast"));
-  cfg.size_words = cli.get_u32("size", 1024);
-  cfg.line_words = cli.get_u32("line", 4);
-  cfg.ways = cli.get_u32("ways", 0);
-  cfg.write_allocate =
-      cli.has("no-allocate") ? false : paper_write_allocate(cfg.protocol, cfg.size_words);
-  cfg.l2.size_words = cli.get_u32("l2", 0);
-  cfg.l2.ways = cli.get_u32("l2-ways", 8);
-  cfg.l2.inclusion = cli.has("l2-noninclusive") ? L2Config::Inclusion::NonInclusive
-                                                : L2Config::Inclusion::Inclusive;
-  // Both fill latencies default to 0 (the paper model: everything
-  // folded into the bus service time) so neither level looks slower
-  // than the other unless the user models latency explicitly — pass
-  // BOTH --l2-hit and --mem-extra, with --l2-hit the smaller.
-  cfg.l2.hit_extra_cycles = cli.get_u32("l2-hit", 0);
-  cfg.check_geometry();
-  return cfg;
-}
 
 void print_l2_stats(const CacheConfig& cfg, const TrafficStats& s) {
   if (!cfg.l2.enabled()) return;
@@ -294,10 +287,9 @@ int cmd_stats(const Cli& cli) {
 }
 
 int cmd_replay(const Cli& cli) {
-  CacheConfig cfg = config_from_cli(cli);
-  std::shared_ptr<const ChunkedTrace> t =
-      load_chunked_trace(cli.positional().at(1));
-  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()), t->num_pes());
+  Experiment e = experiment_from_cli(cli, ReqOp::Replay);
+  const CacheConfig& cfg = e.cfg;
+  auto [t, pes] = resolve_source(e);
   ReplayJob job(*t, cfg, pes);
   run_checkpointed(cli, job);
   const TrafficStats& s = job.traffic();
@@ -321,19 +313,10 @@ int cmd_replay(const Cli& cli) {
 }
 
 int cmd_time(const Cli& cli) {
-  // Flags are checked before the trace is read.
-  CacheConfig cfg = config_from_cli(cli);
-  TimingParams tp;
-  tp.cycles_per_ref = cli.get_u32("cpr", 1);
-  tp.bus_service_cycles = cli.get_u32("service", 1);
-  tp.interleave = cli.get_u32("interleave", 2);
-  tp.write_buffer_depth = cli.get_u32("wbuf", 4);
-  tp.mem_extra_cycles = cli.get_u32("mem-extra", 0);
-  if (tp.cycles_per_ref == 0) fail("--cpr must be at least 1");
-  if (tp.interleave == 0) fail("--interleave must be at least 1");
-  std::shared_ptr<const ChunkedTrace> t =
-      load_chunked_trace(cli.positional().at(1));
-  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()), t->num_pes());
+  Experiment e = experiment_from_cli(cli, ReqOp::Time);
+  const CacheConfig& cfg = e.cfg;
+  const TimingParams& tp = e.timing;
+  auto [t, pes] = resolve_source(e);
   ReplayJob job(*t, cfg, pes, &tp);
   run_checkpointed(cli, job);
   const TrafficStats& traffic = job.traffic();
@@ -370,54 +353,19 @@ int cmd_time(const Cli& cli) {
   }
   std::fputs(per_pe.str().c_str(), stdout);
 
-  BusEstimate e =
+  BusEstimate est =
       bus_contention(pes, traffic.traffic_ratio(), BusParams{tp.effective_service()});
   std::printf("analytic M/D/1 at the same traffic ratio: speedup x%.2f, "
               "efficiency %.3f, utilization %.3f\n",
-              e.aggregate_speedup, e.pe_efficiency, e.utilization);
+              est.aggregate_speedup, est.pe_efficiency, est.utilization);
   return 0;
 }
 
-std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
-
 int cmd_sweep(const Cli& cli) {
-  u32 line = cli.get_u32("line", 4);
-
-  // Every point's geometry is checked before the trace is read.
-  std::vector<SweepPoint> points;
-  for (const std::string& pname :
-       split_list(cli.get("protocols", "wt,broadcast,update,hybrid"))) {
-    Protocol p = protocol_from_name(pname);
-    for (const std::string& sz : split_list(cli.get("sizes", "256,512,1024,2048"))) {
-      SweepPoint pt;
-      pt.cfg = paper_cache_config(p, parse_u32(sz, "--sizes"));
-      pt.cfg.line_words = line;
-      pt.cfg.check_geometry();
-      pt.label = static_cast<int>(points.size());
-      points.push_back(pt);
-    }
-  }
-
-  std::shared_ptr<const ChunkedTrace> t =
-      load_chunked_trace(cli.positional().at(1), /*busy_only=*/true);
-  unsigned pes = check_pes(cli.get_u32("pes", t->num_pes()), t->num_pes());
-  for (SweepPoint& pt : points) {
-    pt.num_pes = pes;
-    pt.chunks = t.get();
-  }
+  u32 threads = cli.get_u32("threads", 4);
+  Experiment e = experiment_from_cli(cli, ReqOp::Sweep);
+  auto [t, pes] = resolve_source(e);
+  std::vector<SweepPoint> points = sweep_points(e, t.get(), pes);
 
   // The journal is keyed to the exact point list and trace, so resuming
   // with different flags is rejected instead of mixing results.
@@ -434,7 +382,7 @@ int cmd_sweep(const Cli& cli) {
                     : "");
   }
 
-  ThreadPool pool(cli.get_u32("threads", 4));
+  ThreadPool pool(threads);
   std::vector<SweepResult> results =
       run_sweep(pool, points, nullptr, journal ? &*journal : nullptr);
 
@@ -571,71 +519,84 @@ int cmd_dump(const Cli& cli) {
   return 0;
 }
 
-using Flags = std::vector<std::string_view>;
+using Flags = std::vector<Flag>;
 
 Flags operator+(Flags a, const Flags& b) {
   a.insert(a.end(), b.begin(), b.end());
   return a;
 }
 
-// Flag sets shared by several commands (the helpers above read them).
-const Flags kCacheFlags = {"protocol", "size",    "line",           "ways",  "no-allocate",
-                           "l2",       "l2-ways", "l2-noninclusive", "l2-hit"};
-const Flags kFaultFlags = {"fault", "enable-faults"};
-const Flags kCheckpointFlags = Flags{"checkpoint", "checkpoint-every", "resume"} + kFaultFlags;
-const Flags kEngineFlags = Flags{"max-heap-mb", "max-steps", "timeout-ms"} + kFaultFlags;
+/// What must follow a command name.
+enum class Operand { None, Trace, TraceOrBench };
 
 struct Command {
   const char* name;
   int (*run)(const Cli&);
-  bool takes_trace;  ///< the second positional argument is a trace file
+  Operand operand;
   Flags flags;
 };
 
-const Command kCommands[] = {
-    {"record", cmd_record, false, Flags{"bench", "pes", "out", "scale"} + kEngineFlags},
-    {"run", cmd_run, false, Flags{"bench", "pes", "scale", "solutions", "wam"} + kEngineFlags},
-    {"stats", cmd_stats, true, {}},
-    {"replay", cmd_replay, true, Flags{"pes"} + kCacheFlags + kCheckpointFlags},
-    {"time", cmd_time, true,
-     Flags{"pes", "cpr", "service", "interleave", "wbuf", "mem-extra"} + kCacheFlags +
-         kCheckpointFlags},
-    {"sweep", cmd_sweep, true, {"line", "protocols", "sizes", "pes", "threads", "journal"}},
-    {"dump", cmd_dump, true, {"head"}},
-    {"golden", cmd_golden, false, {"update", "dir", "bench"}},
-    {"serve", cmd_serve, false, {"socket", "workers", "queue", "deadline", "enable-faults"}},
-    {"request", cmd_request, false, {"socket", "timeout", "attempts", "seed"}},
-};
+/// Each command's flags: replay, time and sweep take their experiment
+/// fields' flags (harness/experiment.h) plus their own.
+std::vector<Command> commands() {
+  const Flags faults = {{"fault", "JSON"}, Flag::boolean("enable-faults")};
+  const Flags checkpoint =
+      Flags{{"checkpoint", "PATH"}, {"checkpoint-every", "N"}, Flag::boolean("resume")} +
+      faults;
+  const Flags engine = Flags{"max-heap-mb", "max-steps", "timeout-ms"} + faults;
+  return {
+      {"record", cmd_record, Operand::None, Flags{"bench", "pes", "out", "scale"} + engine},
+      {"run", cmd_run, Operand::None,
+       Flags{"bench", "pes", "scale", "solutions", Flag::boolean("wam")} + engine},
+      {"stats", cmd_stats, Operand::Trace, {}},
+      {"replay", cmd_replay, Operand::TraceOrBench,
+       experiment_flags(ReqOp::Replay) + checkpoint},
+      {"time", cmd_time, Operand::TraceOrBench, experiment_flags(ReqOp::Time) + checkpoint},
+      {"sweep", cmd_sweep, Operand::TraceOrBench,
+       experiment_flags(ReqOp::Sweep) + Flags{{"threads", "N"}, {"journal", "PATH"}}},
+      {"dump", cmd_dump, Operand::Trace, {{"head", "N"}}},
+      {"golden", cmd_golden, Operand::None, {Flag::boolean("update"), "dir", "bench"}},
+      {"serve", cmd_serve, Operand::None,
+       {"socket", "workers", "queue", "deadline", Flag::boolean("enable-faults")}},
+      {"request", cmd_request, Operand::None, {"socket", "timeout", "attempts", "seed"}},
+  };
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
-  try {
-    if (cli.positional().empty()) {
-      std::puts(
-          "usage: rapwam_trace record|run|stats|replay|time|sweep|dump|golden|"
-          "serve|request ... (see source header)");
-      return 2;
-    }
-    const std::string& name = cli.positional()[0];
-    const Command* cmd = nullptr;
-    for (const Command& c : kCommands)
-      if (name == c.name) cmd = &c;
-    if (!cmd) {
+  const std::vector<Command> cmds = commands();
+  const std::string name = argc > 1 ? argv[1] : "";
+  const Command* cmd = nullptr;
+  for (const Command& c : cmds)
+    if (name == c.name) cmd = &c;
+  if (!cmd) {
+    if (!name.empty() && name.rfind("--", 0) != 0) {
       std::fprintf(stderr, "unknown command: %s\n", name.c_str());
       return 2;
     }
-    std::string unknown = cli.unknown_flag(cmd->flags);
-    if (!unknown.empty()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
-      return 2;
-    }
-    if (cmd->takes_trace && cli.positional().size() < 2) {
-      std::fprintf(stderr, "usage: rapwam_trace %s TRACE ... (see source header)\n",
-                   name.c_str());
-      return 2;
-    }
+    std::puts(
+        "usage: rapwam_trace record|run|stats|replay|time|sweep|dump|golden|"
+        "serve|request ... (see source header)");
+    return 2;
+  }
+  Cli cli(argc, argv, cmd->flags);
+  std::string usage = cli.usage_error();
+  if (!usage.empty()) {
+    std::fprintf(stderr, "error: %s\n", usage.c_str());
+    return 2;
+  }
+  bool has_trace = cli.positional().size() > 1;
+  if ((cmd->operand == Operand::Trace && !has_trace) ||
+      (cmd->operand == Operand::TraceOrBench && !has_trace && !cli.has("bench"))) {
+    Flags shown = cmd->flags;  // --bench is in the operand
+    std::erase_if(shown, [](const Flag& f) { return f.name == "bench"; });
+    std::fprintf(stderr, "usage: rapwam_trace %s %s%s\n", cmd->name,
+                 cmd->operand == Operand::Trace ? "TRACE" : "TRACE|--bench NAME",
+                 flag_usage(shown).c_str());
+    return 2;
+  }
+  try {
     return cmd->run(cli);
   } catch (const ResourceExhaustedError& e) {
     // Structured budget trip: name the budget so scripts can branch on
