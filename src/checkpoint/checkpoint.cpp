@@ -7,22 +7,7 @@
 
 namespace rapwam {
 
-u64 trace_fingerprint(const ChunkedTrace& t) {
-  ByteWriter w;
-  w.put_u64(t.size());
-  w.put_u64(t.num_chunks());
-  const RefCounts& c = t.counts();
-  w.put_u64(c.total);
-  w.put_u64(c.reads);
-  w.put_u64(c.writes);
-  w.put_u64(c.busy);
-  w.put_u32(t.num_pes());
-  u64 h = fnv1a(w.str().data(), w.str().size());
-  t.for_each_chunk([&](const u64* p, std::size_t n) {
-    h = fnv1a(p, n * sizeof(u64), h);
-  });
-  return h;
-}
+u64 trace_fingerprint(const ChunkedTrace& t) { return t.fingerprint(); }
 
 namespace {
 

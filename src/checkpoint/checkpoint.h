@@ -56,8 +56,10 @@ inline constexpr u32 kCheckpointMagic =
     u32('R') | (u32('W') << 8) | (u32('C') << 16) | (u32('P') << 24);
 /// Bump on ANY layout change — frame fields, save_state streams, the
 /// TrafficStats field set (pinned by the static_assert in multisim.cpp)
-/// — so stale frames are rejected by version, not misparsed.
-inline constexpr u32 kCheckpointVersion = 2;
+/// — or change of the config hash's definition, so stale frames are
+/// rejected by version, not misparsed or refused as another run.
+/// Version 3: the trace fingerprint became a four-lane word hash.
+inline constexpr u32 kCheckpointVersion = 3;
 
 /// Everything about a frame except the simulator state itself.
 struct CheckpointMeta {
@@ -68,9 +70,10 @@ struct CheckpointMeta {
 };
 
 /// Identity of the trace a checkpoint was cut from: counters, shape
-/// and the full packed contents. Computed once per run (one linear
-/// pass) and folded into the config hash, so a frame can never resume
-/// against different input data.
+/// and the full packed contents (ChunkedTrace::fingerprint, memoized
+/// on the trace, so a shared trace is hashed once). Folded into the
+/// config hash, so a frame can never resume against different input
+/// data.
 u64 trace_fingerprint(const ChunkedTrace& t);
 
 /// Run-identity hashes. `wide` is the *resolved* directory

@@ -81,7 +81,7 @@ SweepJournal::SweepJournal(const std::string& path, u64 config_hash)
   u32 version = h.get_u32();
   if (version != kJournalVersion)
     fail("sweep journal " + path + ": version " + std::to_string(version) +
-         " not supported");
+         " not supported (expected " + std::to_string(kJournalVersion) + ")");
   u64 hash = h.get_u64();
   if (hash != config_hash)
     fail("sweep journal " + path +

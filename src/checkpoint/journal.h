@@ -33,7 +33,9 @@ struct SweepPoint;
 /// "RWSJ" in little-endian byte order.
 inline constexpr u32 kJournalMagic =
     u32('R') | (u32('W') << 8) | (u32('S') << 16) | (u32('J') << 24);
-inline constexpr u32 kJournalVersion = 1;
+/// Bumped, like kCheckpointVersion, when the header's config hash
+/// changes definition. Version 2: the four-lane trace fingerprint.
+inline constexpr u32 kJournalVersion = 2;
 
 /// Identity of a sweep: every point's configuration, PE count and
 /// label, plus the trace fingerprint(s), in point order. Stored in the

@@ -50,13 +50,10 @@ std::string ReplayJob::snapshot() const {
 }
 
 u64 ReplayJob::config_hash() const {
-  if (!hash_) {
-    bool wide = resolve_wide(DirRep::Auto, num_pes_);
-    u64 fp = trace_fingerprint(trace_);
-    hash_ = tp_ ? timed_config_hash(cfg_, num_pes_, wide, *tp_, fp)
-                : replay_config_hash(cfg_, num_pes_, wide, fp);
-  }
-  return *hash_;
+  bool wide = resolve_wide(DirRep::Auto, num_pes_);
+  u64 fp = trace_fingerprint(trace_);
+  return tp_ ? timed_config_hash(cfg_, num_pes_, wide, *tp_, fp)
+             : replay_config_hash(cfg_, num_pes_, wide, fp);
 }
 
 const TrafficStats& ReplayJob::traffic() const {

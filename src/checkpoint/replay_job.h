@@ -64,8 +64,8 @@ class ReplayJob {
   std::string snapshot() const;
 
   /// The run's identity: replay_config_hash / timed_config_hash over
-  /// the configuration and the trace fingerprint. The fingerprint is a
-  /// full pass over the trace, so it is computed on first use only.
+  /// the configuration and the trace fingerprint, which the trace
+  /// memoizes, so recomputing this is a few dozen bytes of hashing.
   u64 config_hash() const;
 
   const CacheConfig& cfg() const { return cfg_; }
@@ -86,7 +86,6 @@ class ReplayJob {
   std::unique_ptr<MultiCacheSim> sim_;
   std::unique_ptr<TimedReplay> timed_;
   std::size_t next_ = 0;
-  mutable std::optional<u64> hash_;
 };
 
 }  // namespace rapwam

@@ -1,8 +1,15 @@
 #include "support/thread_pool.h"
 
+#include <string>
+
+#include "support/common.h"
+
 namespace rapwam {
 
 ThreadPool::ThreadPool(unsigned n) {
+  if (n > kMaxPoolThreads)
+    fail("thread count " + std::to_string(n) + " is above the cap of " +
+         std::to_string(kMaxPoolThreads));
   if (n == 0) {
     n = std::thread::hardware_concurrency();
     if (n == 0) n = 1;

@@ -14,9 +14,15 @@
 
 namespace rapwam {
 
+/// Most workers one pool starts. A request for more is an Error before
+/// any thread starts: `sweep --threads`, `serve --workers` and
+/// `bench_fig4 --threads` pass their value straight through.
+inline constexpr unsigned kMaxPoolThreads = 256;
+
 class ThreadPool {
  public:
   /// Spawns `n` workers; n==0 means hardware_concurrency (min 1).
+  /// Throws Error if n is above kMaxPoolThreads.
   explicit ThreadPool(unsigned n = 0);
   ~ThreadPool();
 

@@ -1,6 +1,9 @@
 #include "trace/chunks.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <initializer_list>
 
 #include "support/atomic_file.h"
 
@@ -8,11 +11,56 @@ namespace rapwam {
 
 // --- ChunkedTrace ---------------------------------------------------------
 
+namespace {
+
+// XXH64's primes and round. For a fixed word a round is a bijection of
+// the state (an add, a rotation, a multiply by an odd constant), and
+// for a fixed state a bijection of the word, so a changed word changes
+// its lane and every later round carries the change to the result.
+constexpr u64 kP1 = 0x9E3779B185EBCA87ull;
+constexpr u64 kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr u64 kP3 = 0x165667B19E3779F9ull;
+constexpr u64 kP5 = 0x27D4EB2F165667C5ull;
+
+inline u64 hash_round(u64 acc, u64 w) { return std::rotl(acc + w * kP2, 31) * kP1; }
+
+}  // namespace
+
 std::vector<u64> ChunkedTrace::to_packed() const {
   std::vector<u64> out;
   out.reserve(size_);
   for (const std::vector<u64>& c : chunks_) out.insert(out.end(), c.begin(), c.end());
   return out;
+}
+
+u64 ChunkedTrace::fingerprint() const {
+  std::call_once(fingerprint_once_, [this] {
+    // Word i of the stream feeds lane i mod 4, so the lanes' multiplies
+    // overlap instead of forming one chain. Every chunk but the last
+    // holds kChunkRefs words, a multiple of four, so each starts at lane 0.
+    static_assert(kChunkRefs % 4 == 0);
+    std::array<u64, 4> lane = {kP1 + kP2, kP2, 0, 0 - kP1};
+    for (const std::vector<u64>& c : chunks_) {
+      std::size_t i = 0;
+      for (; i + 4 <= c.size(); i += 4)
+        for (std::size_t k = 0; k < 4; ++k) lane[k] = hash_round(lane[k], c[i + k]);
+      for (std::size_t k = 0; i + k < c.size(); ++k) lane[k] = hash_round(lane[k], c[i + k]);
+    }
+    // The lanes, then the header, fold in with the same round; XXH64's
+    // avalanche (xorshifts and odd multiplies, each a bijection) mixes.
+    u64 h = kP5;
+    for (u64 v : lane) h = hash_round(h, v);
+    for (u64 v : {u64(size_), u64(chunks_.size()), counts_.total, counts_.reads,
+                  counts_.writes, counts_.busy, u64(num_pes())})
+      h = hash_round(h, v);
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    h ^= h >> 32;
+    fingerprint_ = h;
+  });
+  return fingerprint_;
 }
 
 // --- ChunkingSink ---------------------------------------------------------
@@ -52,28 +100,48 @@ std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
   std::fseek(f.get(), 0, SEEK_SET);
   if (bytes < 0 || bytes % 8 != 0) fail("trace file has invalid size: " + path);
 
-  ChunkingSink sink(busy_only);
-  RefCounts counts;
+  auto t = std::make_shared<ChunkedTrace>();
+  std::vector<std::vector<u64>>& chunks = t->chunks_;
+  // Two increments per record: by bits 48..53 (class, write, busy) and
+  // by PE. They are folded into RefCounts once, after the last record.
+  std::array<u64, 64> by_kind{};
+  std::array<u64, kMaxTracePes> by_pe{};
+  // The bits a kept record has set: the busy bit, or none.
+  const u64 keep = busy_only ? u64(1) << 53 : 0;
   std::size_t left = static_cast<std::size_t>(bytes) / 8;
-  std::vector<u64> buf(std::min(left, kChunkRefs));
   for (std::size_t index = 0; left > 0;) {
-    std::size_t n = std::min(left, kChunkRefs);
-    if (std::fread(buf.data(), sizeof(u64), n, f.get()) != n)
+    // A chunk never holds more than the records left when it starts.
+    if (chunks.empty() || chunks.back().size() == kChunkRefs) {
+      chunks.emplace_back();
+      chunks.back().reserve(std::min(left, kChunkRefs));
+    }
+    std::vector<u64>& c = chunks.back();
+    std::size_t at = c.size(), n = std::min(left, kChunkRefs - at);
+    c.resize(at + n);
+    u64* p = c.data() + at;
+    if (std::fread(p, sizeof(u64), n, f.get()) != n)
       fail("short read from trace file: " + path);
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i, ++index) {
-      if (!packed_ref_valid(buf[i]))
+    for (std::size_t i = 0; i < n; ++i) {
+      u64 v = p[i];
+      if (!packed_ref_valid(v))
         fail("trace file " + path + ": corrupted record at index " +
-             std::to_string(index));
-      MemRef r = MemRef::unpack(buf[i]);
-      counts.add(r);
-      if (!busy_only || r.busy) buf[kept++] = buf[i];
+             std::to_string(index + i));
+      ++by_kind[v >> 48];
+      ++by_pe[(v >> 40) & 0xFF];
+      p[kept] = v;  // busy-only: compact in place, the chunk keeps filling
+      kept += (v & keep) == keep;
     }
-    sink.on_chunk(buf.data(), kept);
+    c.resize(at + kept);
+    t->size_ += kept;
+    index += n;
     left -= n;
   }
-  sink.on_counts(counts);
-  return sink.take();
+  if (!chunks.empty() && chunks.back().empty()) chunks.pop_back();
+  for (u64 k = 0; k < by_kind.size(); ++k)
+    if (by_kind[k]) t->counts_.add(MemRef::unpack(k << 48), by_kind[k]);
+  t->counts_.by_pe = by_pe;  // add() booked every record to PE 0
+  return t;
 }
 
 // --- FileTraceSink --------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,24 @@ class ChunkedTrace {
   /// consumers replay the chunks in place.
   std::vector<u64> to_packed() const;
 
+  /// The trace's identity, which checkpoint frames, sweep journals and
+  /// server snapshot keys bind (docs/DESIGN.md §12): a hash of every
+  /// retained word in order, size(), num_chunks(), the total, reads,
+  /// writes and busy counters and num_pes(). Word i of the stream feeds
+  /// lane i mod 4 of a word hash whose every step is a bijection, so
+  /// any single-word change changes the value. Computed on the first
+  /// call and memoized; concurrent first callers all get the one value.
+  u64 fingerprint() const;
+
  private:
   friend class ChunkingSink;
+  friend std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string&,
+                                                                bool);
   std::vector<std::vector<u64>> chunks_;
   RefCounts counts_;
   std::size_t size_ = 0;
+  mutable std::once_flag fingerprint_once_;
+  mutable u64 fingerprint_ = 0;
 };
 
 /// Builds a ChunkedTrace from a reference stream. `busy_only` (the
@@ -88,12 +102,15 @@ class CancelCheckSink : public TraceSink {
 };
 
 /// Loads a binary trace file (the FileTraceSink format) into shared
-/// immutable chunk storage, reading one chunk at a time. Every record
-/// is validated before it is counted (packed_ref_valid: truncated or
-/// corrupted files fail cleanly with Error, never index per-class
-/// tables out of range), the RefCounts metadata covers every record in
-/// the file, and `busy_only` keeps only the busy ones — so consumers
-/// read num_pes()/counts() instead of rescanning the stream.
+/// immutable chunk storage in one pass: each block of up to kChunkRefs
+/// records is read straight into the end of the trace's current chunk.
+/// Every record is validated before it is counted (packed_ref_valid:
+/// truncated or corrupted files fail cleanly with Error, never index
+/// per-class tables out of range), the RefCounts metadata covers every
+/// record in the file, and `busy_only` keeps only the busy ones,
+/// compacted in place so every chunk but the last still holds
+/// kChunkRefs records — consumers read num_pes()/counts() instead of
+/// rescanning the stream.
 std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
                                                        bool busy_only = false);
 

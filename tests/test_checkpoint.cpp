@@ -307,6 +307,35 @@ TEST(CheckpointUnit, AllCandidatesDamagedIsAStructuredError) {
                Error);
 }
 
+TEST(CheckpointUnit, PreviousVersionFramesRefusedByVersion) {
+  // Version-2 frames bound the byte-wise trace fingerprint, so their
+  // config hash can never match; the version check must refuse them
+  // first, naming the version, instead of "a different run". The CLI's
+  // --resume prints this error and starts clean.
+  std::shared_ptr<const ChunkedTrace> t = chunked(0xC4E8, 4, 2 * kChunkRefs);
+  CacheConfig cfg = small_cfg();
+  const u64 hash = replay_config_hash(cfg, 4, false, trace_fingerprint(*t));
+  TempCkpt tc("v2");
+  CheckpointWriter w(tc.path);
+  w.publish(frame_at(*t, cfg, 4, 1, hash));
+  w.publish(frame_at(*t, cfg, 4, 2, hash));
+  for (const std::string& p : {tc.path, tc.path + ".prev"}) {
+    std::string bytes = read_file(p);
+    bytes[4] = 2;
+    bytes[5] = bytes[6] = bytes[7] = 0;
+    write_file(p, bytes);
+  }
+  try {
+    checkpoint_resume(tc.path, cfg, 4, DirRep::Auto, nullptr, hash);
+    FAIL() << "expected both version-2 frames to be refused";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const std::string why = "checkpoint: version 2 not supported (expected 3)";
+    EXPECT_NE(what.find(tc.path + ": " + why), std::string::npos) << what;
+    EXPECT_NE(what.find(tc.path + ".prev: " + why), std::string::npos) << what;
+  }
+}
+
 // --- fault matrix ----------------------------------------------------------
 
 TEST(CheckpointFault, InjectedCrashLeavesTornTmpAndGoodSnapshot) {

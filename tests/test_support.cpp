@@ -181,5 +181,18 @@ TEST(ThreadPool, DefaultSizeNonZero) {
   EXPECT_GE(pool.size(), 1u);
 }
 
+TEST(ThreadPool, RejectsMoreThanTheCap) {
+  // The check runs before any worker starts; only a value one past the
+  // cap is tried, so a broken check starts 257 threads, not thousands.
+  try {
+    ThreadPool pool(kMaxPoolThreads + 1);
+    FAIL() << "expected a pool of " << kMaxPoolThreads + 1 << " to be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("thread count 257 is above the cap of 256"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace rapwam

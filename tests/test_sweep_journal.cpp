@@ -257,5 +257,29 @@ TEST(SweepJournal, BadMagicVersionOrShortHeaderRejected) {
   EXPECT_THROW(SweepJournal(tj.path, fx.hash), Error);
 }
 
+TEST(SweepJournal, PreviousVersionRefusedByVersion) {
+  // A version-1 journal keyed its sweep with the byte-wise trace
+  // fingerprint; refusing it as "a different sweep" would mislead, so
+  // the version check names it first.
+  SweepFixture fx(0x5E09);
+  TempJournal tj("v1");
+  {
+    SweepJournal j(tj.path, fx.hash);
+    j.record(0, sentinel_stats());
+  }
+  std::string v1 = read_file(tj.path);
+  v1[4] = 1;
+  v1[5] = v1[6] = v1[7] = 0;
+  write_file(tj.path, v1);
+  try {
+    SweepJournal j(tj.path, fx.hash);
+    FAIL() << "expected the version-1 journal to be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1 not supported (expected 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace rapwam

@@ -126,6 +126,23 @@ TEST(TraceFuzz, BusyFilterAtLoadMatchesNaiveFilter) {
   }
 }
 
+TEST(TraceFuzz, LoaderTalliesEqualPerRecordCounts) {
+  // The loader counts each record with two increments, one by bits
+  // 48..53 (class, write, busy) and one by PE, and folds both tables
+  // into RefCounts after the last record: the result must be exactly
+  // RefCounts::add applied record by record, keep-all or busy-only.
+  for (std::size_t n : {kChunkRefs - 1, kChunkRefs, kChunkRefs + 1,
+                        2 * kChunkRefs + 17}) {
+    std::vector<u64> refs = fuzz_refs(0x7A11 + n, n);
+    RefCounts want;
+    for (u64 p : refs) want.add(MemRef::unpack(p));
+    TempFile tmp("tally_" + std::to_string(n));
+    write_raw(tmp.path, refs.data(), refs.size() * 8);
+    EXPECT_EQ(load_chunked_trace(tmp.path, false)->counts(), want) << n;
+    EXPECT_EQ(load_chunked_trace(tmp.path, true)->counts(), want) << n;
+  }
+}
+
 TEST(TraceFuzz, LoaderMetadataReplacesPesRescan) {
   // Regression for the metadata-less-file path: the PE span is built
   // once at load (validated counts), not rescanned per consumer.

@@ -8,7 +8,12 @@ Run from the repository root:
 
 The parent side is a `git archive` snapshot of REV in
 .bench_build/ab/parent-src, re-extracted only when REV moves; the change
-side is the working tree, uncommitted edits included. Each side builds
+side is the working tree, uncommitted edits included. `git archive`
+stamps every file with REV's commit time, so after a newer REV the
+sources of an older one look older than the objects built from the
+newer: make would rebuild nothing and run the old snapshot's code. A
+re-extraction therefore also deletes the parent's build directory, and
+the parent is built from scratch. Each side builds
 with its own pipebench/run.py into its own CARGO_TARGET_DIR,
 .bench_build/ab/parent or .bench_build/ab/change, so neither rebuilds
 the other's objects. Both sides must carry the same pipebench/ and
@@ -54,14 +59,20 @@ def git(*args, check=True, text=False):
                           capture_output=True, text=text)
 
 
-def parent_tree(rev):
-    """Extracts `rev` into AB/parent-src unless it already holds it."""
+def parent_tree(rev, build):
+    """Extracts `rev` into AB/parent-src unless it already holds it; a
+    new extraction deletes `build`, the parent's build directory."""
     sha = git("rev-parse", "--verify", rev + "^{commit}", text=True).stdout.strip()
     src = os.path.join(AB, "parent-src")
     stamp = os.path.join(AB, "parent-src.rev")
     if os.path.isfile(stamp) and open(stamp).read().strip() == sha:
+        print("pipebench_ab: parent %s (snapshot and build kept)" % sha,
+              file=sys.stderr, flush=True)
         return src, sha
-    shutil.rmtree(src, ignore_errors=True)
+    print("pipebench_ab: parent %s: extracting and building from scratch" % sha,
+          file=sys.stderr, flush=True)
+    for d in (src, build):
+        shutil.rmtree(d, ignore_errors=True)
     os.makedirs(src)
     archive = git("archive", "--format=tar", sha).stdout
     subprocess.run(["tar", "-x", "-C", src], input=archive, check=True)
@@ -148,7 +159,7 @@ def main():
 
     os.makedirs(AB, exist_ok=True)
     try:
-        ptree, sha = parent_tree(args.parent)
+        ptree, sha = parent_tree(args.parent, os.path.join(AB, "parent"))
     except subprocess.CalledProcessError as e:
         print("pipebench_ab: cannot extract %s: %s" % (args.parent, e.stderr),
               file=sys.stderr)

@@ -155,9 +155,15 @@ void run_checkpointed(const Cli& cli, ReplayJob& job) {
         job.resume(std::move(res->restored));
       }
     } catch (const Error& e) {
-      // Every candidate was damaged: a corrupt checkpoint costs work,
-      // never correctness — fall back to a clean run.
-      std::printf("checkpoint: %s; starting clean\n", e.what());
+      // Every candidate was damaged or of another version: a corrupt
+      // checkpoint costs work, never correctness — fall back to a clean
+      // run. The error lists one candidate per line; each keeps the
+      // "checkpoint:" prefix.
+      std::string why = e.what();
+      for (std::size_t at = why.find('\n'); at != std::string::npos;
+           at = why.find('\n', at + 1))
+        why.insert(at + 1, "checkpoint: ");
+      std::printf("checkpoint: %s; starting clean\n", why.c_str());
     }
   }
 
@@ -362,7 +368,9 @@ int cmd_time(const Cli& cli) {
 }
 
 int cmd_sweep(const Cli& cli) {
-  u32 threads = cli.get_u32("threads", 4);
+  // First, so a thread count above the pool's cap fails before any
+  // trace is read.
+  ThreadPool pool(cli.get_u32("threads", 4));
   Experiment e = experiment_from_cli(cli, ReqOp::Sweep);
   auto [t, pes] = resolve_source(e);
   std::vector<SweepPoint> points = sweep_points(e, t.get(), pes);
@@ -382,7 +390,6 @@ int cmd_sweep(const Cli& cli) {
                     : "");
   }
 
-  ThreadPool pool(threads);
   std::vector<SweepResult> results =
       run_sweep(pool, points, nullptr, journal ? &*journal : nullptr);
 
