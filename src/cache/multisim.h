@@ -587,8 +587,8 @@ MultiCacheSim::access_hybrid(const MemRef& r) {
   return o;
 }
 
-/// TrafficStats field-by-field serialization, shared by simulator
-/// checkpoints and the sweep journal. The static_assert in
+/// TrafficStats field-by-field serialization for simulator
+/// checkpoints. The static_assert in
 /// multisim.cpp pins the field count: adding a counter without
 /// updating these (and bumping kCheckpointVersion) fails the build.
 void save_traffic(ByteWriter& w, const TrafficStats& s);

@@ -15,8 +15,6 @@
 
 namespace rapwam {
 
-class SweepJournal;
-
 struct SweepPoint {
   /// cfg.l2 adds the hierarchy dimension (L2 size / ways / inclusion).
   CacheConfig cfg;
@@ -38,17 +36,9 @@ struct SweepResult {
 /// (docs/DESIGN.md §10). A point's error is rethrown only after every
 /// submitted point has finished, so none outlives the caller's traces
 /// or token.
-///
-/// `journal` (optional, checkpoint/journal.h) makes the sweep
-/// resumable: points the journal already records are returned from it
-/// verbatim without re-simulation, and every newly completed point is
-/// appended to it (durably, before run_sweep returns it). The caller
-/// must have opened the journal under sweep_config_hash(points, ...)
-/// so recorded indices mean the same points.
 std::vector<SweepResult> run_sweep(ThreadPool& pool,
                                    const std::vector<SweepPoint>& points,
-                                   const CancelToken* cancel = nullptr,
-                                   SweepJournal* journal = nullptr);
+                                   const CancelToken* cancel = nullptr);
 
 /// One-point convenience used by the reports and benches: replays
 /// `trace` through a fresh simulator and returns its traffic counters.

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "server/faults.h"
 #include "support/atomic_file.h"
 
 namespace rapwam {
@@ -152,24 +151,14 @@ CheckpointWriter::CheckpointWriter(std::string path)
   RW_CHECK(!path_.empty(), "checkpoint path must not be empty");
 }
 
-u64 CheckpointWriter::publish(const std::string& frame, FaultInjector* faults) {
+u64 CheckpointWriter::publish(const std::string& frame) {
   u64 index = written_;
-  bool crash = faults && faults->crash_checkpoint(index);
   std::FILE* f = std::fopen(tmp_path_.c_str(), "wb");
   if (!f) fail("cannot create checkpoint temporary " + tmp_path_);
-  // An injected crash tears the write mid-frame: half the bytes reach
-  // the temporary and nothing is published, exactly the on-disk state
-  // a power cut at this instant would leave.
-  std::size_t n = crash ? frame.size() / 2 : frame.size();
-  if (std::fwrite(frame.data(), 1, n, f) != n) {
+  if (std::fwrite(frame.data(), 1, frame.size(), f) != frame.size()) {
     std::fclose(f);
     std::remove(tmp_path_.c_str());
     fail("cannot write checkpoint temporary " + tmp_path_);
-  }
-  if (crash) {
-    std::fclose(f);
-    fail("injected checkpoint write crash at checkpoint " +
-         std::to_string(index));
   }
   try {
     flush_and_sync(f, "checkpoint temporary " + tmp_path_);
@@ -183,13 +172,12 @@ u64 CheckpointWriter::publish(const std::string& frame, FaultInjector* faults) {
     fail("cannot close checkpoint temporary " + tmp_path_);
   }
   // Keep the previous snapshot as the fallback: if the rename below
-  // (or a later injected corruption) damages `path`, resume still has
-  // `path.prev`. The rotation rename is atomic on the same directory.
+  // (or later damage) spoils `path`, resume still has `path.prev`. The
+  // rotation rename is atomic on the same directory.
   std::remove(prev_path_.c_str());
   std::rename(path_.c_str(), prev_path_.c_str());  // ENOENT on first write: fine
   publish_file(tmp_path_, path_);
   ++written_;
-  if (faults) faults->damage_checkpoint_file(index, path_);
   return index;
 }
 

@@ -32,10 +32,9 @@
 // Publication is durable and atomic (support/atomic_file.h): write
 // `<path>.tmp`, fsync, rotate the previous checkpoint to
 // `<path>.prev`, rename, fsync the directory. The rotation means a
-// crash *during* publication (torn temporary, injected via
-// FaultPlan::fail_checkpoint) still leaves the previous good snapshot
-// recoverable; checkpoint_resume tries `path` then `path.prev` and
-// reports what it rejected.
+// crash *during* publication (a torn temporary) still leaves the
+// previous good snapshot recoverable; checkpoint_resume tries `path`
+// then `path.prev` and reports what it rejected.
 #pragma once
 
 #include <memory>
@@ -48,8 +47,6 @@
 #include "timing/timed_replay.h"
 
 namespace rapwam {
-
-class FaultInjector;
 
 /// "RWCP" in little-endian byte order.
 inline constexpr u32 kCheckpointMagic =
@@ -116,16 +113,13 @@ RestoredReplay checkpoint_parse(const std::string& frame,
 /// Rotating durable checkpoint writer for one run: publish() writes
 /// the frame to `<path>.tmp`, fsyncs it, rotates any existing `path`
 /// to `<path>.prev`, renames the temporary into place and fsyncs the
-/// directory. An optional FaultInjector drives the crash/corruption
-/// matrix (torn write, truncated or bit-flipped published file).
+/// directory.
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::string path);
 
   /// Publishes one frame; returns the 0-based index of this write.
-  /// With an injected crash, leaves a torn temporary (exactly the
-  /// on-disk state of a real mid-write power cut) and throws Error.
-  u64 publish(const std::string& frame, FaultInjector* faults = nullptr);
+  u64 publish(const std::string& frame);
 
   u64 written() const { return written_; }
   const std::string& path() const { return path_; }

@@ -25,11 +25,12 @@ ClientOutcome request_with_retry(const Endpoint& ep, const std::string& line,
   bool have_response = false;
 
   int attempts = std::max(1, opt.attempts);
+  i64 backoff = std::max(opt.backoff_ms, 0);
   for (int k = 0; k < attempts; ++k) {
     if (k > 0) {
-      i64 delay = std::min<i64>(opt.max_backoff_ms,
-                                static_cast<i64>(opt.backoff_ms) << (k - 1));
-      delay = std::max<i64>(delay, 1);
+      i64 delay = std::max<i64>(std::min<i64>(backoff, opt.max_backoff_ms), 1);
+      // Doubling stops at the cap, so no attempt count overflows it.
+      if (backoff < opt.max_backoff_ms) backoff *= 2;
       // Overloaded servers size their hint to the backlog; treat it as
       // a floor so a polite client never hammers a shedding server.
       if (have_response && out.response.retry_after_ms > 0)

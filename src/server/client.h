@@ -11,8 +11,9 @@
 //
 // Backoff between attempts is exponential with deterministic jitter
 // (an LCG seeded by the caller, so tests replay identical schedules):
-//   delay(k) = min(max_backoff, backoff << k) + jitter,
-//   jitter in [0, delay/2].
+//   delay(k) = min(max_backoff, backoff * 2^k) + jitter,
+//   jitter in [0, delay/2],
+// where the doubling stops once it reaches max_backoff.
 #pragma once
 
 #include <string>

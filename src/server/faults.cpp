@@ -1,8 +1,6 @@
 #include "server/faults.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <new>
 #include <thread>
 
@@ -17,10 +15,6 @@ FaultPlan FaultPlan::from_json(const JsonValue& v) {
     if (key == "fail_alloc") p.fail_alloc_n = static_cast<u32>(n);
     else if (key == "throw_chunk") p.throw_chunk_n = static_cast<u32>(n);
     else if (key == "stall_ms") p.stall_ms = static_cast<u32>(n);
-    else if (key == "fail_checkpoint") p.fail_checkpoint_n = static_cast<u32>(n);
-    else if (key == "truncate_checkpoint") p.truncate_checkpoint_n = static_cast<u32>(n);
-    else if (key == "truncate_bytes") p.truncate_checkpoint_bytes = static_cast<u32>(n);
-    else if (key == "flip_checkpoint") p.flip_checkpoint_n = static_cast<u32>(n);
     else if (key == "gen_fail_heap") p.gen_fail_heap_n = static_cast<u32>(n);
     else if (key == "gen_stall_every") p.gen_stall_every = static_cast<u32>(n);
     else if (key == "gen_stall_ms") p.gen_stall_ms = static_cast<u32>(n);
@@ -44,64 +38,6 @@ void FaultInjector::on_chunk(std::size_t index) {
     fired_.fetch_add(1, std::memory_order_relaxed);
     fail("injected chunk fault at chunk " + std::to_string(index));
   }
-}
-
-bool FaultInjector::crash_checkpoint(u64 index) {
-  if (!plan_.fail_checkpoint_n || index + 1 != plan_.fail_checkpoint_n)
-    return false;
-  fired_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool FaultInjector::damage_checkpoint_file(u64 index, const std::string& path) {
-  bool truncate = plan_.truncate_checkpoint_n &&
-                  index + 1 == plan_.truncate_checkpoint_n;
-  bool flip = plan_.flip_checkpoint_n && index + 1 == plan_.flip_checkpoint_n;
-  if (!truncate && !flip) return false;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) fail("fault: cannot reopen checkpoint " + path);
-  std::string bytes;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, got);
-  std::fclose(f);
-  if (!damage(truncate, flip, bytes)) return false;
-  f = std::fopen(path.c_str(), "wb");
-  if (!f) fail("fault: cannot rewrite checkpoint " + path);
-  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) fail("fault: cannot rewrite checkpoint " + path);
-  fired_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool FaultInjector::damage_checkpoint_bytes(u64 index, std::string& frame) {
-  bool truncate = plan_.truncate_checkpoint_n &&
-                  index + 1 == plan_.truncate_checkpoint_n;
-  bool flip = plan_.flip_checkpoint_n && index + 1 == plan_.flip_checkpoint_n;
-  if (!truncate && !flip) return false;
-  if (!damage(truncate, flip, frame)) return false;
-  fired_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool FaultInjector::damage(bool truncate, bool flip, std::string& bytes) const {
-  if (bytes.empty()) return false;
-  if (truncate) {
-    std::size_t keep = plan_.truncate_checkpoint_bytes
-                           ? std::min<std::size_t>(plan_.truncate_checkpoint_bytes,
-                                                   bytes.size() - 1)
-                           : bytes.size() / 2;
-    bytes.resize(keep);
-  }
-  if (flip && !bytes.empty()) {
-    // Flip a byte past the header so the checksum — not the magic or
-    // length check — is what catches it.
-    std::size_t at = bytes.size() > 32 ? 32 + (bytes.size() - 32) / 2
-                                       : bytes.size() / 2;
-    bytes[at] = static_cast<char>(bytes[at] ^ 0x40);
-  }
-  return true;
 }
 
 }  // namespace rapwam

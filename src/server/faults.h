@@ -37,20 +37,6 @@ struct FaultPlan {
   /// the "slow consumer" of the matrix; pairs with deadlines and
   /// overload tests.
   u32 stall_ms = 0;
-  /// Crash the Nth checkpoint publication (checkpoint/checkpoint.h):
-  /// the writer leaves a torn temporary exactly as a power cut
-  /// mid-write would, then throws. Recovery must come from the
-  /// previous snapshot or a clean restart.
-  u32 fail_checkpoint_n = 0;
-  /// Truncate the Nth *published* checkpoint to `truncate_bytes`
-  /// (default: half the frame) — the torn-rename case. The checksum /
-  /// length validation must reject it on resume.
-  u32 truncate_checkpoint_n = 0;
-  u32 truncate_checkpoint_bytes = 0;
-  /// Flip one payload byte of the Nth published checkpoint after its
-  /// checksum was computed — silent media corruption. Resume must
-  /// reject it by checksum, never replay from it.
-  u32 flip_checkpoint_n = 0;
   /// Engine-side faults: forwarded into MachineConfig::faults when
   /// this request triggers a trace *generation* (no effect on cache
   /// hits). gen_fail_heap fails the Nth heap allocation with
@@ -61,8 +47,7 @@ struct FaultPlan {
   u32 gen_stall_ms = 0;
 
   bool any() const {
-    return fail_alloc_n || throw_chunk_n || stall_ms || fail_checkpoint_n ||
-           truncate_checkpoint_n || flip_checkpoint_n || gen_fail_heap_n ||
+    return fail_alloc_n || throw_chunk_n || stall_ms || gen_fail_heap_n ||
            gen_stall_every || gen_stall_ms;
   }
 
@@ -96,23 +81,9 @@ class FaultInjector {
   /// stall, throws on the plan's chunk.
   void on_chunk(std::size_t index);
 
-  /// Checkpoint-write sites (`index` is the 0-based count of
-  /// checkpoints this run has attempted to publish). crash_checkpoint
-  /// returns true when the Nth write should be torn mid-flight — the
-  /// caller simulates the torn temporary and throws. The damage_*
-  /// hooks corrupt the Nth *published* checkpoint (a file on disk, or
-  /// the server's in-memory saved frame) and return true if they did.
-  bool crash_checkpoint(u64 index);
-  bool damage_checkpoint_file(u64 index, const std::string& path);
-  bool damage_checkpoint_bytes(u64 index, std::string& frame);
-
   u32 fired() const { return fired_.load(std::memory_order_relaxed); }
 
  private:
-  /// Applies the selected corruption to `bytes` in place; false if the
-  /// buffer was empty (nothing to damage).
-  bool damage(bool truncate, bool flip, std::string& bytes) const;
-
   FaultPlan plan_;
   std::atomic<u32> allocs_{0};
   std::atomic<u32> fired_{0};

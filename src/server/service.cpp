@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "cache/sweep.h"
-#include "checkpoint/replay_job.h"
 #include "harness/golden.h"
+#include "timing/replay_job.h"
 
 namespace rapwam {
 
@@ -188,27 +188,6 @@ std::string Service::execute(const Request& req) {
   }
 }
 
-void Service::store_checkpoint(u64 key, std::string frame) {
-  std::scoped_lock lk(mu_);
-  if (saved_.size() >= kMaxSavedCheckpoints && !saved_.count(key)) {
-    auto oldest = saved_.begin();
-    for (auto it = saved_.begin(); it != saved_.end(); ++it)
-      if (it->second.seq < oldest->second.seq) oldest = it;
-    saved_.erase(oldest);
-  }
-  saved_[key] = SavedCheckpoint{std::move(frame), saved_seq_++};
-  ++counters_.checkpoints_written;
-}
-
-std::optional<std::string> Service::take_checkpoint(u64 key) {
-  std::scoped_lock lk(mu_);
-  auto it = saved_.find(key);
-  if (it == saved_.end()) return std::nullopt;
-  std::string frame = std::move(it->second.frame);
-  saved_.erase(it);
-  return frame;
-}
-
 JsonValue Service::run_replay(const Request& req, const CancelToken& cancel,
                               FaultInjector* faults) {
   const bool timed = req.op == ReqOp::Time;
@@ -219,38 +198,7 @@ JsonValue Service::run_replay(const Request& req, const CancelToken& cancel,
       req, &cancel, req.fault ? req.fault->engine_faults() : EngineFaults{});
   if (faults) faults->on_alloc();  // alloc site 2: simulator arena
   ReplayJob job(*trace, req.cfg, pes, timed ? &req.timing : nullptr);
-  const u64 key = job.config_hash();
-  if (std::optional<std::string> frame = take_checkpoint(key)) {
-    try {
-      job.resume(checkpoint_parse(*frame, req.cfg, pes, DirRep::Auto,
-                                  job.timing_params(), key));
-      std::scoped_lock lk(mu_);
-      ++counters_.resumes;
-      counters_.resume_chunks_skipped += job.next_chunk();
-    } catch (const Error&) {
-      // Damaged snapshot: discard it and replay from scratch — a
-      // corrupt checkpoint may cost work, never correctness.
-      std::scoped_lock lk(mu_);
-      ++counters_.corrupt_checkpoints_rejected;
-    }
-  }
-  const u64 start = job.next_chunk();
-  try {
-    job.run({.cancel = &cancel, .faults = faults});
-  } catch (const CancelledError&) {
-    // The job stopped at the boundary of the chunk the deadline struck:
-    // its snapshot resumes exactly there. Fault sites: a "crash" drops
-    // the snapshot entirely (the write never happened), the damage
-    // hooks corrupt the stored bytes so the retry's validation path is
-    // exercised end to end.
-    std::string frame = job.snapshot();
-    bool crashed = faults && faults->crash_checkpoint(0);
-    if (!crashed) {
-      if (faults) faults->damage_checkpoint_bytes(0, frame);
-      store_checkpoint(key, std::move(frame));
-    }
-    throw;
-  }
+  job.run({.cancel = &cancel, .faults = faults});
   if (faults) faults->on_alloc();  // alloc site 3: result assembly
   JsonValue out;
   if (timed) {
@@ -260,7 +208,6 @@ JsonValue Service::run_replay(const Request& req, const CancelToken& cancel,
     out = traffic_json(job.traffic());
   }
   out.set("pes", JsonValue::integer(pes));
-  out.set("resumed_chunks", JsonValue::unsigned_int(start));
   return out;
 }
 
@@ -330,12 +277,10 @@ JsonValue Service::run_stats() {
   out.set("rejected", JsonValue::unsigned_int(c.rejected));
   out.set("cancelled", JsonValue::unsigned_int(c.cancelled));
   out.set("faults_injected", JsonValue::unsigned_int(c.faults_injected));
-  out.set("checkpoints_written", JsonValue::unsigned_int(c.checkpoints_written));
-  out.set("resumes", JsonValue::unsigned_int(c.resumes));
-  out.set("resume_chunks_skipped",
-          JsonValue::unsigned_int(c.resume_chunks_skipped));
-  out.set("corrupt_checkpoints_rejected",
-          JsonValue::unsigned_int(c.corrupt_checkpoints_rejected));
+  // Always 0: the server no longer checkpoints, but pipebench's serve
+  // workload still reads these three members.
+  for (const char* gone : {"checkpoints_written", "resumes", "resume_chunks_skipped"})
+    out.set(gone, JsonValue::unsigned_int(0));
   out.set("in_flight", JsonValue::integer(in_flight_.load()));
   out.set("workers", JsonValue::integer(cfg_.workers));
   out.set("queue_limit", JsonValue::integer(static_cast<i64>(cfg_.queue_limit)));

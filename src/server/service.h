@@ -18,10 +18,7 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "harness/trace_lib.h"
@@ -47,13 +44,6 @@ struct ServiceCounters {
   u64 rejected = 0;       ///< bad_request before admission
   u64 cancelled = 0;      ///< deadline/cancel during execution
   u64 faults_injected = 0;
-  // Checkpoint/resume (docs/DESIGN.md §12): a replay/time request
-  // killed by its deadline checkpoints its progress, and the client's
-  // retry resumes from it instead of starting over.
-  u64 checkpoints_written = 0;          ///< cancelled requests snapshotted
-  u64 resumes = 0;                      ///< requests resumed from a snapshot
-  u64 resume_chunks_skipped = 0;        ///< chunks not re-replayed, total
-  u64 corrupt_checkpoints_rejected = 0; ///< snapshots discarded as damaged
 };
 
 class Service {
@@ -84,26 +74,13 @@ class Service {
  private:
   std::string execute(const Request& req);
   /// Executes a `replay` or a `time` request (one ReplayJob, timed
-  /// for `time`). A snapshot stored by a cancelled earlier attempt of
-  /// the same run is resumed; on cancellation, the job's own snapshot
-  /// is stored under its config hash before rethrowing, so the
-  /// client's retry resumes instead of starting over.
+  /// for `time`).
   JsonValue run_replay(const Request& req, const CancelToken& cancel,
                        FaultInjector* faults);
   JsonValue run_sweep_op(const Request& req, const CancelToken& cancel,
                          FaultInjector* faults);
   JsonValue run_golden(const Request& req, const CancelToken& cancel);
   JsonValue run_stats();
-
-  /// Bounded in-memory store of checkpoints from cancelled requests,
-  /// keyed by the run's config hash (same config + trace = same key,
-  /// so the retry finds it). Guarded by mu_; oldest entry evicted at
-  /// the cap.
-  void store_checkpoint(u64 key, std::string frame);
-  /// Removes and returns the stored frame for `key`, if any (one
-  /// resume attempt per snapshot — a damaged frame must not be
-  /// retried forever).
-  std::optional<std::string> take_checkpoint(u64 key);
 
   ServiceConfig cfg_;
   ThreadPool pool_;
@@ -112,14 +89,6 @@ class Service {
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
   ServiceCounters counters_;
-
-  struct SavedCheckpoint {
-    std::string frame;
-    u64 seq = 0;  ///< insertion order, for oldest-first eviction
-  };
-  static constexpr std::size_t kMaxSavedCheckpoints = 32;
-  std::map<u64, SavedCheckpoint> saved_;  ///< guarded by mu_
-  u64 saved_seq_ = 0;                     ///< guarded by mu_
 };
 
 }  // namespace rapwam

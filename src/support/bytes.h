@@ -1,7 +1,7 @@
 // Bounds-checked little-endian byte serialization for the checkpoint
 // subsystem (src/checkpoint/, docs/DESIGN.md §12).
 //
-// Checkpoint frames and sweep-journal records are read back from disk
+// Checkpoint frames are read back from disk
 // after crashes, so the reader side must treat its input as hostile:
 // every get_* is bounds-checked and throws Error on underrun, and
 // expect_end() rejects trailing bytes — a truncated or padded frame

@@ -44,8 +44,8 @@ class ChunkedTrace {
   /// consumers replay the chunks in place.
   std::vector<u64> to_packed() const;
 
-  /// The trace's identity, which checkpoint frames, sweep journals and
-  /// server snapshot keys bind (docs/DESIGN.md §12): a hash of every
+  /// The trace's identity, which checkpoint frames bind
+  /// (docs/DESIGN.md §12): a hash of every
   /// retained word in order, size(), num_chunks(), the total, reads,
   /// writes and busy counters and num_pes(). Word i of the stream feeds
   /// lane i mod 4 of a word hash whose every step is a bijection, so

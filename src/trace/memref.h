@@ -61,9 +61,9 @@ inline bool packed_ref_valid(u64 v) {
 
 /// References per pipeline chunk (64K refs = 512 KB of packed words):
 /// large enough that the virtual chunk handoff and the per-chunk replay
-/// hooks (checkpoint/replay_job.h) are negligible per reference, small
-/// enough that a chunk stays cache-friendly and a cancellation or
-/// checkpoint lands within one chunk's replay time.
+/// hooks (timing/replay_job.h) are negligible per reference, small
+/// enough that a chunk stays cache-friendly and a cancellation lands
+/// within one chunk's replay time.
 inline constexpr std::size_t kChunkRefs = std::size_t(1) << 16;
 
 /// Aggregate counters over a reference stream.

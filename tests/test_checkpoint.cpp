@@ -2,10 +2,10 @@
 // codec underneath every frame, serialize/parse round trips, the
 // config-hash binding that stops a frame resuming a different
 // experiment, the rotating durable writer (path / path.prev / torn
-// tmp), and the FaultInjector-driven crash/corruption matrix —
-// a damaged checkpoint must always be rejected by validation and
-// recovery must come from the previous snapshot or a clean restart,
-// never from silently corrupt state. The cross-configuration
+// tmp), and the crash/corruption matrix, where each test damages the
+// files itself — a damaged checkpoint must always be rejected by
+// validation and recovery must come from the previous snapshot or a
+// clean restart, never from silently corrupt state. The cross-configuration
 // resume-equivalence matrix lives in test_checkpoint_diff.cpp; the
 // byte-level hostile-input sweep in test_checkpoint_fuzz.cpp.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
-#include "server/faults.h"
 #include "support/bytes.h"
 #include "test_rand.h"
 #include "trace/chunks.h"
@@ -338,6 +337,15 @@ TEST(CheckpointUnit, PreviousVersionFramesRefusedByVersion) {
 
 // --- fault matrix ----------------------------------------------------------
 
+/// Flips one byte past the 24-byte frame header, so the checksum — not
+/// the magic or length check — is what catches it.
+void flip_payload_byte(const std::string& path) {
+  std::string bytes = read_file(path);
+  std::size_t at = 32 + (bytes.size() - 32) / 2;
+  bytes[at] = static_cast<char>(bytes[at] ^ 0x40);
+  write_file(path, bytes);
+}
+
 TEST(CheckpointFault, InjectedCrashLeavesTornTmpAndGoodSnapshot) {
   std::shared_ptr<const ChunkedTrace> t = chunked(0xC4E8, 4, 2 * kChunkRefs);
   CacheConfig cfg = small_cfg();
@@ -345,17 +353,15 @@ TEST(CheckpointFault, InjectedCrashLeavesTornTmpAndGoodSnapshot) {
   std::string f1 = frame_at(*t, cfg, 4, 1, hash);
   std::string f2 = frame_at(*t, cfg, 4, 2, hash);
 
-  FaultPlan plan;
-  plan.fail_checkpoint_n = 2;  // crash the second publication
-  FaultInjector faults(plan);
-
   TempCkpt tc("crash");
   CheckpointWriter w(tc.path);
-  EXPECT_EQ(w.publish(f1, &faults), 0u);
-  EXPECT_THROW(w.publish(f2, &faults), Error);
+  EXPECT_EQ(w.publish(f1), 0u);
+  // A power cut in the middle of the second publication: half of f2
+  // reached the temporary, and nothing was renamed.
+  write_file(tc.path + ".tmp", f2.substr(0, f2.size() / 2));
 
-  // Exactly a mid-write power cut: a torn temporary, and the published
-  // snapshot untouched (no rotation happened).
+  // A torn temporary, and the published snapshot untouched (no
+  // rotation happened).
   EXPECT_TRUE(fs::exists(tc.path + ".tmp"));
   EXPECT_LT(fs::file_size(tc.path + ".tmp"), f2.size());
   EXPECT_EQ(read_file(tc.path), f1);
@@ -374,16 +380,13 @@ TEST(CheckpointFault, TruncatedPublicationRejectedByValidation) {
   CacheConfig cfg = small_cfg();
   const u64 hash = replay_config_hash(cfg, 4, false, trace_fingerprint(*t));
 
-  FaultPlan plan;
-  plan.truncate_checkpoint_n = 2;  // damage the second published file
-  FaultInjector faults(plan);
-
   TempCkpt tc("trunc");
   CheckpointWriter w(tc.path);
-  w.publish(frame_at(*t, cfg, 4, 1, hash), &faults);
-  w.publish(frame_at(*t, cfg, 4, 2, hash), &faults);
-
-  std::string full = frame_at(*t, cfg, 4, 2, hash);
+  w.publish(frame_at(*t, cfg, 4, 1, hash));
+  w.publish(frame_at(*t, cfg, 4, 2, hash));
+  // The torn-rename case: the second published file keeps half its bytes.
+  std::string full = read_file(tc.path);
+  write_file(tc.path, full.substr(0, full.size() / 2));
   EXPECT_LT(fs::file_size(tc.path), full.size());
 
   std::optional<ResumeOutcome> got =
@@ -399,14 +402,11 @@ TEST(CheckpointFault, FlippedByteRejectedByChecksum) {
   CacheConfig cfg = small_cfg();
   const u64 hash = replay_config_hash(cfg, 4, false, trace_fingerprint(*t));
 
-  FaultPlan plan;
-  plan.flip_checkpoint_n = 2;
-  FaultInjector faults(plan);
-
   TempCkpt tc("flip");
   CheckpointWriter w(tc.path);
-  w.publish(frame_at(*t, cfg, 4, 1, hash), &faults);
-  w.publish(frame_at(*t, cfg, 4, 2, hash), &faults);
+  w.publish(frame_at(*t, cfg, 4, 1, hash));
+  w.publish(frame_at(*t, cfg, 4, 2, hash));
+  flip_payload_byte(tc.path);  // silent media corruption after publication
 
   std::optional<ResumeOutcome> got =
       checkpoint_resume(tc.path, cfg, 4, DirRep::Auto, nullptr, hash);
@@ -423,13 +423,10 @@ TEST(CheckpointFault, OnlySnapshotDamagedMeansCleanRestartError) {
   CacheConfig cfg = small_cfg();
   const u64 hash = replay_config_hash(cfg, 2, false, trace_fingerprint(*t));
 
-  FaultPlan plan;
-  plan.flip_checkpoint_n = 1;  // the only snapshot there will ever be
-  FaultInjector faults(plan);
-
   TempCkpt tc("onlybad");
   CheckpointWriter w(tc.path);
-  w.publish(frame_at(*t, cfg, 2, 1, hash), &faults);
+  w.publish(frame_at(*t, cfg, 2, 1, hash));
+  flip_payload_byte(tc.path);  // the only snapshot there will ever be
 
   // No .prev exists; the caller gets a structured Error and decides to
   // restart clean — it can never resume from the damaged frame.

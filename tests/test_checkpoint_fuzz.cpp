@@ -122,7 +122,7 @@ TEST(CheckpointFuzz, MagicTamperingRejected) {
   std::string bad = fx.frame;
   bad[0] = 'X';
   fx.expect_rejected(bad, "bad magic");
-  // A sweep-journal header is not a checkpoint either.
+  // Nor is a near miss in the magic's last two bytes ("RWSJ").
   std::string rwsj = fx.frame;
   rwsj[2] = 'S';
   rwsj[3] = 'J';

@@ -9,12 +9,12 @@
 #include <filesystem>
 #include <map>
 
-#include "checkpoint/replay_job.h"
 #include "harness/experiment.h"
 #include "harness/golden.h"
 #include "harness/runner.h"
 #include "server/protocol.h"
 #include "server/service.h"
+#include "timing/replay_job.h"
 
 namespace rapwam {
 namespace {

@@ -1,6 +1,5 @@
 // The trace fingerprint (ChunkedTrace::fingerprint, docs/DESIGN.md §12),
-// which checkpoint frames, sweep journals and server snapshot keys
-// bind. Pinned here:
+// which checkpoint frames bind. Pinned here:
 //
 //   * a single-bit flip in the first word, at a chunk boundary or in
 //     the last word of a partial chunk changes it, and so does a swap

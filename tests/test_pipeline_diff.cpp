@@ -255,10 +255,9 @@ TEST(StreamingPipeline, QuietIdleStepsCountLikeTheFullPathOnPropertyPrograms) {
 }
 
 TEST(StreamingPipeline, LibraryTraceFingerprintsAreStable) {
-  // Checkpoint frames and server snapshot keys bind trace_fingerprint
-  // (the chunks, the size and the counters), so it must stay stable.
-  // Re-pin these only together with a kCheckpointVersion and
-  // kJournalVersion bump, as the four-lane word hash did.
+  // Checkpoint frames bind trace_fingerprint (the chunks, the size and
+  // the counters), so it must stay stable. Re-pin these only together
+  // with a kCheckpointVersion bump, as the four-lane word hash did.
   // The library wraps its sink in a CancelCheckSink, which must forward
   // the counters: num_pes() is part of the fingerprint.
   struct Pinned {

@@ -1,21 +1,16 @@
-// ReplayJob (checkpoint/replay_job.h), the one chunked replay loop
-// behind the CLI, the server and run_sweep. Pinned here:
+// ReplayJob (timing/replay_job.h), the one chunked replay loop behind
+// the CLI, the server and run_sweep. Pinned here:
 //
-//   * the per-chunk hook order — fault hook, cancel check, replay,
-//     after-chunk callback — observed through which exception wins
-//     and how much of the trace the simulator saw;
-//   * cancel at every chunk boundary, snapshot(), checkpoint_parse,
-//     resume() in a fresh job, finish: stats bit-identical to the
-//     uninterrupted run, untimed and timed;
-//   * config_hash() is exactly the run-identity hash a checkpoint
-//     frame carries (replay_config_hash / timed_config_hash).
+//   * the per-chunk hook order — fault hook, cancel check, replay —
+//     observed through which exception wins and how much of the trace
+//     the simulator saw;
+//   * a job stopped at any chunk boundary runs on to stats
+//     bit-identical to the uninterrupted run, untimed and timed.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "checkpoint/replay_job.h"
 #include "server/faults.h"
 #include "test_rand.h"
+#include "timing/replay_job.h"
 
 namespace rapwam {
 namespace {
@@ -32,7 +27,7 @@ std::shared_ptr<const ChunkedTrace> three_chunk_trace() {
 
 CacheConfig test_cfg() {
   CacheConfig cfg = paper_cache_config(Protocol::WriteInBroadcast, 256);
-  cfg.l2.size_words = 1024;  // the snapshot must carry the L2 too
+  cfg.l2.size_words = 1024;  // stopping must not lose the L2's state
   cfg.l2.ways = 4;
   return cfg;
 }
@@ -62,37 +57,30 @@ void expect_timing_eq(const TimingStats& a, const TimingStats& b) {
   }
 }
 
-TEST(ReplayJob, CallbackRunsAfterEachChunkIsReplayed) {
-  std::shared_ptr<const ChunkedTrace> t = three_chunk_trace();
-  ReplayJob job(*t, test_cfg(), kPes);
-  std::vector<std::pair<std::size_t, u64>> seen;  // (next_chunk, refs)
-  ReplayHooks hooks;
-  hooks.after_chunk = [&] { seen.emplace_back(job.next_chunk(), job.traffic().refs); };
-  job.run(hooks);
-  ASSERT_EQ(seen.size(), 3u);
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].first, i + 1);
-    EXPECT_EQ(seen[i].second, refs_before(*t, i + 1));
-  }
-  EXPECT_EQ(job.next_chunk(), 3u);
-  MultiCacheSim direct(test_cfg(), kPes);
-  direct.replay(*t);
-  EXPECT_EQ(job.traffic(), direct.stats());
+/// Stops `job` with an injected throw at the boundary before chunk
+/// `k`, so chunks [0, k) are replayed and nothing of chunk k.
+void stop_at(ReplayJob& job, std::size_t k) {
+  FaultPlan plan;
+  plan.throw_chunk_n = static_cast<u32>(k + 1);  // 1-based
+  FaultInjector faults(plan);
+  EXPECT_THROW(job.run({.faults = &faults}), Error);
+  EXPECT_EQ(job.next_chunk(), k);
 }
 
 TEST(ReplayJob, FaultHookRunsBeforeTheCancelCheck) {
-  // Chunk 0 replays, then the callback cancels. At chunk 1 both the
-  // injected throw and the cancellation are due: the fault hook runs
-  // first, so the plain Error wins, and nothing of chunk 1 replayed.
+  // Stopped at chunk 1, the job runs on with the same fault due and a
+  // token cancelled beforehand. The fault hook runs first, so the
+  // plain Error wins, and nothing of chunk 1 replayed.
   std::shared_ptr<const ChunkedTrace> t = three_chunk_trace();
   ReplayJob job(*t, test_cfg(), kPes);
+  stop_at(job, 1);
   FaultPlan plan;
   plan.throw_chunk_n = 2;  // 1-based: chunk index 1
   FaultInjector faults(plan);
   CancelToken cancel;
-  ReplayHooks hooks{&cancel, &faults, [&] { cancel.cancel(); }};
+  cancel.cancel();
   try {
-    job.run(hooks);
+    job.run({.cancel = &cancel, .faults = &faults});
     ADD_FAILURE() << "run completed";
   } catch (const CancelledError&) {
     ADD_FAILURE() << "cancel check ran before the fault hook";
@@ -108,13 +96,10 @@ TEST(ReplayJob, FaultHookRunsBeforeTheCancelCheck) {
 TEST(ReplayJob, CancelCheckRunsBeforeTheReplay) {
   std::shared_ptr<const ChunkedTrace> t = three_chunk_trace();
   ReplayJob job(*t, test_cfg(), kPes);
+  stop_at(job, 2);
   CancelToken cancel;
-  int callbacks = 0;
-  ReplayHooks hooks{&cancel, nullptr, [&] {
-                      if (++callbacks == 2) cancel.cancel();
-                    }};
-  EXPECT_THROW(job.run(hooks), CancelledError);
-  EXPECT_EQ(callbacks, 2);
+  cancel.cancel();
+  EXPECT_THROW(job.run({.cancel = &cancel}), CancelledError);
   EXPECT_EQ(job.next_chunk(), 2u);
   EXPECT_EQ(job.traffic().refs, refs_before(*t, 2));
   // Running on without the token finishes the remaining chunk only.
@@ -123,84 +108,22 @@ TEST(ReplayJob, CancelCheckRunsBeforeTheReplay) {
   EXPECT_EQ(job.traffic().refs, t->size());
 }
 
-/// Cancels `job` at the boundary before chunk `k` (k == num_chunks:
-/// after the last one, so the run completes), then resumes its
-/// snapshot in a fresh job and finishes it there.
-ReplayJob cancel_snapshot_resume(const ChunkedTrace& t, std::size_t k,
-                                 const TimingParams* tp) {
-  ReplayJob first(t, test_cfg(), kPes, tp);
-  CancelToken cancel;
-  if (k == 0) cancel.cancel();
-  ReplayHooks hooks{&cancel, nullptr, [&] {
-                      if (first.next_chunk() == k) cancel.cancel();
-                    }};
-  if (k < t.num_chunks()) EXPECT_THROW(first.run(hooks), CancelledError);
-  else first.run(hooks);
-  EXPECT_EQ(first.next_chunk(), k);
-  std::string frame = first.snapshot();
-
-  ReplayJob second(t, test_cfg(), kPes, tp);
-  second.resume(checkpoint_parse(frame, second.cfg(), kPes, DirRep::Auto,
-                                 second.timing_params(), second.config_hash()));
-  EXPECT_EQ(second.next_chunk(), k);
-  second.run();
-  return second;
-}
-
-TEST(ReplayJob, ResumeAtEveryBoundaryMatchesUninterruptedUntimed) {
+TEST(ReplayJob, StoppedAtEveryBoundaryRunsOnToTheUninterruptedStats) {
   std::shared_ptr<const ChunkedTrace> t = three_chunk_trace();
-  ReplayJob whole(*t, test_cfg(), kPes);
-  whole.run();
-  for (std::size_t k = 0; k <= t->num_chunks(); ++k) {
-    ReplayJob resumed = cancel_snapshot_resume(*t, k, nullptr);
-    EXPECT_EQ(resumed.traffic(), whole.traffic()) << "boundary " << k;
+  for (const TimingParams* tp : {static_cast<const TimingParams*>(nullptr), &kTiming}) {
+    ReplayJob whole(*t, test_cfg(), kPes, tp);
+    whole.run();
+    for (std::size_t k = 0; k < t->num_chunks(); ++k) {
+      SCOPED_TRACE(std::string(tp ? "timed" : "untimed") + ", boundary " +
+                   std::to_string(k));
+      ReplayJob job(*t, test_cfg(), kPes, tp);
+      stop_at(job, k);
+      job.run();
+      EXPECT_EQ(job.next_chunk(), t->num_chunks());
+      EXPECT_EQ(job.traffic(), whole.traffic());
+      if (tp) expect_timing_eq(job.timing(), whole.timing());
+    }
   }
-}
-
-TEST(ReplayJob, ResumeAtEveryBoundaryMatchesUninterruptedTimed) {
-  std::shared_ptr<const ChunkedTrace> t = three_chunk_trace();
-  ReplayJob whole(*t, test_cfg(), kPes, &kTiming);
-  whole.run();
-  for (std::size_t k = 0; k <= t->num_chunks(); ++k) {
-    SCOPED_TRACE("boundary " + std::to_string(k));
-    ReplayJob resumed = cancel_snapshot_resume(*t, k, &kTiming);
-    EXPECT_EQ(resumed.traffic(), whole.traffic());
-    expect_timing_eq(resumed.timing(), whole.timing());
-  }
-}
-
-TEST(ReplayJob, ConfigHashIsTheRunIdentityHash) {
-  std::shared_ptr<const ChunkedTrace> t = three_chunk_trace();
-  const CacheConfig cfg = test_cfg();
-  const u64 fp = trace_fingerprint(*t);
-  ReplayJob untimed(*t, cfg, kPes);
-  EXPECT_EQ(untimed.config_hash(),
-            replay_config_hash(cfg, kPes, resolve_wide(DirRep::Auto, kPes), fp));
-  ReplayJob timed(*t, cfg, kPes, &kTiming);
-  EXPECT_EQ(timed.config_hash(),
-            timed_config_hash(cfg, kPes, resolve_wide(DirRep::Auto, kPes),
-                              kTiming, fp));
-  // Above 64 PEs the directory resolves to the wide representation,
-  // and the hash follows it.
-  ReplayJob wide(*t, cfg, 128);
-  EXPECT_EQ(wide.config_hash(), replay_config_hash(cfg, 128, true, fp));
-  EXPECT_NE(wide.config_hash(), untimed.config_hash());
-}
-
-TEST(ReplayJob, ResumeRejectsAFrameFromAnotherRun) {
-  std::shared_ptr<const ChunkedTrace> t = three_chunk_trace();
-  ReplayJob a(*t, test_cfg(), kPes);
-  a.run();
-  std::string frame = a.snapshot();
-
-  CacheConfig other = test_cfg();
-  other.size_words = 512;
-  ReplayJob b(*t, other, kPes);
-  // The frame parses under its own hash, but it is not b's run.
-  RestoredReplay r =
-      checkpoint_parse(frame, other, kPes, DirRep::Auto, nullptr, a.config_hash());
-  EXPECT_THROW(b.resume(std::move(r)), Error);
-  EXPECT_EQ(b.next_chunk(), 0u);
 }
 
 }  // namespace

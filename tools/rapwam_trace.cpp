@@ -11,12 +11,11 @@
 //                       [--protocol broadcast] [--size 1024] [--line 4] [--ways 0]
 //                       [--no-allocate] [--l2 4096] [--l2-ways 8]
 //                       [--l2-noninclusive] [--l2-hit 2] [--max-solutions 1]
-//                       [--checkpoint PATH [--checkpoint-every N] [--resume]]
 //   rapwam_trace time   TRACE|--bench NAME [the replay flags] [--service 1]
 //                       [--interleave 1] [--wbuf 0] [--cpr 1] [--mem-extra 0]
 //   rapwam_trace sweep  TRACE|--bench NAME [--scale small] [--pes 4] [--line 4]
 //                       [--protocols write-thru,broadcast,update,hybrid,copyback]
-//                       [--sizes 256,512,1024,2048] [--threads 4] [--journal PATH]
+//                       [--sizes 256,512,1024,2048] [--threads 4]
 //   rapwam_trace dump   qsort4.trc [--head 20]
 //   rapwam_trace golden [--update] [--dir PATH] [--bench NAME]
 //   rapwam_trace serve  --socket unix:/tmp/rapwam.sock [--workers 4]
@@ -44,18 +43,6 @@
 // (tests/golden/) against a live recomputation, or regenerates it with
 // --update after an intentional change.
 //
-// --checkpoint makes replay/time crash-safe (docs/DESIGN.md §12):
-// every N chunks the complete simulator state is published atomically
-// to PATH (the previous snapshot rotates to PATH.prev), and --resume
-// continues from the newest valid snapshot — with stats bit-identical
-// to the uninterrupted run. `sweep --journal` is the sweep-level
-// counterpart: completed points land in an append-only journal and a
-// rerun skips them. All checkpoint progress lines start with
-// "checkpoint"/"journal" so scripted runs can filter them out before
-// diffing against an uninterrupted run's output. --enable-faults with
-// --fault '<json>' drives the same injection matrix as the server
-// (server/faults.h), including the checkpoint crash/corruption sites.
-//
 // `record` and `run` execute the WAM engine, so they take the engine
 // governance flags: --max-heap-mb / --max-steps bound the query's heap
 // and instruction budget (a trip exits with structured text naming the
@@ -69,6 +56,7 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -77,8 +65,6 @@
 #include "cache/hierarchy.h"
 #include "cache/queueing.h"
 #include "cache/sweep.h"
-#include "checkpoint/journal.h"
-#include "checkpoint/replay_job.h"
 #include "harness/experiment.h"
 #include "harness/golden.h"
 #include "harness/runner.h"
@@ -89,7 +75,7 @@
 #include "support/cli.h"
 #include "support/stats.h"
 #include "support/table.h"
-#include "timing/timed_replay.h"
+#include "timing/replay_job.h"
 
 using namespace rapwam;
 
@@ -114,75 +100,6 @@ void print_l2_stats(const CacheConfig& cfg, const TrafficStats& s) {
     std::printf("    back-invalidations %llu  (%llu dirty-flush words)\n",
                 (unsigned long long)s.l2_back_invalidations,
                 (unsigned long long)s.l2_back_inval_flush_words);
-}
-
-/// Fault plan from --enable-faults + --fault '<json>' (the server's
-/// plan format, including the checkpoint crash/corruption sites).
-std::unique_ptr<FaultInjector> faults_from_cli(const Cli& cli) {
-  if (!cli.has("fault")) return nullptr;
-  if (!cli.has("enable-faults"))
-    fail("fault injection is disabled (pass --enable-faults)");
-  return std::make_unique<FaultInjector>(
-      FaultPlan::from_json(json_parse(cli.get("fault", "{}"))));
-}
-
-/// Runs `job` under the checkpoint flags shared by replay and time:
-/// --resume continues from the newest valid snapshot at --checkpoint
-/// PATH, and a frame is published there every --checkpoint-every
-/// chunk boundaries (none after the final chunk — the run is done).
-/// Progress lines all start with "checkpoint".
-void run_checkpointed(const Cli& cli, ReplayJob& job) {
-  std::unique_ptr<FaultInjector> faults = faults_from_cli(cli);
-  std::string ckpt = cli.get("checkpoint", "");
-  u32 every = cli.get_u32("checkpoint-every", 16);
-  if (every == 0) fail("--checkpoint-every must be at least 1");
-
-  if (!ckpt.empty() && cli.has("resume")) {
-    try {
-      std::optional<ResumeOutcome> res =
-          checkpoint_resume(ckpt, job.cfg(), job.num_pes(), DirRep::Auto,
-                            job.timing_params(), job.config_hash());
-      if (!res) {
-        std::printf("checkpoint: none found at %s; starting clean\n",
-                    ckpt.c_str());
-      } else {
-        for (const std::string& e : res->errors)
-          std::printf("checkpoint: rejected %s\n", e.c_str());
-        std::printf("checkpoint: resumed from %s at chunk %llu/%llu\n",
-                    res->source.c_str(),
-                    (unsigned long long)res->restored.meta.chunk_index,
-                    (unsigned long long)job.num_chunks());
-        job.resume(std::move(res->restored));
-      }
-    } catch (const Error& e) {
-      // Every candidate was damaged or of another version: a corrupt
-      // checkpoint costs work, never correctness — fall back to a clean
-      // run. The error lists one candidate per line; each keeps the
-      // "checkpoint:" prefix.
-      std::string why = e.what();
-      for (std::size_t at = why.find('\n'); at != std::string::npos;
-           at = why.find('\n', at + 1))
-        why.insert(at + 1, "checkpoint: ");
-      std::printf("checkpoint: %s; starting clean\n", why.c_str());
-    }
-  }
-
-  ReplayHooks hooks;
-  hooks.faults = faults.get();
-  std::optional<CheckpointWriter> writer;
-  if (!ckpt.empty()) {
-    writer.emplace(ckpt);
-    hooks.after_chunk = [&] {
-      std::size_t done = job.next_chunk();
-      if (done % every != 0 || done >= job.num_chunks()) return;
-      writer->publish(job.snapshot(), faults.get());
-      std::printf("checkpoint: wrote %s at chunk %llu/%llu\n",
-                  writer->path().c_str(), (unsigned long long)done,
-                  (unsigned long long)job.num_chunks());
-      std::fflush(stdout);
-    };
-  }
-  job.run(hooks);
 }
 
 /// Engine resource budgets from --max-heap-mb / --max-steps (0 = off).
@@ -297,7 +214,7 @@ int cmd_replay(const Cli& cli) {
   const CacheConfig& cfg = e.cfg;
   auto [t, pes] = resolve_source(e);
   ReplayJob job(*t, cfg, pes);
-  run_checkpointed(cli, job);
+  job.run();
   const TrafficStats& s = job.traffic();
   std::printf("%s, %u words, %u-word lines, %s, %u PEs\n",
               protocol_name(cfg.protocol).c_str(), cfg.size_words, cfg.line_words,
@@ -324,7 +241,7 @@ int cmd_time(const Cli& cli) {
   const TimingParams& tp = e.timing;
   auto [t, pes] = resolve_source(e);
   ReplayJob job(*t, cfg, pes, &tp);
-  run_checkpointed(cli, job);
+  job.run();
   const TrafficStats& traffic = job.traffic();
   TimingStats ts = job.timing();
 
@@ -373,25 +290,7 @@ int cmd_sweep(const Cli& cli) {
   ThreadPool pool(cli.get_u32("threads", 4));
   Experiment e = experiment_from_cli(cli, ReqOp::Sweep);
   auto [t, pes] = resolve_source(e);
-  std::vector<SweepPoint> points = sweep_points(e, t.get(), pes);
-
-  // The journal is keyed to the exact point list and trace, so resuming
-  // with different flags is rejected instead of mixing results.
-  std::optional<SweepJournal> journal;
-  if (cli.has("journal")) {
-    journal.emplace(cli.get("journal", "sweep.journal"),
-                    sweep_config_hash(points, trace_fingerprint(*t)));
-    std::printf("journal: %s holds %zu of %zu points%s\n",
-                journal->path().c_str(), journal->done_count(), points.size(),
-                journal->torn_records_dropped()
-                    ? (" (" + std::to_string(journal->torn_records_dropped()) +
-                       " torn record(s) dropped)")
-                          .c_str()
-                    : "");
-  }
-
-  std::vector<SweepResult> results =
-      run_sweep(pool, points, nullptr, journal ? &*journal : nullptr);
+  std::vector<SweepResult> results = run_sweep(pool, sweep_points(e, t.get(), pes));
 
   TextTable table("sweep (" + std::to_string(pes) + " PEs)");
   table.header({"protocol", "size", "traffic ratio", "miss ratio", "bus words"});
@@ -475,17 +374,11 @@ int cmd_serve(const Cli& cli) {
   // test greps for.
   ServiceCounters c = server.service().counters();
   std::printf("drained: received %llu, completed %llu, failed %llu, "
-              "shed %llu, rejected %llu, cancelled %llu, faults %llu, "
-              "checkpoints %llu, resumes %llu, chunks skipped %llu, "
-              "corrupt checkpoints rejected %llu\n",
+              "shed %llu, rejected %llu, cancelled %llu, faults %llu\n",
               (unsigned long long)c.received, (unsigned long long)c.completed,
               (unsigned long long)c.failed, (unsigned long long)c.shed,
               (unsigned long long)c.rejected, (unsigned long long)c.cancelled,
-              (unsigned long long)c.faults_injected,
-              (unsigned long long)c.checkpoints_written,
-              (unsigned long long)c.resumes,
-              (unsigned long long)c.resume_chunks_skipped,
-              (unsigned long long)c.corrupt_checkpoints_rejected);
+              (unsigned long long)c.faults_injected);
   g_server = nullptr;
   return 0;
 }
@@ -496,9 +389,13 @@ int cmd_request(const Cli& cli) {
     return 2;
   }
   Endpoint ep = Endpoint::parse(cli.get("socket", "unix:/tmp/rapwam.sock"));
+  constexpr i64 kIntMax = std::numeric_limits<int>::max();
   ClientOptions opt;
-  opt.timeout_ms = static_cast<int>(cli.get_int("timeout", 10000));
-  opt.attempts = static_cast<int>(cli.get_int("attempts", 5));
+  // A negative timeout waits forever (Socket::recv_line).
+  opt.timeout_ms = static_cast<int>(check_range(
+      cli.get_int("timeout", 10000), std::numeric_limits<int>::min(), kIntMax, "--timeout"));
+  opt.attempts =
+      static_cast<int>(check_range(cli.get_int("attempts", 5), 1, kIntMax, "--attempts"));
   opt.jitter_seed = static_cast<u64>(cli.get_int("seed", 1));
   ClientOutcome out = request_with_retry(ep, cli.positional().at(1), opt);
   if (out.response.ok) {
@@ -546,21 +443,17 @@ struct Command {
 /// Each command's flags: replay, time and sweep take their experiment
 /// fields' flags (harness/experiment.h) plus their own.
 std::vector<Command> commands() {
-  const Flags faults = {{"fault", "JSON"}, Flag::boolean("enable-faults")};
-  const Flags checkpoint =
-      Flags{{"checkpoint", "PATH"}, {"checkpoint-every", "N"}, Flag::boolean("resume")} +
-      faults;
-  const Flags engine = Flags{"max-heap-mb", "max-steps", "timeout-ms"} + faults;
+  const Flags engine = {"max-heap-mb", "max-steps", "timeout-ms", {"fault", "JSON"},
+                        Flag::boolean("enable-faults")};
   return {
       {"record", cmd_record, Operand::None, Flags{"bench", "pes", "out", "scale"} + engine},
       {"run", cmd_run, Operand::None,
        Flags{"bench", "pes", "scale", "solutions", Flag::boolean("wam")} + engine},
       {"stats", cmd_stats, Operand::Trace, {}},
-      {"replay", cmd_replay, Operand::TraceOrBench,
-       experiment_flags(ReqOp::Replay) + checkpoint},
-      {"time", cmd_time, Operand::TraceOrBench, experiment_flags(ReqOp::Time) + checkpoint},
+      {"replay", cmd_replay, Operand::TraceOrBench, experiment_flags(ReqOp::Replay)},
+      {"time", cmd_time, Operand::TraceOrBench, experiment_flags(ReqOp::Time)},
       {"sweep", cmd_sweep, Operand::TraceOrBench,
-       experiment_flags(ReqOp::Sweep) + Flags{{"threads", "N"}, {"journal", "PATH"}}},
+       experiment_flags(ReqOp::Sweep) + Flags{{"threads", "N"}}},
       {"dump", cmd_dump, Operand::Trace, {{"head", "N"}}},
       {"golden", cmd_golden, Operand::None, {Flag::boolean("update"), "dir", "bench"}},
       {"serve", cmd_serve, Operand::None,
