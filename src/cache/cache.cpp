@@ -6,11 +6,12 @@
 namespace rapwam {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  fa_ = cfg.fully_associative();
-  u32 nsets = fa_ ? 1 : cfg.num_sets();
-  set_cap_ = fa_ ? cfg.num_lines() : cfg.ways;
+  const bool fa = cfg.fully_associative();
+  u32 nsets = fa ? 1 : cfg.num_sets();
+  set_cap_ = fa ? cfg.num_lines() : cfg.ways;
   if (nsets == 0) nsets = 1;
   if (set_cap_ == 0) set_cap_ = 1;
+  set_mask_ = std::has_single_bit(nsets) ? nsets - 1 : kDivide;
   slots_.resize(static_cast<std::size_t>(nsets) * set_cap_);
   sets_.resize(nsets);
   for (u32 s = 0; s < nsets; ++s) {

@@ -42,7 +42,14 @@ enum class LineState : u8 {
 struct Line {
   u64 tag = 0;  ///< line address (addr / line_words)
   LineState state = LineState::Invalid;
+  /// The sole-holder hint (docs/DESIGN.md §6): set only while no other
+  /// PE's cache holds this line. MultiCacheSim's coherent protocols set
+  /// and clear it; unset means "ask the directory". It is not part of
+  /// the line's contents: save_state drops it, restored lines start
+  /// without it, and tag and state are all the tests compare.
+  bool sole = false;
 };
+static_assert(sizeof(Line) == 16, "the hint lives in Line's padding");
 
 class Cache {
  public:
@@ -83,6 +90,10 @@ class Cache {
 
   void invalidate(u64 tag);
 
+  /// The line the last lookup() hit or insert() placed (the MRU memo's
+  /// line). Valid right after either call.
+  Line& mru_line() { return slots_[mru_slot_].line; }
+
   std::size_t size() const { return size_; }
   const CacheConfig& config() const { return cfg_; }
 
@@ -105,6 +116,7 @@ class Cache {
 
  private:
   static constexpr u32 kNil = 0xFFFFFFFFu;
+  static constexpr u64 kDivide = ~u64(0);  ///< set_mask_: count not a power of two
 
   struct Slot {
     Line line;
@@ -117,7 +129,12 @@ class Cache {
     u32 free = kNil;  ///< singly-linked free slots (via Slot::next)
   };
 
-  std::size_t set_of(u64 tag) const { return fa_ ? 0 : tag % sets_.size(); }
+  /// A mask when the set count is a power of two (one set when fully
+  /// associative, and the paper's geometries); check_geometry accepts
+  /// any other count, which divides.
+  std::size_t set_of(u64 tag) const {
+    return set_mask_ != kDivide ? tag & set_mask_ : tag % sets_.size();
+  }
 
   void list_unlink(SetList& s, u32 n) {
     Slot& sl = slots_[n];
@@ -140,7 +157,7 @@ class Cache {
   }
 
   CacheConfig cfg_;
-  bool fa_ = true;          ///< fully associative (single set)
+  u64 set_mask_ = 0;        ///< set count - 1, or kDivide
   u32 set_cap_ = 0;         ///< line slots per set
   std::vector<Slot> slots_; ///< contiguous pool: set s owns [s*cap, (s+1)*cap)
   std::vector<SetList> sets_;

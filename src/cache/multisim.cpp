@@ -71,6 +71,7 @@ MultiCacheSim::MultiCacheSim(const CacheConfig& cfg, unsigned num_pes, DirRep re
            "directory holder masks support 1..kMaxPes PEs");
   RW_CHECK(rep != DirRep::Flat || num_pes <= 64,
            "the flat u64 directory representation caps at 64 PEs");
+  if (std::has_single_bit(cfg.line_words)) line_shift_ = std::countr_zero(cfg.line_words);
   wide_ = rep == DirRep::Wide || (rep == DirRep::Auto && num_pes > 64);
   coherent_ = cfg.protocol != Protocol::Copyback;
   caches_.reserve(num_pes);
@@ -156,7 +157,7 @@ void MultiCacheSim::dir_remove(unsigned pe, u64 tag) {
 }
 
 template <typename E>
-void MultiCacheSim::set_state(unsigned pe, Line* l, LineState st) {
+void MultiCacheSim::change_state(unsigned pe, Line* l, LineState st) {
   l->state = st;
   if (!coherent_) return;
   dir_set_state_bits(dir<E>().upsert(l->tag), pe, st);
@@ -164,12 +165,18 @@ void MultiCacheSim::set_state(unsigned pe, Line* l, LineState st) {
 
 template <typename E>
 void MultiCacheSim::fill(unsigned pe, u64 tag, LineState st, StepOutcome& o) {
-  auto ev = caches_[pe].insert(tag, st);
+  Cache& c = caches_[pe];
+  auto ev = c.insert(tag, st);
   if (coherent_) {
     // Order matters: removing the evicted tag first can backward-shift
     // other entries, so the upsert of `tag` must come after it.
     if (ev.valid) dir_remove<E>(pe, ev.line.tag);
     E& e = dir<E>().upsert(tag);
+    // A lone holder may carry the sole-holder hint, which `pe` joining
+    // makes false; the new line carries it when no one else holds it.
+    int alone = pe_sole(e.holders);
+    if (alone >= 0) caches_[static_cast<unsigned>(alone)].probe(tag)->sole = false;
+    c.mru_line().sole = !pe_any(e.holders);
     pe_set(e.holders, pe);
     dir_set_state_bits(e, pe, st);
   }
@@ -211,6 +218,11 @@ bool MultiCacheSim::directory_consistent_t() const {
       if (l.state == LineState::Exclusive) pe_set(e.excl, pe);
     }
   }
+  // A sole-holder hint must be true of the caches, whatever the
+  // directory says.
+  for (unsigned pe = 0; pe < caches_.size(); ++pe)
+    for (const Line& l : caches_[pe].lines())
+      if (l.sole && pe_any_other(want[l.tag].holders, pe)) return false;
   if (want.size() != dir<E>().size()) return false;
   bool ok = true;
   dir<E>().for_each([&](u64 tag, const E& d) {
@@ -223,7 +235,12 @@ bool MultiCacheSim::directory_consistent_t() const {
 }
 
 bool MultiCacheSim::directory_consistent() const {
-  if (!coherent_) return dir_.size() == 0 && wdir_.size() == 0;
+  if (!coherent_) {
+    for (const Cache& c : caches_)
+      for (const Line& l : c.lines())
+        if (l.sole) return false;  // only the coherent protocols set hints
+    return dir_.size() == 0 && wdir_.size() == 0;
+  }
   return wide_ ? directory_consistent_t<WideDirEntry>()
                : directory_consistent_t<DirEntry>();
 }
@@ -422,7 +439,7 @@ StepOutcome MultiCacheSim::step(const MemRef& r) {
   template void MultiCacheSim::invalidate_others<E>(unsigned, u64);                  \
   template bool MultiCacheSim::broadcast_miss_supply<E>(unsigned, u64, StepOutcome&); \
   template void MultiCacheSim::fill<E>(unsigned, u64, LineState, StepOutcome&);      \
-  template void MultiCacheSim::set_state<E>(unsigned, Line*, LineState)
+  template void MultiCacheSim::change_state<E>(unsigned, Line*, LineState)
 
 RAPWAM_INSTANTIATE_DIR(MultiCacheSim::DirEntry);
 RAPWAM_INSTANTIATE_DIR(MultiCacheSim::WideDirEntry);

@@ -10,11 +10,12 @@
 // Each protocol handler returns a StepOutcome: what its one reference
 // put on the bus. Every replay runs one loop (docs/DESIGN.md §6): it
 // calls the handler, routes the outcome through the L2 when there is
-// one, adds it to TrafficStats, and hands it to an observer — nothing
-// for a plain replay, the per-reference result for step(), the clock,
-// bus and write-buffer model for TimedReplay (src/timing). The
-// protocol, the directory representation and the L2's presence are
-// chosen once per batch.
+// one, adds a non-empty outcome to TrafficStats, and hands it to an
+// observer — nothing for a plain replay, the per-reference result for
+// step(), the clock, bus and write-buffer model for TimedReplay
+// (src/timing). The protocol, the directory representation and the
+// L2's presence are chosen once per batch, and the batch's references,
+// reads and writes are counted once.
 //
 // Coherence bookkeeping is directory-based (docs/DESIGN.md §6): a
 // single hash table maps each cached line tag to a packed entry of
@@ -23,6 +24,8 @@
 // the miss-supply transaction (dirty-owner flush + exclusive
 // demotion) — are O(1) bit operations on that entry, independent of
 // the PE count, and invalidations walk only the actual holder set. A
+// line's sole-holder hint (Line::sole) lets a write-through or Hybrid
+// write skip the query when no other PE can hold the line. A
 // cross-checked naive broadcast implementation is retained in
 // cache/refsim.h for differential testing.
 //
@@ -77,6 +80,9 @@ struct StepOutcome {
   /// Fire-and-forget words: write-throughs, update and invalidation
   /// broadcasts, evict writebacks, back-invalidations.
   u64 posted_words() const { return bus_words() - demand_words(); }
+  /// A hit that changed no counter: no miss, no violation, no bus word.
+  /// Most references are; the replay loop adds only the others.
+  bool empty() const { return !miss && !violation && bus_words() == 0; }
   Supplier supplier() const {
     if (flush_words) return Supplier::Cache;
     if (fetch_words) return l2_hit ? Supplier::L2 : Supplier::Memory;
@@ -110,11 +116,10 @@ struct TrafficStats {
                                   ///< broadcasts (1 bus word each)
   u64 l2_back_inval_flush_words = 0;  ///< dirty L1 data flushed by back-invalidation
 
-  /// Counts reference `r` and adds what it did on the bus. The L2's
-  /// memory-side counters are kept by the L2 model itself.
-  void add(const MemRef& r, const StepOutcome& o) {
-    ++refs;
-    if (r.write) ++writes; else ++reads;
+  /// Adds what one reference did on the bus. The replay loop counts
+  /// refs, reads and writes once per batch, and the L2 model keeps its
+  /// memory-side counters itself.
+  void add(const StepOutcome& o) {
     misses += o.miss;
     bus_words += o.bus_words();
     fetch_words += o.fetch_words;
@@ -172,8 +177,8 @@ class MultiCacheSim {
     t.for_each_chunk([this](const u64* p, std::size_t n) { replay(p, n); });
   }
   /// The one replay loop: runs each reference's protocol handler, then
-  /// the L2 model when there is an L2, adds the outcome to stats(), and
-  /// calls obs(ref, outcome). The protocol, the directory
+  /// the L2 model when there is an L2, adds a non-empty outcome to
+  /// stats(), and calls obs(ref, outcome). The protocol, the directory
   /// representation and the L2's presence are chosen once per batch,
   /// so no reference pays an indirect call.
   template <typename Obs>
@@ -198,7 +203,8 @@ class MultiCacheSim {
   bool invariants_ok() const;
 
   /// Directory/cache cross-check (tests): the sharing directory's
-  /// masks must exactly mirror the lines each cache holds.
+  /// masks must exactly mirror the lines each cache holds, and every
+  /// line with the sole-holder hint must be its tag's only holder.
   bool directory_consistent() const;
 
   /// Inclusion invariant (tests): with an inclusive L2, every valid L1
@@ -255,23 +261,38 @@ class MultiCacheSim {
   /// One function per handler loop: when the compiler folded an
   /// observer's twenty loops into one replay(), flat replay took 4-21%
   /// longer per reference (docs/DESIGN.md §6).
+  /// References, reads and writes are counted in locals and added once
+  /// per batch: the handlers' stores through Line* and their
+  /// out-of-line calls would otherwise keep every counter in memory.
   template <auto Handler, typename Obs>
   [[gnu::noinline]] void replay_loop(const u64* packed, std::size_t n, Obs& obs) {
+    const std::size_t pes = caches_.size();
     auto loop = [&](auto with_l2) {
-      for (std::size_t i = 0; i < n; ++i) {
+      std::size_t i = 0;
+      u64 writes = 0;
+      for (; i < n; ++i) {
         MemRef r = MemRef::unpack(packed[i]);
-        RW_CHECK(r.pe < caches_.size(), "trace reference PE id >= simulator PE count");
+        if (r.pe >= pes) [[unlikely]] break;
+        writes += r.write;
         StepOutcome o = (this->*Handler)(r);
         if constexpr (decltype(with_l2)::value) l2_access(r, o);
-        stats_.add(r, o);
+        if (!o.empty()) stats_.add(o);
         obs(r, o);
       }
+      stats_.refs += i;
+      stats_.writes += writes;
+      stats_.reads += i - writes;
+      RW_CHECK(i == n, "trace reference PE id >= simulator PE count");
     };
     if (l2_) loop(std::true_type{});
     else loop(std::false_type{});
   }
 
-  u64 tag_of(u64 addr) const { return addr / cfg_.line_words; }
+  /// addr / line_words: a shift for power-of-two lines (the paper's
+  /// 4 words); check_geometry accepts any other size, which divides.
+  u64 tag_of(u64 addr) const {
+    return line_shift_ >= 0 ? addr >> line_shift_ : addr / cfg_.line_words;
+  }
   u64 L() const { return cfg_.line_words; }
 
   /// The active directory for entry type E: dir_ for the flat fast
@@ -308,18 +329,37 @@ class MultiCacheSim {
   bool other_dirty(unsigned pe, u64 tag) const;
   template <typename E>
   void invalidate_others(unsigned pe, u64 tag);
+  /// A write's invalidation of every other copy (write-through, Hybrid
+  /// global writes), where `l` is the writer's own copy or null. A copy
+  /// with the sole-holder hint has no other copies to invalidate and
+  /// skips the directory; a copy without it gets it afterwards.
+  template <typename E>
+  void write_invalidate(unsigned pe, u64 tag, Line* l) {
+    if (l && l->sole) return;
+    invalidate_others<E>(pe, tag);
+    if (l) l->sole = true;
+  }
   /// Broadcast-protocol miss transaction, one directory find: a dirty
   /// owner supplies the line (L flush words, owner demoted to Shared)
   /// or memory does (L fetch words), remote Exclusive copies become
   /// Shared. Returns true if other caches still hold the line.
   template <typename E>
   bool broadcast_miss_supply(unsigned pe, u64 tag, StepOutcome& o);
-  /// Inserts a line; a dirty victim's writeback goes into `o`.
+  /// Inserts a line; a dirty victim's writeback goes into `o`. The
+  /// only path that adds a holder, so it keeps the sole-holder hints:
+  /// the new line gets one when no other PE holds the tag, and a PE
+  /// that held it alone loses its hint.
   template <typename E>
   void fill(unsigned pe, u64 tag, LineState st, StepOutcome& o);
-  /// State transition on a held line, mirrored into the directory.
+  /// State transition on a held line, mirrored into the directory. An
+  /// unchanged state returns at once: the directory already mirrors
+  /// the line (directory_consistent()).
   template <typename E>
-  void set_state(unsigned pe, Line* l, LineState st);
+  void set_state(unsigned pe, Line* l, LineState st) {
+    if (l->state != st) change_state<E>(pe, l, st);
+  }
+  template <typename E>
+  void change_state(unsigned pe, Line* l, LineState st);
   template <typename E>
   void dir_remove(unsigned pe, u64 tag);
 
@@ -365,6 +405,7 @@ class MultiCacheSim {
   void restore_directory(ByteReader& r);
 
   CacheConfig cfg_;
+  int line_shift_ = -1;   ///< log2(line_words), or -1: not a power of two
   bool coherent_ = true;  ///< false for Copyback: no directory upkeep
   bool wide_ = false;     ///< wide (PeSet) directory active
   bool inclusive_ = false;  ///< the L2 is inclusive
@@ -404,7 +445,7 @@ MultiCacheSim::access_write_through(const MemRef& r) {
   }
   // Every write goes to memory; snooping caches invalidate their copy.
   o.writethrough_words = 1;
-  invalidate_others<E>(r.pe, tag);
+  write_invalidate<E>(r.pe, tag, l);
   if (l) return o;  // write hit: line updated in place
   o.miss = true;
   if (cfg_.write_allocate) {
@@ -559,7 +600,7 @@ MultiCacheSim::access_hybrid(const MemRef& r) {
     // Write-through; remote copies are invalidated by the snooped
     // memory write (no extra bus words). Own copy updated in place.
     o.writethrough_words = 1;
-    invalidate_others<E>(r.pe, tag);
+    write_invalidate<E>(r.pe, tag, l);
     if (l) return o;
     o.miss = true;
     if (cfg_.write_allocate) {
@@ -571,8 +612,8 @@ MultiCacheSim::access_hybrid(const MemRef& r) {
 
   // Local data: copy-back. Another PE modifying this PE's local line
   // would be a violation; mere clean copies (from global words in the
-  // same line) are harmless.
-  o.violation = dirty_holder<E>(r.pe, tag) >= 0;
+  // same line) are harmless. A sole holder has no other PE to ask.
+  o.violation = !(l && l->sole) && dirty_holder<E>(r.pe, tag) >= 0;
   if (l) {
     set_state<E>(r.pe, l, LineState::Dirty);
     return o;

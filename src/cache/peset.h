@@ -140,6 +140,18 @@ class PeSet {
     return -1;
   }
 
+  /// The only member, or -1 when the set is empty or has two or more.
+  int sole() const {
+    const u64* w = words();
+    int found = -1;
+    for (unsigned i = 0; i < nwords_; ++i) {
+      if (!w[i]) continue;
+      if (found >= 0 || !std::has_single_bit(w[i])) return -1;
+      found = static_cast<int>(i * 64 + std::countr_zero(w[i]));
+    }
+    return found;
+  }
+
   /// Intersects with {pe}: drops every member except (possibly) `pe`.
   void retain_only(unsigned pe) {
     bool had = test(pe);
@@ -267,6 +279,7 @@ inline int pe_first_other(u64 m, unsigned pe) {
   u64 x = m & ~pe_bit(pe);
   return x ? std::countr_zero(x) : -1;
 }
+inline int pe_sole(u64 m) { return std::has_single_bit(m) ? std::countr_zero(m) : -1; }
 inline void pe_retain_only(u64& m, unsigned pe) { m &= pe_bit(pe); }
 inline void pe_clear(u64& m) { m = 0; }
 template <typename F>
@@ -288,6 +301,7 @@ inline void pe_assign(PeSet& m, unsigned pe, bool v) { m.assign(pe, v); }
 inline bool pe_any(const PeSet& m) { return m.any(); }
 inline bool pe_any_other(const PeSet& m, unsigned pe) { return m.any_other(pe); }
 inline int pe_first_other(const PeSet& m, unsigned pe) { return m.first_other(pe); }
+inline int pe_sole(const PeSet& m) { return m.sole(); }
 inline void pe_retain_only(PeSet& m, unsigned pe) { m.retain_only(pe); }
 inline void pe_clear(PeSet& m) { m.clear(); }
 template <typename F>

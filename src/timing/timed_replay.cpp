@@ -64,7 +64,14 @@ void TimedReplay::advance(const MemRef& r, const StepOutcome& o) {
   // Retire posted writes whose bus transaction has completed.
   while (!p.wbuf.empty() && p.wbuf.front() <= now) p.wbuf.pop_front();
 
-  u64 svc = service_of(o.bus_words());
+  // A reference that put no word on the bus was a hit: no fill to
+  // count, no latency, no bus time.
+  const u64 words = o.bus_words();
+  if (words == 0) {
+    p.clock = now;
+    return;
+  }
+  u64 svc = service_of(words);
 
   // Demand fills are counted and charged their supplier's latency
   // (L2Config::hit_extra_cycles / TimingParams::mem_extra_cycles)
@@ -85,7 +92,7 @@ void TimedReplay::advance(const MemRef& r, const StepOutcome& o) {
     case StepOutcome::Supplier::None: break;
   }
 
-  if (svc == 0) {  // cache hit, or a free bus
+  if (svc == 0) {  // a free bus
     if (extra) {
       t.stall_cycles += extra;
       now += extra;

@@ -109,21 +109,24 @@ TEST(DirectoryDiff, NoWriteAllocateMatches) {
 }
 
 TEST(DirectoryDiff, SetAssociativeMatches) {
+  // 64 lines in 64, 32 and 16 sets, whose set index is a mask, and 24
+  // lines in 24, 12 and 6 sets, which Cache::set_of reaches by division.
   for (Protocol p : kAllProtocols) {
-    for (u32 ways : {1u, 2u, 4u}) {
-      std::vector<u64> trace =
-          random_trace(0xABCD + static_cast<u64>(p) * 7 + ways, 4, 15000);
-      CacheConfig cfg;
-      cfg.protocol = p;
-      cfg.size_words = 256;
-      cfg.line_words = 4;
-      cfg.write_allocate = true;
-      cfg.ways = ways;
-      const std::string what = protocol_name(p) + "/ways" + std::to_string(ways);
-      expect_equivalent(cfg, 4, trace, what);
-      expect_equivalent(cfg, 4,
-                        same_line_input(cfg, 4, 0xABCD + static_cast<u64>(p) * 7 + ways),
-                        what + "/same-line");
+    for (u32 size : {256u, 96u}) {
+      for (u32 ways : {1u, 2u, 4u}) {
+        const u64 seed = 0xABCD + static_cast<u64>(p) * 7 + ways + (size - 256);
+        std::vector<u64> trace = random_trace(seed, 4, 15000);
+        CacheConfig cfg;
+        cfg.protocol = p;
+        cfg.size_words = size;
+        cfg.line_words = 4;
+        cfg.write_allocate = true;
+        cfg.ways = ways;
+        const std::string what = protocol_name(p) + "/size" + std::to_string(size) +
+                                 "/ways" + std::to_string(ways);
+        expect_equivalent(cfg, 4, trace, what);
+        expect_equivalent(cfg, 4, same_line_input(cfg, 4, seed), what + "/same-line");
+      }
     }
   }
 }
@@ -255,15 +258,24 @@ TEST(FlatLru, RandomOpsMatchListModel) {
   // shares the Cache class. About half the operations repeat the
   // previous tag, the pattern the MRU memo serves; a lookup writes the
   // line's state through the returned pointer, as the protocols do; and
-  // after every operation the whole MRU->LRU order must match.
-  for (u32 ways : {0u, 1u, 2u, 4u}) {
+  // after every operation the whole MRU->LRU order must match. 32
+  // lines in 1, 32, 16 and 8 sets take a mask for the set index; 24
+  // lines in 24, 12 and 6 sets take a division.
+  struct Geometry {
+    u32 size_words, ways;
+  };
+  for (Geometry g : {Geometry{128, 0}, Geometry{128, 1}, Geometry{128, 2},
+                     Geometry{128, 4}, Geometry{96, 1}, Geometry{96, 2}, Geometry{96, 4}}) {
+    const u32 ways = g.ways;
+    const std::string what =
+        "size=" + std::to_string(g.size_words) + " ways=" + std::to_string(ways);
     CacheConfig cfg;
-    cfg.size_words = 128;
+    cfg.size_words = g.size_words;
     cfg.line_words = 4;
     cfg.ways = ways;
     Cache c(cfg);
     ModelCache m(cfg);
-    Lcg rng(ways * 77 + 5);
+    Lcg rng(ways * 77 + 5 + (128 - g.size_words));
     u64 tag = 0;
     for (int i = 0; i < 50000; ++i) {
       if (rng.next(2) == 0) tag = rng.next(96);
@@ -273,18 +285,20 @@ TEST(FlatLru, RandomOpsMatchListModel) {
           if (!c.probe(tag)) {
             auto ev = c.insert(tag, st);
             auto em = m.insert(tag, st);
-            ASSERT_EQ(ev.valid, em.valid) << "ways=" << ways << " op=" << i;
-            if (ev.valid) ASSERT_EQ(ev.line.tag, em.line.tag) << "ways=" << ways;
+            ASSERT_EQ(ev.valid, em.valid) << what << " op=" << i;
+            if (ev.valid) {
+              ASSERT_EQ(ev.line.tag, em.line.tag) << what;
+            }
           }
           break;
         }
         case 1: {  // lookup (touches LRU), then a state write through it
           Line* a = c.lookup(tag);
           Line* b = m.find(tag, /*touch=*/true);
-          ASSERT_EQ(a != nullptr, b != nullptr) << "ways=" << ways << " op=" << i;
+          ASSERT_EQ(a != nullptr, b != nullptr) << what << " op=" << i;
           if (a) {
-            ASSERT_EQ(a->tag, tag) << "ways=" << ways << " op=" << i;
-            ASSERT_EQ(a->state, b->state) << "ways=" << ways << " op=" << i;
+            ASSERT_EQ(a->tag, tag) << what << " op=" << i;
+            ASSERT_EQ(a->state, b->state) << what << " op=" << i;
             a->state = b->state = st;
           }
           break;
@@ -293,9 +307,9 @@ TEST(FlatLru, RandomOpsMatchListModel) {
           const Cache& cc = c;
           const Line* a = cc.probe(tag);
           Line* b = m.find(tag, /*touch=*/false);
-          ASSERT_EQ(a != nullptr, b != nullptr) << "ways=" << ways << " op=" << i;
+          ASSERT_EQ(a != nullptr, b != nullptr) << what << " op=" << i;
           if (a) {
-            ASSERT_EQ(a->tag, tag) << "ways=" << ways << " op=" << i;
+            ASSERT_EQ(a->tag, tag) << what << " op=" << i;
           }
           break;
         }
@@ -304,8 +318,8 @@ TEST(FlatLru, RandomOpsMatchListModel) {
           m.invalidate(tag);
           break;
       }
-      ASSERT_EQ(c.size(), m.size()) << "ways=" << ways << " op=" << i;
-      ASSERT_TRUE(same_lines(c.lines(), m.lines())) << "ways=" << ways << " op=" << i;
+      ASSERT_EQ(c.size(), m.size()) << what << " op=" << i;
+      ASSERT_TRUE(same_lines(c.lines(), m.lines())) << what << " op=" << i;
     }
   }
 }

@@ -176,6 +176,7 @@ TEST(PeSet, RandomOpsMatchSetModel) {
       ASSERT_EQ(s.count(), static_cast<unsigned>(model.size()));
       ASSERT_EQ(s.any(), !model.empty());
       ASSERT_EQ(s.first(), model.empty() ? -1 : static_cast<int>(*model.begin()));
+      ASSERT_EQ(s.sole(), model.size() == 1 ? static_cast<int>(*model.begin()) : -1);
       std::vector<unsigned> seen;
       s.for_each([&](unsigned p) { seen.push_back(p); });
       ASSERT_EQ(seen, std::vector<unsigned>(model.begin(), model.end()));
@@ -220,6 +221,7 @@ TEST(PeSet, U64OverloadsMatchPeSetOverloads) {
     ASSERT_EQ(pe_any(flat), pe_any(wide));
     ASSERT_EQ(pe_any_other(flat, probe), pe_any_other(wide, probe));
     ASSERT_EQ(pe_first_other(flat, probe), pe_first_other(wide, probe));
+    ASSERT_EQ(pe_sole(flat), pe_sole(wide));
     std::vector<unsigned> a, b;
     pe_for_each(flat, [&](unsigned p) { a.push_back(p); });
     pe_for_each(wide, [&](unsigned p) { b.push_back(p); });
