@@ -38,6 +38,13 @@ inline constexpr unsigned kMaxPes = kMaxTracePes;
 /// this before any replay. Returns `pes`.
 unsigned check_pes(unsigned pes, unsigned trace_pes);
 
+/// Cap on one simulator's line slots: PEs × L1 lines + L2 lines. The
+/// caches' slot pools and tag indexes, and the sharing directory, are
+/// sized from these counts at construction, so without a cap one
+/// request (256 PEs of 4M one-word lines) could ask for tens of
+/// gigabytes. 2^22 is the most one PE's cache can hold.
+inline constexpr u64 kMaxLineSlots = u64(1) << 22;
+
 /// Optional shared second-level cache between the snooping bus and
 /// memory (docs/DESIGN.md §9). The paper models a single flat private
 /// cache per PE; every machine that ran this style of system at scale
@@ -102,6 +109,12 @@ struct CacheConfig {
 
   friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
 };
+
+/// Throws Error, naming the count, unless `pes` caches of `cfg` plus
+/// its L2 hold at most kMaxLineSlots lines. MultiCacheSim checks it
+/// before allocating; the experiment front ends check it as soon as
+/// the PE count is known.
+void check_line_slots(const CacheConfig& cfg, unsigned pes);
 
 /// The paper's Figure-4 policy: no-write-allocate for small caches,
 /// write-allocate from 512 words up (hybrid switches at 1024).

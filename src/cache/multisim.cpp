@@ -41,6 +41,16 @@ unsigned check_pes(unsigned pes, unsigned trace_pes) {
   return pes;
 }
 
+void check_line_slots(const CacheConfig& cfg, unsigned pes) {
+  const u64 l1 = u64(pes) * cfg.num_lines();
+  const u64 l2 = cfg.l2.enabled() ? cfg.l2.size_words / cfg.line_words : 0;
+  if (l1 + l2 <= kMaxLineSlots) return;
+  fail("cache line slots " + std::to_string(l1 + l2) + " (" + std::to_string(pes) +
+       " PEs x " + std::to_string(cfg.num_lines()) + " lines" +
+       (l2 ? " + " + std::to_string(l2) + " L2 lines" : std::string()) +
+       ") are above the cap of " + std::to_string(kMaxLineSlots));
+}
+
 namespace {
 
 void check_level(const char* level, u32 size_words, u32 line_words, u32 ways) {
@@ -71,6 +81,7 @@ MultiCacheSim::MultiCacheSim(const CacheConfig& cfg, unsigned num_pes, DirRep re
            "directory holder masks support 1..kMaxPes PEs");
   RW_CHECK(rep != DirRep::Flat || num_pes <= 64,
            "the flat u64 directory representation caps at 64 PEs");
+  check_line_slots(cfg, num_pes);  // before the caches and directory allocate
   if (std::has_single_bit(cfg.line_words)) line_shift_ = std::countr_zero(cfg.line_words);
   wide_ = rep == DirRep::Wide || (rep == DirRep::Auto && num_pes > 64);
   coherent_ = cfg.protocol != Protocol::Copyback;

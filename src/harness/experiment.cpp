@@ -122,8 +122,12 @@ void finish_experiment(Experiment& e, ReqOp op) {
   if (!e.bench.empty() && !e.trace_path.empty())
     fail("a bench and a trace file are mutually exclusive");
   if (e.bench.empty() && e.trace_path.empty()) e.bench = "qsort";
+  // A trace file without "pes" names its PE count only once it is read;
+  // MultiCacheSim checks the line slots of that case when it is built.
+  const bool pes_known = e.trace_path.empty() || e.explicit_pes;
   if (op == ReqOp::Replay || op == ReqOp::Time) {
     e.cfg.check_geometry();
+    if (pes_known) check_line_slots(e.cfg, e.pes);
     e.cfg.write_allocate =
         e.cfg.write_allocate && paper_write_allocate(e.cfg.protocol, e.cfg.size_words);
   }
@@ -137,7 +141,10 @@ void finish_experiment(Experiment& e, ReqOp op) {
     if (n > kMaxSweepPoints)
       fail("oversized sweep: " + std::to_string(n) + " points > " +
            std::to_string(kMaxSweepPoints));
-    for (const SweepPoint& pt : sweep_points(e, nullptr, 1)) pt.cfg.check_geometry();
+    for (const SweepPoint& pt : sweep_points(e, nullptr, e.pes)) {
+      pt.cfg.check_geometry();
+      if (pes_known) check_line_slots(pt.cfg, pt.num_pes);
+    }
   }
 }
 

@@ -88,7 +88,9 @@ i64 check_range(i64 value, i64 lo, i64 hi, const std::string& what);
 /// cache point's geometry is checked and the paper's write-allocate
 /// rule applies unless no_allocate cleared it; a sweep's grid is
 /// filled in, capped at kMaxSweepPoints, and every point's geometry
-/// checked. Throws Error before any trace is read.
+/// checked. When the PE count is known (a bench, or an explicit
+/// "pes"), every cache point must also fit kMaxLineSlots. Throws Error
+/// before any trace is read.
 void finish_experiment(Experiment& e, ReqOp op);
 
 /// The flags of `op`'s fields (the trace is the TRACE positional

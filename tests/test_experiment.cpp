@@ -113,6 +113,40 @@ TEST(ExperimentParity, RangeErrorsNameTheFlagOrTheMember) {
   }
 }
 
+TEST(ExperimentParity, LineSlotCapIsOneErrorForBothFrontEnds) {
+  // 8 PEs of 2^20 four-word lines are twice kMaxLineSlots: refused by
+  // the finishing step, before any trace is read, with one message.
+  const std::string want =
+      "cache line slots 8388608 (8 PEs x 1048576 lines) are above the cap of 4194304";
+  auto error_of = [](auto&& parse) -> std::string {
+    try {
+      parse();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  for (ReqOp op : {ReqOp::Replay, ReqOp::Time}) {
+    EXPECT_EQ(error_of([&] { from_argv(op, {"--pes", "8", "--size", "4194304"}); }), want);
+    EXPECT_EQ(error_of([&] { from_json(op, R"(,"pes":8,"size":4194304)"); }), want);
+  }
+  EXPECT_EQ(error_of([&] { from_argv(ReqOp::Sweep, {"--pes", "8", "--sizes", "4194304"}); }),
+            want);
+  EXPECT_EQ(error_of([&] { from_json(ReqOp::Sweep, R"(,"pes":8,"sizes":[4194304])"); }),
+            want);
+  // The L2's lines count too; exactly the cap is allowed.
+  EXPECT_EQ(error_of([&] { from_json(ReqOp::Replay, R"(,"size":4194304,"l2":4096)"); }),
+            "cache line slots 4195328 (4 PEs x 1048576 lines + 1024 L2 lines) are above "
+            "the cap of 4194304");
+  EXPECT_NO_THROW(from_json(ReqOp::Replay, R"(,"size":4194304)"));
+  // A trace file names its PE count only when read: the simulator
+  // refuses the same geometry before it allocates anything.
+  EXPECT_NO_THROW(from_json(ReqOp::Replay, R"(,"trace":"x.trc","size":4194304)"));
+  CacheConfig cfg;
+  cfg.size_words = 4194304;
+  EXPECT_EQ(error_of([&] { MultiCacheSim sim(cfg, 8); }), want);
+}
+
 TEST(ExperimentParity, CliTimeOfATraceFileIsTheServersTime) {
   std::string path = (std::filesystem::temp_directory_path() /
                       ("rapwam_exp_" + std::to_string(::getpid()) + "_q4.trc"))

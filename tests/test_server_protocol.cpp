@@ -256,6 +256,31 @@ TEST(ParseRequest, BadCacheGeometryIsRejectedBeforeAnyGeneration) {
     EXPECT_NO_THROW(parse_request(ok)) << ok;
 }
 
+TEST(ParseRequest, OversizedSimulatorIsRejectedBeforeAnyGeneration) {
+  // 8 PEs of 4M-word caches would build about 1 GB of cache and
+  // directory tables; 256 PEs of one-word lines, about 48 GB. Both are
+  // over kMaxLineSlots and must cost no trace generation.
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service svc(cfg);
+  const std::size_t entries = TraceLibrary::instance().size();
+  for (const char* req :
+       {R"({"op":"replay","bench":"tak","scale":"paper","pes":8,"size":4194304})",
+        R"({"op":"replay","bench":"qsort","pes":256,"size":4194304,"line":1})",
+        R"({"op":"time","bench":"tak","scale":"paper","pes":4,"size":4194304,"l2":65536})",
+        R"({"op":"sweep","bench":"tak","scale":"paper","pes":8,"sizes":[1024,4194304]})"}) {
+    Response r = Response::parse(svc.handle_line(req));
+    EXPECT_FALSE(r.ok) << req;
+    EXPECT_EQ(r.code, "bad_request") << req;
+    EXPECT_NE(r.message.find("are above the cap of 4194304"), std::string::npos)
+        << req << ": " << r.message;
+  }
+  EXPECT_EQ(TraceLibrary::instance().size(), entries);
+  ServiceCounters c = svc.counters();
+  EXPECT_EQ(c.rejected, 4u);
+  EXPECT_EQ(c.failed, 0u);
+}
+
 TEST(ServiceTraceFile, PeCountBelowTheTracesIsRejectedBeforeReplay) {
   // An 8-PE trace file replayed on 4 PEs used to run until the first
   // reference of PE 4 and then fail as an internal error.
