@@ -221,19 +221,20 @@ bool MultiCacheSim::invariants_ok() const {
 template <typename E>
 bool MultiCacheSim::directory_consistent_t() const {
   std::unordered_map<u64, E> want;
+  std::vector<std::pair<unsigned, u64>> hinted;
   for (unsigned pe = 0; pe < caches_.size(); ++pe) {
     for (const Line& l : caches_[pe].lines()) {
       E& e = want[l.tag];
       pe_set(e.holders, pe);
       if (l.state == LineState::Dirty) pe_set(e.dirty, pe);
       if (l.state == LineState::Exclusive) pe_set(e.excl, pe);
+      if (l.sole) hinted.emplace_back(pe, l.tag);
     }
   }
   // A sole-holder hint must be true of the caches, whatever the
   // directory says.
-  for (unsigned pe = 0; pe < caches_.size(); ++pe)
-    for (const Line& l : caches_[pe].lines())
-      if (l.sole && pe_any_other(want[l.tag].holders, pe)) return false;
+  for (const auto& [pe, tag] : hinted)
+    if (pe_any_other(want[tag].holders, pe)) return false;
   if (want.size() != dir<E>().size()) return false;
   bool ok = true;
   dir<E>().for_each([&](u64 tag, const E& d) {
