@@ -31,11 +31,12 @@ struct FaultPlan {
   /// (on_alloc()) of the request — simulator construction, result
   /// assembly, trace acquisition.
   u32 fail_alloc_n = 0;
-  /// Throw Error("injected chunk fault") at the Nth replay chunk.
+  /// Throw Error("injected chunk fault") at the Nth replay chunk (in a
+  /// sweep, before the Nth point).
   u32 throw_chunk_n = 0;
-  /// Stall the replay loop `stall_ms` at every chunk checkpoint —
-  /// the "slow consumer" of the matrix; pairs with deadlines and
-  /// overload tests.
+  /// Stall the replay loop `stall_ms` at every chunk checkpoint (in a
+  /// sweep, before every point) — the "slow consumer" of the matrix;
+  /// pairs with deadlines and overload tests.
   u32 stall_ms = 0;
   /// Engine-side faults: forwarded into MachineConfig::faults when
   /// this request triggers a trace *generation* (no effect on cache
@@ -68,9 +69,9 @@ struct FaultPlan {
 };
 
 /// Per-request countdown state. Each plan belongs to exactly one
-/// request, and the worker thread executing it calls the checkpoints;
-/// the counters are relaxed atomics so fired() stays race-free to read
-/// from any thread.
+/// request. The worker thread executing it calls the checkpoints, and
+/// a sweep's helpers call on_chunk for the points they run; the
+/// counters are relaxed atomics, so both stay race-free.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}

@@ -217,22 +217,10 @@ JsonValue Service::run_sweep_op(const Request& req, const CancelToken& cancel,
   auto [trace, pes] = resolve_source(
       req, &cancel, req.fault ? req.fault->engine_faults() : EngineFaults{});
   if (faults) faults->on_alloc();
-  std::vector<SweepPoint> points = sweep_points(req, trace.get(), pes);
-  // The points run on the request's own worker, serially: a sweep
-  // request occupies exactly one pool slot, so a burst of sweeps
-  // degrades into queueing/shedding instead of a pool-wide pile-up.
-  // (run_sweep on the shared pool would have workers blocking on
-  // futures that need those same workers — deadlock by composition.)
-  // The fault hook fires once per point here, not per chunk.
-  std::vector<SweepResult> results;
-  results.reserve(points.size());
-  for (const SweepPoint& pt : points) {
-    if (faults) faults->on_chunk(results.size());
-    cancel.checkpoint();
-    ReplayJob job(*trace, pt.cfg, pt.num_pes);
-    job.run({.cancel = &cancel});
-    results.push_back(SweepResult{pt, job.traffic()});
-  }
+  // The points fan out over the pool's idle workers; the request still
+  // holds one admission slot. The fault hook fires once per point.
+  std::vector<SweepResult> results =
+      run_sweep(pool_, sweep_points(req, trace.get(), pes), &cancel, faults);
 
   JsonValue arr = JsonValue::array();
   for (const SweepResult& r : results) {

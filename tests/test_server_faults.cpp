@@ -124,6 +124,9 @@ TEST(ServerFaults, SweepWithInjectedFaultRecovers) {
       R"({"op":"sweep","bench":"qsort","pes":4,"sizes":[256,1024],"fault":{"throw_chunk":3}})");
   EXPECT_FALSE(bad.ok);
   EXPECT_EQ(bad.code, "failed");
+  // The plan fails point index 2, whichever thread of the sweep runs it.
+  EXPECT_NE(bad.message.find("injected chunk fault at chunk 2"), std::string::npos)
+      << bad.message;
   Response good =
       ts.ask(R"({"op":"sweep","bench":"qsort","pes":4,"sizes":[256,1024]})");
   ASSERT_TRUE(good.ok) << good.message;

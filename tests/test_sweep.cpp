@@ -2,13 +2,19 @@
 // return exactly the same result vector — element-wise identical
 // TrafficStats, in input order — as serial execution of the same
 // points. Cache simulations share nothing, so any divergence means the
-// sweep scrambled results or raced. These tests (and the ThreadPool
-// suite in test_support.cpp) are what the CI ThreadSanitizer job runs.
+// sweep scrambled results or raced. run_sweep must also complete when
+// it is called from a worker of its own pool, as the server calls it.
+// These tests (and the ThreadPool suite in test_support.cpp) are what
+// the CI ThreadSanitizer job runs.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <memory>
 #include <vector>
 
 #include "cache/sweep.h"
+#include "server/faults.h"
 #include "test_rand.h"
 
 namespace rapwam {
@@ -92,6 +98,73 @@ TEST(SweepDeterminism, RepeatedRunsAreIdentical) {
 TEST(SweepDeterminism, EmptySweepReturnsEmpty) {
   ThreadPool pool(2);
   EXPECT_TRUE(run_sweep(pool, {}).empty());
+}
+
+void expect_matches_replay_traffic(const std::vector<SweepResult>& got,
+                                   const std::vector<SweepPoint>& points) {
+  ASSERT_EQ(got.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(got[i].point.label, points[i].label) << i;
+    EXPECT_EQ(got[i].stats,
+              replay_traffic(points[i].cfg, points[i].num_pes, *points[i].chunks))
+        << "point " << i;
+  }
+}
+
+/// A bound no healthy sweep of the points below comes near, even under
+/// a sanitizer; a run_sweep that waits on its own worker never meets it.
+constexpr std::chrono::seconds kSweepBound{60};
+
+TEST(SweepFromWorker, CompletesOnEveryPoolSize) {
+  // Shared with the task, so a task left blocked by a regression still
+  // reads live traces after the test has failed and returned.
+  std::shared_ptr<const ChunkedTrace> t4 = chunked(random_trace(0x5EED4, 4, 12000));
+  std::shared_ptr<const ChunkedTrace> t8 = chunked(random_trace(0x5EED8, 8, 12000));
+  auto points = std::make_shared<const std::vector<SweepPoint>>(make_points(*t4, *t8));
+  for (unsigned n : {1u, 2u, 4u}) {
+    auto pool = std::make_unique<ThreadPool>(n);
+    ThreadPool* p = pool.get();
+    std::future<std::vector<SweepResult>> fut =
+        pool->submit([p, points, t4, t8] { return run_sweep(*p, *points); });
+    if (fut.wait_for(kSweepBound) != std::future_status::ready) {
+      // A worker is stuck: joining it would hang the suite.
+      (void)pool.release();
+      FAIL() << "run_sweep on a worker of its own " << n << "-thread pool did not finish";
+    }
+    expect_matches_replay_traffic(fut.get(), *points);
+  }
+}
+
+TEST(SweepFromWorker, HelperThatStartsAfterTheSweepClosedTouchesNothing) {
+  ThreadPool pool(2);
+  // One worker waits on `release`, so the sweep's one helper stays
+  // queued while the other worker, the caller, runs every point.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<void> held = pool.submit([released] { released.wait(); });
+  {
+    std::shared_ptr<const ChunkedTrace> t4 = chunked(random_trace(0xC105E4, 4, 12000));
+    std::shared_ptr<const ChunkedTrace> t8 = chunked(random_trace(0xC105E8, 8, 12000));
+    const std::vector<SweepPoint> points = make_points(*t4, *t8);
+    FaultInjector faults(FaultPlan{});
+    std::future<std::vector<SweepResult>> fut =
+        pool.submit([&] { return run_sweep(pool, points, nullptr, &faults); });
+    if (fut.wait_for(kSweepBound) != std::future_status::ready) {
+      release.set_value();
+      fut.wait();  // the helper can run now; the sweep reads these locals
+      FAIL() << "a sweep waited for a helper that had not started";
+    }
+    expect_matches_replay_traffic(fut.get(), points);
+  }
+  // The traces, the points and the injector are gone; the helper now
+  // starts, finds the sweep closed and returns (a sanitizer build
+  // would report any access).
+  release.set_value();
+  held.get();
+  std::shared_ptr<const ChunkedTrace> t4 = chunked(random_trace(0xA5A5, 4, 8000));
+  std::shared_ptr<const ChunkedTrace> t8 = chunked(random_trace(0xA5A6, 8, 8000));
+  const std::vector<SweepPoint> points = make_points(*t4, *t8);
+  expect_matches_replay_traffic(run_sweep(pool, points), points);
 }
 
 }  // namespace
