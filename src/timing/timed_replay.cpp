@@ -54,24 +54,8 @@ void TimedReplay::prune_timeline() {
   while (it != busy_.end() && it->second <= min_clock) it = busy_.erase(it);
 }
 
-void TimedReplay::advance(const MemRef& r, const StepOutcome& o) {
-  PeState& p = pes_[r.pe];  // the loop has checked r.pe
-  PeTiming& t = ts_.pe[r.pe];
-  ++t.refs;
-  t.busy_cycles += tp_.cycles_per_ref;
-  u64 now = p.clock + tp_.cycles_per_ref;
-
-  // Retire posted writes whose bus transaction has completed.
-  while (!p.wbuf.empty() && p.wbuf.front() <= now) p.wbuf.pop_front();
-
-  // A reference that put no word on the bus was a hit: no fill to
-  // count, no latency, no bus time.
-  const u64 words = o.bus_words();
-  if (words == 0) {
-    p.clock = now;
-    return;
-  }
-  u64 svc = service_of(words);
+void TimedReplay::advance_bus(PeState& p, PeTiming& t, u64 now, const StepOutcome& o) {
+  u64 svc = service_of(o.bus_words());
 
   // Demand fills are counted and charged their supplier's latency
   // (L2Config::hit_extra_cycles / TimingParams::mem_extra_cycles)

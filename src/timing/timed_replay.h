@@ -181,7 +181,14 @@ class TimedReplay {
 
   /// The replay loop's observer: advances PE r.pe's clock, the bus and
   /// the write buffer by what reference `r` did (docs/DESIGN.md §7).
+  /// Inline up to a hit's return, so a hit's outcome stays in
+  /// registers; a reference that moved words takes advance_bus.
   void advance(const MemRef& r, const StepOutcome& o);
+  /// The rest of advance for a reference that put words on the bus:
+  /// service time, supplier latency, write buffer and bus_reserve.
+  /// `now` is the PE's clock after the issue cycles.
+  [[gnu::noinline]] void advance_bus(PeState& p, PeTiming& t, u64 now,
+                                     const StepOutcome& o);
   /// Bus cycles an n-word transaction occupies.
   u64 service_of(u64 words) const {
     return (words * tp_.bus_service_cycles + tp_.interleave - 1) / tp_.interleave;
@@ -203,5 +210,27 @@ class TimedReplay {
   std::map<u64, u64> busy_;
   u64 reservations_since_prune_ = 0;
 };
+
+// Defined here and always inlined into the replay loops that
+// TimedReplay::replay instantiates (docs/DESIGN.md §7).
+[[gnu::always_inline]] inline void TimedReplay::advance(const MemRef& r,
+                                                        const StepOutcome& o) {
+  PeState& p = pes_[r.pe];  // the loop has checked r.pe
+  PeTiming& t = ts_.pe[r.pe];
+  ++t.refs;
+  t.busy_cycles += tp_.cycles_per_ref;
+  const u64 now = p.clock + tp_.cycles_per_ref;
+
+  // Retire posted writes whose bus transaction has completed.
+  while (!p.wbuf.empty() && p.wbuf.front() <= now) p.wbuf.pop_front();
+
+  // A reference that put no word on the bus was a hit: no fill to
+  // count, no latency, no bus time.
+  if (o.bus_words() == 0) {
+    p.clock = now;
+    return;
+  }
+  advance_bus(p, t, now, o);
+}
 
 }  // namespace rapwam
