@@ -43,7 +43,9 @@ void expect_equivalent(const CacheConfig& cfg, unsigned pes,
   // flagged-violation states (that is what coherence_violations
   // counts), so only the structurally-coherent protocols must hold
   // the invariants on arbitrary input.
-  if (cfg.protocol != Protocol::Hybrid) EXPECT_TRUE(fast.invariants_ok()) << what;
+  if (cfg.protocol != Protocol::Hybrid) {
+    EXPECT_TRUE(fast.invariants_ok()) << what;
+  }
   EXPECT_TRUE(fast.directory_consistent()) << what;
   for (unsigned pe = 0; pe < pes; ++pe) {
     std::vector<Line> a = sorted_lines(fast.cache(pe));

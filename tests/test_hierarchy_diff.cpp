@@ -194,8 +194,9 @@ TEST(HierarchyDiff, InclusionInvariantHoldsThroughoutReplay) {
         // Hybrid tolerates conflicting local-tagged dirty copies on
         // violation traces (counted, not prevented) — same exclusion
         // as test_cache_diff.
-        if (p != Protocol::Hybrid)
+        if (p != Protocol::Hybrid) {
           ASSERT_TRUE(hier.invariants_ok()) << protocol_name(p) << " at " << i;
+        }
       }
     }
     const std::string what = protocol_name(p);
@@ -302,8 +303,9 @@ TEST(HierarchyDiff, RealTraceAllProtocolsBothInclusionPolicies) {
       EXPECT_TRUE(hier.directory_consistent()) << what;
       // The L2 must capture some of the memory traffic.
       EXPECT_LT(hier.stats().mem_words(), hier.stats().bus_words) << what;
-      if (inc == L2Config::Inclusion::NonInclusive)
+      if (inc == L2Config::Inclusion::NonInclusive) {
         EXPECT_EQ(bus_side(hier.stats()), flat.stats()) << what;
+      }
     }
   }
 }

@@ -57,7 +57,9 @@ struct TempFile {
 void write_raw(const std::string& path, const void* data, std::size_t bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  if (bytes) ASSERT_EQ(std::fwrite(data, 1, bytes, f), bytes);
+  if (bytes) {
+    ASSERT_EQ(std::fwrite(data, 1, bytes, f), bytes);
+  }
   ASSERT_EQ(std::fclose(f), 0);
 }
 

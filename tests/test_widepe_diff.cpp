@@ -162,7 +162,9 @@ TEST(WidePeDiff, ManyPesMatchNaiveReference) {
       std::string what = protocol_name(p) + "/" + std::to_string(pes) + "pe";
       EXPECT_EQ(wide.stats(), naive.stats()) << what;
       EXPECT_EQ(wide.invariants_ok(), naive.invariants_ok()) << what;
-      if (p != Protocol::Hybrid) EXPECT_TRUE(wide.invariants_ok()) << what;
+      if (p != Protocol::Hybrid) {
+        EXPECT_TRUE(wide.invariants_ok()) << what;
+      }
       EXPECT_TRUE(wide.directory_consistent()) << what;
       expect_same_caches(wide, naive, pes, what.c_str());
     }
