@@ -18,7 +18,9 @@ with its own pipebench/run.py into its own CARGO_TARGET_DIR,
 .bench_build/ab/parent or .bench_build/ab/change, so neither rebuilds
 the other's objects. Both sides must carry the same pipebench/ and
 BENCHMARK.json, or the runs would not compare one benchmark. Every run
-lasts pipebench's own default length.
+lasts BENCHMARK.json's run_seconds (30 s), the length the benchmark is
+judged at: a shorter `serve` run makes too few sweep requests for its
+tail percentile to reach them.
 
 Pair i runs the parent first when i is even and the change first when i
 is odd. For each metric it prints the parent's median and quartiles, the
@@ -81,13 +83,14 @@ def parent_tree(rev, build):
     return src, sha
 
 
-def run_once(tree, target, workload, seed, trace):
+def run_once(tree, target, workload, seed, seconds, trace):
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     # Keep pipebench's commit lookup inside the snapshot, which has no
     # .git: without this it would find and report this repository's HEAD.
     env["GIT_CEILING_DIRECTORIES"] = AB
     cmd = [sys.executable, os.path.join(tree, "pipebench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     try:
@@ -171,7 +174,8 @@ def main():
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             tree, target = sides[side]
-            r = run_once(tree, target, args.workload, args.seed, args.trace)
+            r = run_once(tree, target, args.workload, args.seed, bench["run_seconds"],
+                         args.trace)
             runs[side].append(r)
             wps = r["metrics"].get("work_per_s", {}).get("value", float("nan"))
             print("pair %d %s: work_per_s %s correct %s failed %d/%d"
@@ -183,8 +187,9 @@ def main():
         json.dump({"parent": sha, "workload": args.workload, "seed": args.seed,
                    "trace": args.trace, "runs": runs}, f)
 
-    print("%s seed %d, %d pairs, --trace %d: parent %s vs working tree"
-          % (args.workload, args.seed, args.pairs, args.trace, sha[:12]))
+    print("%s seed %d, %d pairs of %g s runs, --trace %d: parent %s vs working tree"
+          % (args.workload, args.seed, args.pairs, bench["run_seconds"], args.trace,
+             sha[:12]))
     print("%-36s %-34s %-11s %-7s %-6s %s"
           % ("metric", "parent median [q1-q3]", "change", "ratio", "wins", "verdict"))
     names = [n for n in spec if all(n in r["metrics"] for side in runs for r in runs[side])]
