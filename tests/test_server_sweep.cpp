@@ -99,7 +99,9 @@ TEST(ServerSweep, HelperStartingAfterItsSweepClosedIsHarmless) {
     held = svc.handle_line(
         R"({"op":"replay","bench":"qsort","pes":4,"fault":{"stall_ms":600}})");
   });
-  auto in_flight = [&] { return ask(svc, R"({"op":"stats"})").result.find("in_flight")->as_int(); };
+  auto in_flight = [&] {
+    return ask(svc, R"({"op":"stats"})").result.find("in_flight")->as_int();
+  };
   for (int i = 0; i < 10000 && in_flight() == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   Response sweep = ask(svc, kBenchSweep);
