@@ -42,7 +42,10 @@ unsigned check_pes(unsigned pes, unsigned trace_pes);
 /// caches' slot pools and tag indexes, and the sharing directory, are
 /// sized from these counts at construction, so without a cap one
 /// request (256 PEs of 4M one-word lines) could ask for tens of
-/// gigabytes. 2^22 is the most one PE's cache can hold.
+/// gigabytes. 2^22 is the most one PE's cache can hold. A trace file,
+/// which is loaded whole, has its own cap beside the loader in
+/// trace/chunks.h: kMaxTraceFileRefs, 2^24 records (128 MiB), 40x the
+/// largest Paper-scale recording (qsort at 8 PEs, 3.2 MB).
 inline constexpr u64 kMaxLineSlots = u64(1) << 22;
 
 /// Optional shared second-level cache between the snooping bus and

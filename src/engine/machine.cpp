@@ -3,6 +3,7 @@
 #include "engine/machine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <thread>
 
@@ -112,6 +113,11 @@ void Machine::reset(TraceSink* sink) {
     w.b_ltop = w.local_base;
     w.state = Worker::St::Idle;
   }
+  awake_.assign((cfg_.num_pes + 63) / 64, 0);
+  for (unsigned pe = 0; pe < cfg_.num_pes; ++pe) awake_[pe >> 6] |= u64(1) << (pe & 63);
+  parked_ = 0;
+  cur_pe_ = cfg_.num_pes;
+  open_stacks_ = 0;
   stats_ = RunStats{};
   stats_.num_pes = cfg_.num_pes;
   heap_pushes_ = 0;
@@ -210,6 +216,18 @@ std::string Machine::stringify(u64 cell, int depth) const {
   }
 }
 
+// Defined here, beside its one caller, so the cycle loop inlines it.
+unsigned Machine::next_awake(unsigned from) const {
+  std::size_t i = from >> 6;
+  if (i >= awake_.size()) return cfg_.num_pes;
+  u64 bits = awake_[i] & (~u64(0) << (from & 63));
+  while (bits == 0) {
+    if (++i == awake_.size()) return cfg_.num_pes;
+    bits = awake_[i];
+  }
+  return static_cast<unsigned>(i * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+}
+
 RunResult Machine::run_query(const Term* goal, TraceSink* sink) {
   reset(sink);
   Worker& w0 = workers_[0];
@@ -256,11 +274,27 @@ RunResult Machine::run_query(const Term* goal, TraceSink* sink) {
         stats_.cycles % cfg_.faults.stall_every_cycles == 0) [[unlikely]]
       std::this_thread::sleep_for(
           std::chrono::milliseconds(cfg_.faults.stall_ms));
-    for (Worker& w : workers_) {
-      step(w);
-      if (done_) break;
+    // Active PEs step in index order (docs/DESIGN.md §5). While
+    // nothing is parked that is every PE, and cur_pe_ stays num_pes: a
+    // PE parked in this cycle comes before any PE that wakes it.
+    // Otherwise the awake set is re-read after each step, so a PE that
+    // the step woke above the stepping one still steps in this cycle.
+    if (parked_ == 0) {
+      for (Worker& w : workers_) {
+        step(w);
+        if (done_) break;
+      }
+    } else {
+      for (cur_pe_ = next_awake(0); cur_pe_ < cfg_.num_pes;
+           cur_pe_ = next_awake(cur_pe_ + 1)) {
+        step(workers_[cur_pe_]);
+        if (done_) break;
+      }
     }
   }
+  // Parked workers would have polled or probed up to the step that
+  // ended the run.
+  for (unsigned pe = 0; parked_ != 0; ++pe) wake(pe);
 
   bus_->finish();  // the trailing chunk, then the run's counters
 
@@ -311,7 +345,8 @@ void Machine::step(Worker& w) {
       return;
     case Worker::St::Waiting:
       ++stats_.wait_polls;
-      if (!quiet_wait_poll(w)) exec_pwait(w);
+      if (quiet_wait_poll(w)) park(w);
+      else exec_pwait(w);
       return;
     case Worker::St::Idle:
       try_steal(w);

@@ -209,6 +209,7 @@ class Machine {
     u64 ctop_floor = 0;  // lowest reclaimable point (retained sections below)
     u64 b_ltop = 0;   // local top saved in newest CP (shadow)
     unsigned steal_rr = 1;  // round-robin steal pointer
+    u64 parked_at = 0;      // cycle it parked in (0 = in the cycle loop)
     // True high-water marks (words used), updated at allocation sites.
     u64 hw_heap = 0, hw_local = 0, hw_control = 0, hw_trail = 0;
     // Area bases/limits cached from the layout.
@@ -279,9 +280,27 @@ class Machine {
   /// A waiting worker's poll whose outcome is fixed, counted in bulk;
   /// false (nothing done) when exec_pwait must run instead.
   bool quiet_wait_poll(Worker& w);
-  /// Counts an idle lock/read bot/read top/unlock of goal stack `gs`
-  /// that found no goal, and leaves the lock word released.
-  void count_empty_probe(Worker& w, u64 gs);
+  /// Counts the idle references of `n` quiet wait polls.
+  void count_quiet_polls(Worker& w, u64 n);
+  /// Counts `n` idle lock/read bot/read top/unlock of a goal stack
+  /// that found no goal.
+  void count_empty_probes(Worker& w, u64 n);
+  /// Parking (docs/DESIGN.md §5): a worker whose quiet poll or probe
+  /// would repeat unchanged leaves the cycle loop until a wake site puts
+  /// it back; the steps it skipped are counted then, or when the run ends.
+  void park(Worker& w);
+  void wake(unsigned pe);           ///< no-op unless `pe` is parked
+  void wake_creator(u64 pf);        ///< the worker that polls pf's counter
+  void wake_probers();              ///< every parked idle worker
+  /// Counts the quiet steps a parked worker skipped up to the current
+  /// step of PE cur_pe_.
+  void settle(Worker& w);
+  /// Lowest PE >= from still in the cycle loop, or num_pes if none.
+  unsigned next_awake(unsigned from) const;
+  bool goal_stack_open(u64 gs) const;  ///< bot < top
+  /// Keeps open_stacks_ in step with a goal stack that was open
+  /// (`was_open`) and now holds [bot, top).
+  void note_goal_stack(bool was_open, u64 bot, u64 top);
   void start_goal(Worker& w, u64 pf, u64 slot, i32 entry, int arity,
                   const u64* args, i32 resume_p);
   void start_local_goal(Worker& w, u64 pf, u64 slot, i32 entry, int arity,
@@ -315,6 +334,13 @@ class Machine {
   std::ostringstream out_;
   bool done_ = false;
   bool query_failed_exhausted_ = false;
+  // Parking (docs/DESIGN.md §5).
+  std::vector<u64> awake_;   ///< bit i set: PE i is in the cycle loop
+  unsigned parked_ = 0;      ///< workers out of the cycle loop
+  /// The PE the cycle loop is stepping while some PE is parked;
+  /// num_pes otherwise (and after the loop ends a cycle).
+  unsigned cur_pe_ = 0;
+  unsigned open_stacks_ = 0; ///< goal stacks with bot < top
   std::vector<std::pair<std::string, u64>> query_vars_;  // name -> heap addr
   std::vector<Solution> solutions_;
 };

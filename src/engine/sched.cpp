@@ -66,6 +66,7 @@ void Machine::exec_pgoal(Worker& w, int slot, i32 proc_idx, int arity) {
   u64 gs = w.goal_base;
   wr(w, gs + kGsLock, make_raw(1), ObjClass::GoalFrame);  // test-and-set
   u64 top = cell_val(rd(w, gs + kGsTop, ObjClass::GoalFrame));
+  u64 bot = cell_val(bus_->peek(gs + kGsBot));  // bookkeeping only
   u64 fr = gs + kGsFrames + top * kGoalStride;
   if (fr + kGoalStride > w.goal_limit)
     throw ResourceExhaustedError(
@@ -81,7 +82,9 @@ void Machine::exec_pgoal(Worker& w, int slot, i32 proc_idx, int arity) {
        ObjClass::GoalFrame);
   wr(w, gs + kGsTop, make_raw(top + 1), ObjClass::GoalFrame);
   wr(w, gs + kGsLock, make_raw(0), ObjClass::GoalFrame);
+  note_goal_stack(bot < top, bot, top + 1);
   ++stats_.goals_pushed;
+  wake_probers();  // the only site that raises a goal stack's top
 }
 
 /// Executes the pwait instruction. On entry w.p points AT the pwait;
@@ -132,6 +135,7 @@ bool Machine::try_run_own_goal(Worker& w, u64 pf) {
   wr(w, gs + kGsLock, make_raw(1), ObjClass::GoalFrame);
   u64 bot = cell_val(rd(w, gs + kGsBot, ObjClass::GoalFrame));
   u64 top = cell_val(rd(w, gs + kGsTop, ObjClass::GoalFrame));
+  const bool was_open = bot < top;
   while (top > bot) {
     u64 fr = gs + kGsFrames + (top - 1) * kGoalStride;
     u64 pfslot = cell_val(rd(w, fr + kGfPfSlot, ObjClass::GoalFrame));
@@ -155,6 +159,7 @@ bool Machine::try_run_own_goal(Worker& w, u64 pf) {
     for (int i = 0; i < arity; ++i)
       args[i] = rd(w, fr + kGfArgs + static_cast<u64>(i), ObjClass::GoalFrame);
     wr(w, gs + kGsLock, make_raw(0), ObjClass::GoalFrame);
+    note_goal_stack(was_open, bot, top);
     ++stats_.goals_local;
     start_local_goal(w, fpf, fslot, entry, arity, args, /*resume_p=*/w.p);
     return true;
@@ -164,6 +169,7 @@ bool Machine::try_run_own_goal(Worker& w, u64 pf) {
     wr(w, gs + kGsTop, make_raw(0), ObjClass::GoalFrame);
   }
   wr(w, gs + kGsLock, make_raw(0), ObjClass::GoalFrame);
+  note_goal_stack(was_open, bot, top);
   return false;
 }
 
@@ -184,18 +190,76 @@ bool Machine::quiet_wait_poll(Worker& w) {
   u64 gs = w.goal_base;
   if (cell_val(bus_->peek(gs + kGsBot)) != 0 || cell_val(bus_->peek(gs + kGsTop)) != 0)
     return false;
-  // exec_pwait: the frame pointer and the counter; try_run_own_goal:
-  // the lock/unlock of an empty goal stack.
-  bus_->count_idle(w.pe, ObjClass::EnvPermVar, /*write=*/false, 1);
-  bus_->count_idle(w.pe, ObjClass::ParcallCount, /*write=*/false, 1);
-  count_empty_probe(w, gs);
+  bus_->poke(gs + kGsLock, make_raw(0));  // as the unlock leaves it
+  count_quiet_polls(w, 1);
   return true;
 }
 
-void Machine::count_empty_probe(Worker& w, u64 gs) {
-  bus_->poke(gs + kGsLock, make_raw(0));
-  bus_->count_idle(w.pe, ObjClass::GoalFrame, /*write=*/false, 2);
-  bus_->count_idle(w.pe, ObjClass::GoalFrame, /*write=*/true, 2);
+void Machine::count_quiet_polls(Worker& w, u64 n) {
+  // exec_pwait: the frame pointer and the counter; try_run_own_goal:
+  // the lock/unlock of an empty goal stack.
+  bus_->count_idle(w.pe, ObjClass::EnvPermVar, /*write=*/false, n);
+  bus_->count_idle(w.pe, ObjClass::ParcallCount, /*write=*/false, n);
+  count_empty_probes(w, n);
+}
+
+void Machine::count_empty_probes(Worker& w, u64 n) {
+  bus_->count_idle(w.pe, ObjClass::GoalFrame, /*write=*/false, 2 * n);
+  bus_->count_idle(w.pe, ObjClass::GoalFrame, /*write=*/true, 2 * n);
+}
+
+/// Parking (docs/DESIGN.md §5). A quiet poll repeats unchanged until
+/// its parcall's counter is written or a kill transaction touches the
+/// worker; a quiet probe with no other goal stack open repeats until a
+/// push. Each of those sites wakes the worker before it changes
+/// anything, so the parked worker's skipped steps are all quiet ones.
+void Machine::park(Worker& w) {
+  w.parked_at = stats_.cycles;
+  awake_[w.pe >> 6] &= ~(u64(1) << (w.pe & 63));
+  ++parked_;
+}
+
+void Machine::wake(unsigned pe) {
+  Worker& w = workers_[pe];
+  if (w.parked_at == 0) return;
+  settle(w);
+  w.parked_at = 0;
+  awake_[pe >> 6] |= u64(1) << (pe & 63);
+  --parked_;
+}
+
+void Machine::wake_creator(u64 pf) {
+  wake(static_cast<unsigned>(bus_->peek(pf + kPfCreator) & kPayloadMask));
+}
+
+void Machine::wake_probers() {
+  if (parked_ == 0) return;
+  for (Worker& w : workers_)
+    if (w.parked_at != 0 && w.state == Worker::St::Idle) wake(w.pe);
+}
+
+/// The full loop steps a parked worker once in every cycle after the
+/// one it parked in, and in the current cycle too if it comes before
+/// the stepping PE; each of those steps is one quiet poll or probe.
+void Machine::settle(Worker& w) {
+  u64 k = stats_.cycles - 1 - w.parked_at + (w.pe < cur_pe_ ? 1 : 0);
+  if (w.state == Worker::St::Waiting) {
+    stats_.wait_polls += k;
+    count_quiet_polls(w, k);
+  } else {
+    count_empty_probes(w, k);
+    u64 victims = layout_->num_pes() - 1;
+    w.steal_rr = static_cast<unsigned>((w.steal_rr - 1 + k) % victims) + 1;
+  }
+}
+
+bool Machine::goal_stack_open(u64 gs) const {
+  return cell_val(bus_->peek(gs + kGsBot)) < cell_val(bus_->peek(gs + kGsTop));
+}
+
+void Machine::note_goal_stack(bool was_open, u64 bot, u64 top) {
+  bool open = bot < top;
+  if (open != was_open) open ? ++open_stacks_ : --open_stacks_;
 }
 
 /// An idle worker probes one victim (round-robin) and steals its oldest
@@ -210,12 +274,17 @@ bool Machine::try_steal(Worker& w) {
   u64 gs = v.goal_base;
   if (!bus_->keeps_idle() &&
       cell_val(bus_->peek(gs + kGsBot)) >= cell_val(bus_->peek(gs + kGsTop))) {
-    count_empty_probe(w, gs);  // nothing to steal
+    bus_->poke(gs + kGsLock, make_raw(0));  // nothing to steal
+    count_empty_probes(w, 1);
+    // With no other goal stack open, every probe until the next push
+    // finds nothing too.
+    if (open_stacks_ == (goal_stack_open(w.goal_base) ? 1u : 0u)) park(w);
     return false;
   }
   wr(w, gs + kGsLock, make_raw(1), ObjClass::GoalFrame);
   u64 bot = cell_val(rd(w, gs + kGsBot, ObjClass::GoalFrame));
   u64 top = cell_val(rd(w, gs + kGsTop, ObjClass::GoalFrame));
+  const bool was_open = bot < top;
   while (bot < top) {
     u64 fr = gs + kGsFrames + bot * kGoalStride;
     u64 pfslot = cell_val(rd(w, fr + kGfPfSlot, ObjClass::GoalFrame));
@@ -234,11 +303,13 @@ bool Machine::try_steal(Worker& w) {
     for (int i = 0; i < arity; ++i)
       args[i] = rd(w, fr + kGfArgs + static_cast<u64>(i), ObjClass::GoalFrame);
     wr(w, gs + kGsLock, make_raw(0), ObjClass::GoalFrame);
+    note_goal_stack(was_open, bot, top);
     ++stats_.goals_stolen;
     start_goal(w, fpf, fslot, entry, arity, args, /*resume_p=*/-1);
     return true;
   }
   wr(w, gs + kGsLock, make_raw(0), ObjClass::GoalFrame);
+  note_goal_stack(was_open, bot, top);
   return false;
 }
 
@@ -286,6 +357,7 @@ void Machine::end_local_goal(Worker& w) {
   u64 counter = cell_val(rd(w, pf + kPfPending, ObjClass::ParcallCount));
   wr(w, pf + kPfPending, make_raw(counter - 1), ObjClass::ParcallCount);
   pf_unlock(w, pf);
+  wake_creator(pf);
 
   w.p = static_cast<i32>(lgf_hi(resume_word));
   w.state = Worker::St::Running;
@@ -299,6 +371,7 @@ void Machine::end_local_goal(Worker& w) {
 void Machine::abort_creator(u64 pf) {
   unsigned creator =
       static_cast<unsigned>(bus_->peek(pf + kPfCreator) & kPayloadMask);
+  wake(creator);
   Worker& cw = workers_[creator];
   i32 wait_p = static_cast<i32>(cell_val(rd(cw, pf + kPfWaitP, ObjClass::ParcallLocal)));
   if (cw.p == wait_p) return;  // already at (or parked on) the pwait
@@ -362,6 +435,7 @@ void Machine::end_goal(Worker& w) {
   wr(w, pf + kPfPending, make_raw((counter - 1) | kPfRemoteBit),
      ObjClass::ParcallCount);
   pf_unlock(w, pf);
+  wake_creator(pf);
 
   // The completed section is retained below this point: the control
   // stack must not be reclaimed into it.
@@ -408,6 +482,7 @@ void Machine::goal_failed(Worker& w) {
   wr(w, pf + kPfPending, make_raw((counter - 1) | kPfFailBit | kPfRemoteBit),
      ObjClass::ParcallCount);
   pf_unlock(w, pf);
+  wake_creator(pf);
 
   // Kill the siblings that are still running ("inside" failure, paper
   // §1): since the goals are independent there is no point letting
@@ -463,6 +538,7 @@ void Machine::unwind_top_section(Worker& w, u64 mk, bool reclaim_all) {
 }
 
 void Machine::send_kill(Worker& sender, unsigned dest_pe, u64 pf, u64 slot) {
+  wake(dest_pe);
   Worker& d = workers_[dest_pe];
   u64 mb = d.msg_base;
   // Sender: lock, append message, bump count, unlock.
@@ -537,6 +613,7 @@ void Machine::cancel_parcall(Worker& w, u64 pf) {
 /// worker's activities innermost-first until the (pf,slot) section is
 /// gone, cancelling nested parcalls on the way.
 void Machine::abort_taken_goal(unsigned pe, u64 pf, u64 slot) {
+  wake(pe);
   Worker& ex = workers_[pe];
   for (;;) {
     RW_CHECK(ex.marker != 0, "abort target has no active section");
@@ -569,6 +646,7 @@ void Machine::abort_taken_goal(unsigned pe, u64 pf, u64 slot) {
 /// executor's stacks: resets its bindings via its trail range and
 /// reclaims memory only when nothing was allocated above it since.
 void Machine::unwind_done_section(unsigned pe, u64 mk) {
+  wake(pe);
   Worker& ex = workers_[pe];
   if (cell_val(bus_->read(pe, mk + kMkDead, ObjClass::Marker, ex.busy())) != 0) return;
 

@@ -122,6 +122,8 @@ void finish_experiment(Experiment& e, ReqOp op) {
   if (!e.bench.empty() && !e.trace_path.empty())
     fail("a bench and a trace file are mutually exclusive");
   if (e.bench.empty() && e.trace_path.empty()) e.bench = "qsort";
+  // A trace file is loaded whole: refuse one above the cap before it is read.
+  if (!e.trace_path.empty()) check_trace_file_size(e.trace_path);
   // A trace file without "pes" names its PE count only once it is read;
   // MultiCacheSim checks the line slots of that case when it is built.
   const bool pes_known = e.trace_path.empty() || e.explicit_pes;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <filesystem>
 #include <initializer_list>
 
 #include "support/atomic_file.h"
@@ -90,6 +91,23 @@ std::shared_ptr<const ChunkedTrace> ChunkingSink::take() {
   return out;
 }
 
+namespace {
+
+void check_trace_file_refs(const std::string& path, u64 bytes) {
+  if (bytes / 8 > kMaxTraceFileRefs)
+    fail("trace file " + path + " holds " + std::to_string(bytes / 8) +
+         " records, above the cap of " + std::to_string(kMaxTraceFileRefs) +
+         " (" + std::to_string(kMaxTraceFileRefs * 8 >> 20) + " MiB)");
+}
+
+}  // namespace
+
+void check_trace_file_size(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  if (!ec) check_trace_file_refs(path, bytes);
+}
+
 std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
                                                        bool busy_only) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
@@ -99,6 +117,7 @@ std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
   long bytes = std::ftell(f.get());
   std::fseek(f.get(), 0, SEEK_SET);
   if (bytes < 0 || bytes % 8 != 0) fail("trace file has invalid size: " + path);
+  check_trace_file_refs(path, static_cast<u64>(bytes));
 
   auto t = std::make_shared<ChunkedTrace>();
   std::vector<std::vector<u64>>& chunks = t->chunks_;

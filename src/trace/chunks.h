@@ -101,6 +101,19 @@ class CancelCheckSink : public TraceSink {
   const CancelToken* cancel_;
 };
 
+/// Cap on the records of one trace file (docs/DESIGN.md §10): 2^24
+/// references, 128 MiB. A trace file is loaded whole, so without a cap
+/// one request naming a multi-gigabyte file ends in an out-of-memory
+/// kill. The largest Paper-scale recording, qsort at 8 PEs, is 3.2 MB:
+/// the cap leaves 40x headroom. cache/config.h keeps the simulator's
+/// own cap, kMaxLineSlots.
+inline constexpr u64 kMaxTraceFileRefs = u64(1) << 24;
+
+/// Throws Error naming `path` and the cap when the file holds more than
+/// kMaxTraceFileRefs records. Reads nothing; a file it cannot size is
+/// left for the loader to report.
+void check_trace_file_size(const std::string& path);
+
 /// Loads a binary trace file (the FileTraceSink format) into shared
 /// immutable chunk storage in one pass: each block of up to kChunkRefs
 /// records is read straight into the end of the trace's current chunk.
@@ -110,7 +123,8 @@ class CancelCheckSink : public TraceSink {
 /// record in the file, and `busy_only` keeps only the busy ones,
 /// compacted in place so every chunk but the last still holds
 /// kChunkRefs records — consumers read num_pes()/counts() instead of
-/// rescanning the stream.
+/// rescanning the stream. A file above kMaxTraceFileRefs records fails
+/// before any record is read.
 std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
                                                        bool busy_only = false);
 

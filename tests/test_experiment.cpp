@@ -3,6 +3,7 @@
 // rapwam_trace flag and from its server JSON member, the defaults
 // agree, a field outside an op is refused by both, and `rapwam_trace
 // time T` is the server's `time` on T, field for field.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +15,7 @@
 #include "harness/runner.h"
 #include "server/protocol.h"
 #include "server/service.h"
+#include "test_service.h"
 #include "timing/replay_job.h"
 
 namespace rapwam {
@@ -92,7 +94,7 @@ TEST(ExperimentParity, AFieldOutsideAnOpIsRefusedByBothFrontEnds) {
   }
   ServiceConfig cfg;
   cfg.workers = 1;
-  Service svc(cfg);
+  BoundedService svc(cfg);
   Response r = Response::parse(svc.handle_line(R"({"op":"sweep","wbuf":4})"));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, "bad_request");
@@ -166,7 +168,7 @@ TEST(ExperimentParity, CliTimeOfATraceFileIsTheServersTime) {
 
   ServiceConfig cfg;
   cfg.workers = 1;
-  Service svc(cfg);
+  BoundedService svc(cfg);
   Response r = Response::parse(svc.handle_line(line));
   ASSERT_TRUE(r.ok) << r.message;
   EXPECT_EQ(r.result.find("pes")->as_int(), 4);
@@ -174,6 +176,45 @@ TEST(ExperimentParity, CliTimeOfATraceFileIsTheServersTime) {
     EXPECT_EQ(r.result.find(name)->as_uint(), value) << name;
   for (const auto& [name, value] : traffic_fields(job.traffic()))
     EXPECT_EQ(r.result.find("traffic")->find(name)->as_uint(), value) << name;
+  std::filesystem::remove(path);
+}
+
+TEST(ExperimentParity, TraceFileAboveTheCapIsRefusedBeforeItIsRead) {
+  // One record over kMaxTraceFileRefs, as a sparse file: it takes no
+  // disk, and reading it would take 128 MiB. Both front ends refuse it
+  // in the finishing step with one message, the server as a bad
+  // request; the loader refuses it for its other callers.
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("rapwam_exp_" + std::to_string(::getpid()) + "_big.trc"))
+                         .string();
+  int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, static_cast<off_t>((kMaxTraceFileRefs + 1) * 8)), 0);
+  ::close(fd);
+  const std::string want = "trace file " + path +
+                           " holds 16777217 records, above the cap of 16777216 (128 MiB)";
+
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  BoundedService svc(cfg);
+  for (ReqOp op : kCliOps) {
+    SCOPED_TRACE(op_name(op));
+    try {
+      from_argv(op, {path});
+      ADD_FAILURE() << "parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.what(), want);
+    }
+    Response r = Response::parse(svc.handle_line(R"({"op":")" + op_name(op) +
+                                                 R"(","trace":")" + path + "\"}"));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, "bad_request");
+    EXPECT_EQ(r.message, want);
+  }
+  ServiceCounters c = svc.counters();
+  EXPECT_EQ(c.rejected, 3u);
+  EXPECT_EQ(c.failed, 0u);
+  EXPECT_THROW(load_chunked_trace(path), Error);
   std::filesystem::remove(path);
 }
 

@@ -6,10 +6,12 @@
 // counters are the run's RunStats::refs, and a busy-only trace is the
 // busy filter of the keep-all trace of the same run. Without a sink or
 // with a busy-only one, idle PEs count their quiet wait polls and steal
-// probes in bulk; a keep-all sink takes the full path, so whole
-// RunStats agreeing across the three pins the quiet path.
+// probes in bulk and park out of the cycle loop; a keep-all sink takes
+// the full path and never parks, so whole RunStats agreeing across the
+// three pins the quiet path and parking.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -183,10 +185,14 @@ TEST(StreamingPipeline, BusyOnlyTraceIsTheBusyFilterOfTheFullTrace) {
   // filter over the keep-all stream of the same run, re-chunked so that
   // every chunk but the last holds kChunkRefs references. The Paper
   // qsort run spans several chunks either way. The run without a sink
-  // and the busy-only run take the quiet idle path, the keep-all run
-  // the full one: all three give the same RunStats, by PE included.
+  // and the busy-only run take the quiet idle path and park idle PEs,
+  // the keep-all run the full one: all three give the same RunStats, by
+  // PE included. The 8-PE Paper matrix spends most of its PE-cycles
+  // parked; 40 PEs is the top of Figure 2's range.
   std::vector<EngineCase> cases = small_engine_cases();
   cases.push_back({"qsort", 8, BenchScale::Paper});
+  cases.push_back({"matrix", 8, BenchScale::Paper});
+  for (const char* b : {"qsort", "tak", "matrix"}) cases.push_back({b, 40});
   for (const EngineCase& c : cases) {
     SCOPED_TRACE(case_name(c));
     RunStats none = run_stats(c, nullptr);
@@ -214,13 +220,25 @@ constexpr const char* kWaitingCreatorKillProgram = R"PL(
     late_fail(N, C) :- spin(N, C), C > 1000.
   )PL";
 
+/// A stolen goal whose own parcall's goals were all stolen, so its
+/// executor waits with an empty goal stack, is killed when its sibling
+/// fails: the kill reaches a worker that parked waiting.
+constexpr const char* kWaitingThiefKillProgram = R"PL(
+    kt(A, B, C) :- spin(300, A) & mid(B) & late_fail(60, C).
+    mid(S) :- spin(1, X) & spin(200, Y) & spin(200, Z), S is X + Y + Z.
+    spin(0, 0).
+    spin(N, S) :- N > 0, M is N - 1, spin(M, S0), S is S0 + 1.
+    late_fail(N, C) :- spin(N, C), C > 1000.
+  )PL";
+
 TEST(StreamingPipeline, QuietIdleStepsCountLikeTheFullPathOnPropertyPrograms) {
   // The property-test programs kill running siblings, fail parcalls
   // and leave cancelled frames on goal stacks, at PE counts from 2 to
-  // 16, with up to four solutions each: every run gives the same
-  // RunStats without a sink, with a busy-only sink (both quiet) and
-  // with a keep-all sink (full path). The cycle cap turns a quiet poll
-  // that missed a fail flag into an error instead of a hang.
+  // 40, with up to four solutions each: every run gives the same
+  // RunStats without a sink, with a busy-only sink (both quiet, parking
+  // idle PEs) and with a keep-all sink (full path). The cycle cap turns
+  // a quiet poll that missed a fail flag, or a parked worker that missed
+  // its wake, into an error instead of a hang.
   struct PropCase {
     std::string name;
     std::string src;
@@ -235,10 +253,11 @@ TEST(StreamingPipeline, QuietIdleStepsCountLikeTheFullPathOnPropertyPrograms) {
   cases.push_back({"flaky-fib", kFlakyFibProgram, "main(F)."});
   cases.push_back({"tree", kTreeProgram, "tree(10, S)."});
   cases.push_back({"waiting-creator-kill", kWaitingCreatorKillProgram, "kf(A, B, C)."});
+  cases.push_back({"waiting-thief-kill", kWaitingThiefKillProgram, "kt(A, B, C)."});
   for (const PropCase& c : cases) {
     Program prog;
     prog.consult(c.src);
-    for (unsigned pes : {2u, 3u, 4u, 7u, 8u, 16u}) {
+    for (unsigned pes : {2u, 3u, 4u, 7u, 8u, 16u, 40u}) {
       SCOPED_TRACE(c.name + "/" + std::to_string(pes) + "pe");
       MachineConfig cfg;
       cfg.num_pes = pes;
@@ -250,6 +269,72 @@ TEST(StreamingPipeline, QuietIdleStepsCountLikeTheFullPathOnPropertyPrograms) {
       EXPECT_EQ(m.solve(c.goal, &busy).stats, none);
       EXPECT_EQ(m.solve(c.goal, &all).stats, none);
       EXPECT_GT(none.refs.total, none.refs.busy);  // idle PEs polled or probed
+    }
+  }
+}
+
+/// The message `m.solve(goal, sink)` fails with, or "" if it succeeds.
+std::string solve_error(Machine& m, const std::string& goal, TraceSink* sink) {
+  try {
+    m.solve(goal, sink);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StreamingPipeline, BudgetsTripAtTheSameStepWithParkedWorkers) {
+  // Parked workers leave the cycle loop but not the cycle count: the
+  // watchdog and the step budget trip at the same virtual cycle, with
+  // the same message, without a sink, with a busy-only sink (both park)
+  // and with a keep-all sink (never parks). A cap equal to the run's
+  // cycles still lets it finish with the same RunStats.
+  struct LimitCase {
+    std::string name;
+    std::string src;
+    std::string goal;
+    unsigned pes;
+  };
+  BenchProgram matrix = bench_program("matrix", BenchScale::Paper);
+  const LimitCase cases[] = {
+      {"matrix/paper", matrix.source, matrix.goal + ".", 8},
+      {"tree", kTreeProgram, "tree(10, S).", 16},
+  };
+  for (const LimitCase& c : cases) {
+    SCOPED_TRACE(c.name + "/" + std::to_string(c.pes) + "pe");
+    Program prog;
+    prog.consult(c.src);
+    MachineConfig cfg;
+    cfg.num_pes = c.pes;
+    cfg.sizes = bench_area_sizes();
+    RunStats full;
+    {
+      Machine m(prog, cfg);
+      full = m.solve(c.goal).stats;
+    }
+    ASSERT_GT(full.cycles, 2u);
+    ASSERT_GT(full.refs.total, full.refs.busy);  // idle PEs polled or probed
+
+    MachineConfig exact = cfg;
+    exact.max_cycles = full.cycles;
+    MachineConfig by_cycles = cfg;
+    by_cycles.max_cycles = full.cycles / 2;
+    MachineConfig by_steps = cfg;
+    by_steps.limits.max_steps = full.instructions / 2;
+    {
+      Machine m(prog, exact);
+      ChunkingSink busy(/*busy_only=*/true), all(/*busy_only=*/false);
+      EXPECT_EQ(m.solve(c.goal).stats, full);
+      EXPECT_EQ(m.solve(c.goal, &busy).stats, full);
+      EXPECT_EQ(m.solve(c.goal, &all).stats, full);
+    }
+    for (const MachineConfig& capped : {by_cycles, by_steps}) {
+      Machine m(prog, capped);
+      ChunkingSink busy(/*busy_only=*/true), all(/*busy_only=*/false);
+      std::string none = solve_error(m, c.goal, nullptr);
+      EXPECT_NE(none, "");
+      EXPECT_EQ(solve_error(m, c.goal, &busy), none);
+      EXPECT_EQ(solve_error(m, c.goal, &all), none);
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "server/protocol.h"
 #include "server/service.h"
 #include "test_rand.h"
+#include "test_service.h"
 
 namespace rapwam {
 namespace {
@@ -219,7 +220,7 @@ TEST(ParseRequest, MisalignedSweepIsRejectedBeforeAnyGeneration) {
   // no trace generation and count as rejected, not failed.
   ServiceConfig cfg;
   cfg.workers = 1;
-  Service svc(cfg);
+  BoundedService svc(cfg);
   const std::size_t entries = TraceLibrary::instance().size();
   Response r = Response::parse(svc.handle_line(
       R"({"op":"sweep","bench":"tak","scale":"paper","pes":8,"sizes":[18]})"));
@@ -236,7 +237,7 @@ TEST(ParseRequest, BadCacheGeometryIsRejectedBeforeAnyGeneration) {
   // cache than reported (L1) or fail after generating the trace (L2).
   ServiceConfig cfg;
   cfg.workers = 1;
-  Service svc(cfg);
+  BoundedService svc(cfg);
   const std::size_t entries = TraceLibrary::instance().size();
   for (const char* req :
        {R"({"op":"replay","bench":"tak","scale":"paper","pes":8,"ways":3})",
@@ -262,7 +263,7 @@ TEST(ParseRequest, OversizedSimulatorIsRejectedBeforeAnyGeneration) {
   // over kMaxLineSlots and must cost no trace generation.
   ServiceConfig cfg;
   cfg.workers = 1;
-  Service svc(cfg);
+  BoundedService svc(cfg);
   const std::size_t entries = TraceLibrary::instance().size();
   for (const char* req :
        {R"({"op":"replay","bench":"tak","scale":"paper","pes":8,"size":4194304})",
@@ -295,7 +296,7 @@ TEST(ServiceTraceFile, PeCountBelowTheTracesIsRejectedBeforeReplay) {
 
   ServiceConfig cfg;
   cfg.workers = 1;
-  Service svc(cfg);
+  BoundedService svc(cfg);
   for (const char* op : {"replay", "time"}) {
     Response r = Response::parse(svc.handle_line(
         std::string(R"({"op":")") + op + R"(","trace":")" + path + R"(","pes":4})"));

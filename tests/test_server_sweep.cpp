@@ -2,7 +2,9 @@
 // over the service's idle workers through run_sweep. Every answer must
 // equal a local replay_traffic of the same point, whatever the worker
 // count, after a helper outlived its sweep, and after a deadline killed
-// a sweep mid-grid. The requests go straight to Service::handle_line.
+// a sweep mid-grid. The requests go straight to Service::handle_line,
+// each bounded by kRequestBound, so a sweep that waits for a task that
+// never starts fails here instead of hanging the suite.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,8 +18,8 @@
 #include "harness/golden.h"
 #include "harness/trace_lib.h"
 #include "server/protocol.h"
-#include "server/service.h"
 #include "test_rand.h"
+#include "test_service.h"
 
 namespace rapwam {
 namespace {
@@ -34,10 +36,6 @@ const char* kBenchSweep = R"({"op":"sweep","bench":"qsort","pes":2,"sizes":[256,
 
 std::shared_ptr<const ChunkedTrace> bench_trace(unsigned pes) {
   return TraceLibrary::instance().get("qsort", BenchScale::Small, pes)->trace;
-}
-
-Response ask(Service& svc, const std::string& line) {
-  return Response::parse(svc.handle_line(line));
 }
 
 /// Asserts that a sweep response answers, point by point, what
@@ -78,9 +76,9 @@ TEST(ServerSweep, PointsMatchReplayTrafficOnEveryWorkerCount) {
 
   for (unsigned n : {1u, 2u, 4u}) {
     SCOPED_TRACE(std::to_string(n) + " workers");
-    Service svc(workers(n));
-    expect_sweep_exact(kBenchSweep, ask(svc, kBenchSweep), *bench, 2);
-    expect_sweep_exact(file_sweep, ask(svc, file_sweep), *file, 4);
+    BoundedService svc(workers(n));
+    expect_sweep_exact(kBenchSweep, svc.ask(kBenchSweep), *bench, 2);
+    expect_sweep_exact(file_sweep, svc.ask(file_sweep), *file, 4);
   }
   std::filesystem::remove(path);
 }
@@ -88,7 +86,7 @@ TEST(ServerSweep, PointsMatchReplayTrafficOnEveryWorkerCount) {
 TEST(ServerSweep, HelperStartingAfterItsSweepClosedIsHarmless) {
   std::shared_ptr<const ChunkedTrace> q2 = bench_trace(2);
   std::shared_ptr<const ChunkedTrace> q4 = bench_trace(4);
-  Service svc(workers(2));
+  BoundedService svc(workers(2));
 
   // A replay of the one-chunk Small qsort trace, stalled 600 ms, holds
   // one worker. The sweep's helper queues behind it while the other
@@ -100,22 +98,22 @@ TEST(ServerSweep, HelperStartingAfterItsSweepClosedIsHarmless) {
         R"({"op":"replay","bench":"qsort","pes":4,"fault":{"stall_ms":600}})");
   });
   auto in_flight = [&] {
-    return ask(svc, R"({"op":"stats"})").result.find("in_flight")->as_int();
+    return svc.ask(R"({"op":"stats"})").result.find("in_flight")->as_int();
   };
   for (int i = 0; i < 10000 && in_flight() == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  Response sweep = ask(svc, kBenchSweep);
+  Response sweep = svc.ask(kBenchSweep);
   holder.join();
   expect_sweep_exact(kBenchSweep, sweep, *q2, 2);
   EXPECT_TRUE(Response::parse(held).ok) << held;
 
-  Response replay = ask(svc, R"({"op":"replay","bench":"qsort","pes":4})");
+  Response replay = svc.ask(R"({"op":"replay","bench":"qsort","pes":4})");
   ASSERT_TRUE(replay.ok) << replay.message;
   TrafficStats want =
       replay_traffic(paper_cache_config(Protocol::WriteInBroadcast, 1024), 4, *q4);
   for (const auto& [name, value] : traffic_fields(want))
     EXPECT_EQ(replay.result.find(name)->as_uint(), value) << name;
-  expect_sweep_exact(kBenchSweep, ask(svc, kBenchSweep), *q2, 2);
+  expect_sweep_exact(kBenchSweep, svc.ask(kBenchSweep), *q2, 2);
 }
 
 TEST(ServerSweep, DeadlineMidGridIsExceededAndTheNextSweepIsExact) {
@@ -128,11 +126,11 @@ TEST(ServerSweep, DeadlineMidGridIsExceededAndTheNextSweepIsExact) {
       R"("deadline_ms":150,"fault":{"stall_ms":60}})";
   for (unsigned n : {1u, 2u, 4u}) {
     SCOPED_TRACE(std::to_string(n) + " workers");
-    Service svc(workers(n));
-    Response dead = ask(svc, doomed);
+    BoundedService svc(workers(n));
+    Response dead = svc.ask(doomed);
     EXPECT_FALSE(dead.ok);
     EXPECT_EQ(dead.code, "deadline_exceeded") << dead.message;
-    expect_sweep_exact(kBenchSweep, ask(svc, kBenchSweep), *q2, 2);
+    expect_sweep_exact(kBenchSweep, svc.ask(kBenchSweep), *q2, 2);
     ServiceCounters c = svc.counters();
     EXPECT_EQ(c.cancelled, 1u);
     EXPECT_EQ(c.completed, 1u);

@@ -24,8 +24,11 @@ tail percentile to reach them.
 
 Pair i runs the parent first when i is even and the change first when i
 is odd. For each metric it prints the parent's median and quartiles, the
-change's median, the ratio change/parent, the pairs the change won (ties
-count for neither) and a verdict by the rules for claiming a gain:
+change's median, the ratio of the medians change/parent, the median and
+quartiles of the per-pair ratios change/parent (pairing cancels drift
+slower than a pair, so their spread in an A/A run is the noise floor a
+claimed ratio is read against), the pairs the change won (ties count for
+neither) and a verdict by the rules for claiming a gain:
 
   gain          the change won at least 9 of 10 pairs and the medians
                 differ, in the better direction, by more than the
@@ -190,8 +193,9 @@ def main():
     print("%s seed %d, %d pairs of %g s runs, --trace %d: parent %s vs working tree"
           % (args.workload, args.seed, args.pairs, bench["run_seconds"], args.trace,
              sha[:12]))
-    print("%-36s %-34s %-11s %-7s %-6s %s"
-          % ("metric", "parent median [q1-q3]", "change", "ratio", "wins", "verdict"))
+    print("%-36s %-34s %-11s %-7s %-24s %-6s %s"
+          % ("metric", "parent median [q1-q3]", "change", "ratio",
+             "pair ratio median [q1-q3]", "wins", "verdict"))
     names = [n for n in spec if all(n in r["metrics"] for side in runs for r in runs[side])]
     for name in names:
         better, bound, unit = spec[name]
@@ -200,10 +204,16 @@ def main():
         pm, cm = statistics.median(p), statistics.median(c)
         q1, q3 = quartiles(p)
         wins, verdict = compare(p, c, better, bound)
-        print("%-36s %-34s %-11s %-7s %-6s %s"
+        ratios = [ci / pi for pi, ci in zip(p, c) if pi]
+        if ratios:
+            r1, r3 = quartiles(ratios)
+            pair = "%s [%s-%s]" % (fmt(statistics.median(ratios)), fmt(r1), fmt(r3))
+        else:
+            pair = "-"
+        print("%-36s %-34s %-11s %-7s %-24s %-6s %s"
               % ("%s (%s)" % (name, unit), "%s [%s-%s]" % (fmt(pm), fmt(q1), fmt(q3)),
-                 fmt(cm), fmt(cm / pm) if pm else "-", "%d/%d" % (wins, args.pairs),
-                 verdict))
+                 fmt(cm), fmt(cm / pm) if pm else "-", pair,
+                 "%d/%d" % (wins, args.pairs), verdict))
     bad = 0
     for side in ("parent", "change"):
         att = sum(r["attempted"] for r in runs[side])
