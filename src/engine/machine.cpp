@@ -3,7 +3,6 @@
 #include "engine/machine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <thread>
 
@@ -113,10 +112,7 @@ void Machine::reset(TraceSink* sink) {
     w.b_ltop = w.local_base;
     w.state = Worker::St::Idle;
   }
-  awake_.assign((cfg_.num_pes + 63) / 64, 0);
-  for (unsigned pe = 0; pe < cfg_.num_pes; ++pe) awake_[pe >> 6] |= u64(1) << (pe & 63);
   parked_ = 0;
-  cur_pe_ = cfg_.num_pes;
   open_stacks_ = 0;
   stats_ = RunStats{};
   stats_.num_pes = cfg_.num_pes;
@@ -216,18 +212,6 @@ std::string Machine::stringify(u64 cell, int depth) const {
   }
 }
 
-// Defined here, beside its one caller, so the cycle loop inlines it.
-unsigned Machine::next_awake(unsigned from) const {
-  std::size_t i = from >> 6;
-  if (i >= awake_.size()) return cfg_.num_pes;
-  u64 bits = awake_[i] & (~u64(0) << (from & 63));
-  while (bits == 0) {
-    if (++i == awake_.size()) return cfg_.num_pes;
-    bits = awake_[i];
-  }
-  return static_cast<unsigned>(i * 64 + static_cast<unsigned>(std::countr_zero(bits)));
-}
-
 RunResult Machine::run_query(const Term* goal, TraceSink* sink) {
   reset(sink);
   Worker& w0 = workers_[0];
@@ -274,22 +258,13 @@ RunResult Machine::run_query(const Term* goal, TraceSink* sink) {
         stats_.cycles % cfg_.faults.stall_every_cycles == 0) [[unlikely]]
       std::this_thread::sleep_for(
           std::chrono::milliseconds(cfg_.faults.stall_ms));
-    // Active PEs step in index order (docs/DESIGN.md §5). While
-    // nothing is parked that is every PE, and cur_pe_ stays num_pes: a
-    // PE parked in this cycle comes before any PE that wakes it.
-    // Otherwise the awake set is re-read after each step, so a PE that
-    // the step woke above the stepping one still steps in this cycle.
-    if (parked_ == 0) {
-      for (Worker& w : workers_) {
-        step(w);
-        if (done_) break;
-      }
-    } else {
-      for (cur_pe_ = next_awake(0); cur_pe_ < cfg_.num_pes;
-           cur_pe_ = next_awake(cur_pe_ + 1)) {
-        step(workers_[cur_pe_]);
-        if (done_) break;
-      }
+    // Active PEs step in index order (docs/DESIGN.md §5), so a PE that
+    // a step wakes above the stepping one still steps in this cycle.
+    for (cur_pe_ = 0; cur_pe_ < cfg_.num_pes; ++cur_pe_) {
+      Worker& w = workers_[cur_pe_];
+      if (w.parked_at != 0) continue;
+      step(w);
+      if (done_) break;
     }
   }
   // Parked workers would have polled or probed up to the step that

@@ -295,8 +295,6 @@ class Machine {
   /// Counts the quiet steps a parked worker skipped up to the current
   /// step of PE cur_pe_.
   void settle(Worker& w);
-  /// Lowest PE >= from still in the cycle loop, or num_pes if none.
-  unsigned next_awake(unsigned from) const;
   bool goal_stack_open(u64 gs) const;  ///< bot < top
   /// Keeps open_stacks_ in step with a goal stack that was open
   /// (`was_open`) and now holds [bot, top).
@@ -335,11 +333,8 @@ class Machine {
   bool done_ = false;
   bool query_failed_exhausted_ = false;
   // Parking (docs/DESIGN.md §5).
-  std::vector<u64> awake_;   ///< bit i set: PE i is in the cycle loop
   unsigned parked_ = 0;      ///< workers out of the cycle loop
-  /// The PE the cycle loop is stepping while some PE is parked;
-  /// num_pes otherwise (and after the loop ends a cycle).
-  unsigned cur_pe_ = 0;
+  unsigned cur_pe_ = 0;      ///< the PE the cycle loop is stepping
   unsigned open_stacks_ = 0; ///< goal stacks with bot < top
   std::vector<std::pair<std::string, u64>> query_vars_;  // name -> heap addr
   std::vector<Solution> solutions_;

@@ -215,7 +215,6 @@ void Machine::count_empty_probes(Worker& w, u64 n) {
 /// anything, so the parked worker's skipped steps are all quiet ones.
 void Machine::park(Worker& w) {
   w.parked_at = stats_.cycles;
-  awake_[w.pe >> 6] &= ~(u64(1) << (w.pe & 63));
   ++parked_;
 }
 
@@ -224,7 +223,6 @@ void Machine::wake(unsigned pe) {
   if (w.parked_at == 0) return;
   settle(w);
   w.parked_at = 0;
-  awake_[pe >> 6] |= u64(1) << (pe & 63);
   --parked_;
 }
 
@@ -357,7 +355,8 @@ void Machine::end_local_goal(Worker& w) {
   u64 counter = cell_val(rd(w, pf + kPfPending, ObjClass::ParcallCount));
   wr(w, pf + kPfPending, make_raw(counter - 1), ObjClass::ParcallCount);
   pf_unlock(w, pf);
-  wake_creator(pf);
+  // No wake: a local goal belongs to the parcall its own worker waits
+  // on (try_run_own_goal), so the counter's poller is running.
 
   w.p = static_cast<i32>(lgf_hi(resume_word));
   w.state = Worker::St::Running;
