@@ -260,9 +260,9 @@ RunResult Machine::run_query(const Term* goal, TraceSink* sink) {
           std::chrono::milliseconds(cfg_.faults.stall_ms));
     // Active PEs step in index order (docs/DESIGN.md §5), so a PE that
     // a step wakes above the stepping one still steps in this cycle.
-    for (cur_pe_ = 0; cur_pe_ < cfg_.num_pes; ++cur_pe_) {
-      Worker& w = workers_[cur_pe_];
+    for (Worker& w : workers_) {
       if (w.parked_at != 0) continue;
+      cur_pe_ = w.pe;
       step(w);
       if (done_) break;
     }
