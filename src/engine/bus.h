@@ -3,12 +3,13 @@
 // Every read/write goes through MemBus, which tags the reference with
 // the issuing PE, the Table-1 object class and the busy flag, updates
 // the aggregate counters and, if the configured TraceSink keeps it
-// (a busy-only sink keeps only busy references), appends the packed
-// reference to a fixed-size chunk. The bus is the one place references
-// are counted and filtered: the sink is invoked once per full chunk
-// (plus a final flush, then once with the run's counters), never per
-// reference — the per-reference path is fully inlined with no virtual
-// dispatch (docs/DESIGN.md §8).
+// (a busy-only sink keeps only busy references), packs it straight
+// into the chunk storage the sink lent it — for a ChunkingSink, the
+// trace's own next chunk, so nothing is staged or copied. The bus is
+// the one place references are counted and filtered: the sink is
+// invoked once per full chunk (plus a final partial one, then once
+// with the run's counters), never per reference — the per-reference
+// path is fully inlined with no virtual dispatch (docs/DESIGN.md §8).
 // `peek`/`poke` bypass instrumentation (post-run inspection, pre-run
 // initialisation, and the engine's quiet idle steps, which recognise
 // a wait poll or steal probe with a fixed outcome and report its
@@ -25,8 +26,6 @@
 #pragma once
 
 #include <sys/mman.h>
-
-#include <memory>
 
 #include "engine/cell.h"
 #include "engine/layout.h"
@@ -48,14 +47,14 @@ class MemBus {
 
   void set_sink(TraceSink* sink) {
     sink_ = sink;
-    if (sink_ && !chunk_) chunk_ = std::make_unique<u64[]>(kChunkRefs);
+    if (sink_) chunk_ = sink_->chunk_storage();
   }
 
-  /// Ends the run: hands the buffered references, then the counters
+  /// Ends the run: hands the last, partial chunk, then the counters
   /// over every reference emitted, to the sink.
   void finish() {
     if (!sink_) return;
-    if (chunk_len_ != 0) sink_->on_chunk(chunk_.get(), chunk_len_);
+    if (chunk_len_ != 0) sink_->commit_chunk(chunk_len_);
     chunk_len_ = 0;
     sink_->on_counts(counts_);
   }
@@ -100,7 +99,8 @@ class MemBus {
     if (sink_ && (busy || !sink_->busy_only())) {
       chunk_[chunk_len_++] = r.pack();
       if (chunk_len_ == kChunkRefs) {
-        sink_->on_chunk(chunk_.get(), kChunkRefs);
+        sink_->commit_chunk(kChunkRefs);
+        chunk_ = sink_->chunk_storage();
         chunk_len_ = 0;
       }
     }
@@ -110,7 +110,7 @@ class MemBus {
   u64* mem_;
   RefCounts counts_;
   TraceSink* sink_ = nullptr;
-  std::unique_ptr<u64[]> chunk_;
+  u64* chunk_ = nullptr;  ///< the sink's storage for the chunk being filled
   std::size_t chunk_len_ = 0;
 };
 

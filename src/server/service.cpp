@@ -275,6 +275,8 @@ JsonValue Service::run_stats() {
   out.set("draining", JsonValue::boolean(draining()));
   out.set("trace_library_entries",
           JsonValue::integer(static_cast<i64>(TraceLibrary::instance().size())));
+  out.set("trace_chunk_pool_bytes",
+          JsonValue::integer(static_cast<i64>(chunk_pool_bytes())));
   out.set("trace_library_failed_generations",
           JsonValue::unsigned_int(TraceLibrary::instance().failed_generations()));
   out.set("trace_library_cancelled_generations",

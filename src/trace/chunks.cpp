@@ -5,10 +5,83 @@
 #include <bit>
 #include <filesystem>
 #include <initializer_list>
+#include <span>
+#include <utility>
 
 #include "support/atomic_file.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace rapwam {
+
+// --- The chunk free list --------------------------------------------------
+
+namespace {
+
+/// Freed chunks, kept faulted in for the next trace (docs/DESIGN.md
+/// §8). Traces are freed on sweep-pool and server threads, so a mutex
+/// guards the list; it is taken once per chunk handed out and once per
+/// freed trace. Under AddressSanitizer a chunk on the list is
+/// poisoned, so a read through a freed trace still fails loudly.
+class ChunkPool {
+ public:
+  ChunkPool() { free_.reserve(kMaxPooledChunks); }
+
+  /// A chunk with capacity for kChunkRefs references and unspecified
+  /// contents: the last one freed, or a new one.
+  std::vector<u64> take() {
+    {
+      std::scoped_lock lk(mu_);
+      if (!free_.empty()) {
+        std::vector<u64> c = std::move(free_.back());
+        free_.pop_back();
+        ASAN_UNPOISON_MEMORY_REGION(c.data(), kChunkBytes);
+        return c;
+      }
+    }
+    std::vector<u64> c;
+    c.reserve(kChunkRefs);
+    return c;
+  }
+
+  /// Keeps each of `chunks` while the list has room; the caller frees
+  /// the ones left behind.
+  void give_back(std::span<std::vector<u64>> chunks) {
+    std::scoped_lock lk(mu_);
+    for (std::vector<u64>& c : chunks) {
+      if (free_.size() == kMaxPooledChunks) return;
+      if (c.capacity() != kChunkRefs) continue;
+      ASAN_POISON_MEMORY_REGION(c.data(), kChunkBytes);
+      free_.push_back(std::move(c));
+    }
+  }
+
+  std::size_t bytes() {
+    std::scoped_lock lk(mu_);
+    return free_.size() * kChunkBytes;
+  }
+
+ private:
+  static constexpr std::size_t kChunkBytes = kChunkRefs * sizeof(u64);
+  std::mutex mu_;
+  std::vector<std::vector<u64>> free_;
+};
+
+/// Never destroyed: the TraceLibrary singleton's traces are freed during
+/// static destruction, and their chunks still need a list to go to.
+ChunkPool& chunk_pool() {
+  static ChunkPool* pool = new ChunkPool;
+  return *pool;
+}
+
+}  // namespace
+
+std::size_t chunk_pool_bytes() { return chunk_pool().bytes(); }
 
 // --- ChunkedTrace ---------------------------------------------------------
 
@@ -26,6 +99,8 @@ constexpr u64 kP5 = 0x27D4EB2F165667C5ull;
 inline u64 hash_round(u64 acc, u64 w) { return std::rotl(acc + w * kP2, 31) * kP1; }
 
 }  // namespace
+
+ChunkedTrace::~ChunkedTrace() { chunk_pool().give_back(chunks_); }
 
 std::vector<u64> ChunkedTrace::to_packed() const {
   std::vector<u64> out;
@@ -69,13 +144,31 @@ u64 ChunkedTrace::fingerprint() const {
 ChunkingSink::ChunkingSink(bool busy_only)
     : TraceSink(busy_only), trace_(std::make_shared<ChunkedTrace>()) {}
 
+ChunkingSink::~ChunkingSink() {
+  chunk_pool().give_back({&open_, 1});
+}
+
+u64* ChunkingSink::chunk_storage() {
+  if (open_.capacity() == 0) open_ = chunk_pool().take();
+  // Zero-fills only what no trace has used yet: a new chunk, or the
+  // tail of a trace's last, partial chunk.
+  open_.resize(kChunkRefs);
+  return open_.data();
+}
+
+void ChunkingSink::commit_chunk(std::size_t n) {
+  open_.resize(n);
+  trace_->chunks_.push_back(std::exchange(open_, {}));
+  trace_->size_ += n;
+}
+
 void ChunkingSink::on_chunk(const u64* packed, std::size_t n) {
   std::vector<std::vector<u64>>& chunks = trace_->chunks_;
   trace_->size_ += n;
   while (n > 0) {
     if (chunks.empty() || chunks.back().size() == kChunkRefs) {
-      chunks.emplace_back();
-      chunks.back().reserve(kChunkRefs);
+      chunks.push_back(chunk_pool().take());
+      chunks.back().clear();
     }
     std::vector<u64>& last = chunks.back();
     std::size_t k = std::min(n, kChunkRefs - last.size());
@@ -128,16 +221,17 @@ std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
   // The bits a kept record has set: the busy bit, or none.
   const u64 keep = busy_only ? u64(1) << 53 : 0;
   std::size_t left = static_cast<std::size_t>(bytes) / 8;
+  // The last chunk holds kChunkRefs words while it fills; the first
+  // `at` are kept records.
+  std::size_t at = kChunkRefs;
   for (std::size_t index = 0; left > 0;) {
-    // A chunk never holds more than the records left when it starts.
-    if (chunks.empty() || chunks.back().size() == kChunkRefs) {
-      chunks.emplace_back();
-      chunks.back().reserve(std::min(left, kChunkRefs));
+    if (at == kChunkRefs) {
+      chunks.push_back(chunk_pool().take());
+      chunks.back().resize(kChunkRefs);
+      at = 0;
     }
-    std::vector<u64>& c = chunks.back();
-    std::size_t at = c.size(), n = std::min(left, kChunkRefs - at);
-    c.resize(at + n);
-    u64* p = c.data() + at;
+    std::size_t n = std::min(left, kChunkRefs - at);
+    u64* p = chunks.back().data() + at;
     if (std::fread(p, sizeof(u64), n, f.get()) != n)
       fail("short read from trace file: " + path);
     std::size_t kept = 0;
@@ -151,12 +245,18 @@ std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
       p[kept] = v;  // busy-only: compact in place, the chunk keeps filling
       kept += (v & keep) == keep;
     }
-    c.resize(at + kept);
+    at += kept;
     t->size_ += kept;
     index += n;
     left -= n;
   }
-  if (!chunks.empty() && chunks.back().empty()) chunks.pop_back();
+  if (!chunks.empty()) {
+    chunks.back().resize(at);
+    if (at == 0) {
+      chunk_pool().give_back({&chunks.back(), 1});
+      chunks.pop_back();
+    }
+  }
   for (u64 k = 0; k < by_kind.size(); ++k)
     if (by_kind[k]) t->counts_.add(MemRef::unpack(k << 48), by_kind[k]);
   t->counts_.by_pe = by_pe;  // add() booked every record to PE 0
@@ -180,6 +280,11 @@ FileTraceSink::~FileTraceSink() {
   // temporary instead of publishing a truncated trace.
   std::fclose(f_);
   std::remove(tmp_path_.c_str());
+}
+
+u64* FileTraceSink::chunk_storage() {
+  if (!buf_) buf_ = std::make_unique_for_overwrite<u64[]>(kChunkRefs);
+  return buf_.get();
 }
 
 void FileTraceSink::on_chunk(const u64* packed, std::size_t n) {

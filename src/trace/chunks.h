@@ -4,7 +4,9 @@
 // The generate-once/replay-many sweep path stores each generated trace
 // as a ChunkedTrace — fixed-size packed chunks plus generation-time
 // metadata (reference counters, PE span) — that any number of sweep
-// points replay concurrently without copying or rescanning.
+// points replay concurrently without copying or rescanning. A freed
+// trace's chunks go to a bounded free list, from which the next
+// generated or loaded trace takes its chunks.
 #pragma once
 
 #include <cstdio>
@@ -23,6 +25,9 @@ namespace rapwam {
 /// consumers never rescan the stream for it.
 class ChunkedTrace {
  public:
+  /// Returns the chunks to the free list.
+  ~ChunkedTrace();
+
   /// Retained references (after any busy-only filtering).
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -66,10 +71,18 @@ class ChunkedTrace {
 
 /// Builds a ChunkedTrace from a reference stream. `busy_only` (the
 /// default) asks the bus for busy references only, which is what the
-/// cache simulators consume. Stores every reference it is given.
+/// cache simulators consume. Stores every reference it is given: the
+/// bus packs into the trace's next chunk in place, and a stream handed
+/// to on_chunk() is copied.
 class ChunkingSink : public TraceSink {
  public:
   explicit ChunkingSink(bool busy_only = true);
+  ChunkingSink(const ChunkingSink&) = delete;
+  ChunkingSink& operator=(const ChunkingSink&) = delete;
+  /// Returns the chunk lent to the bus, if any, to the free list.
+  ~ChunkingSink() override;
+  u64* chunk_storage() override;
+  void commit_chunk(std::size_t n) override;
   void on_chunk(const u64* packed, std::size_t n) override;
   void on_counts(const RefCounts& c) override { trace_->counts_ = c; }
 
@@ -78,6 +91,7 @@ class ChunkingSink : public TraceSink {
 
  private:
   std::shared_ptr<ChunkedTrace> trace_;
+  std::vector<u64> open_;  ///< chunk_storage(): the bus fills it, then commits it
 };
 
 /// Forwards chunks to `inner`, checking a cancellation token first.
@@ -85,11 +99,17 @@ class ChunkingSink : public TraceSink {
 /// the pipeline cancellable at chunk granularity — the emulator aborts
 /// with CancelledError instead of finishing a run nobody is waiting
 /// for (docs/DESIGN.md §10). A null token forwards unconditionally.
-/// It keeps what `inner` keeps and forwards the end-of-run counters.
+/// It keeps what `inner` keeps, lends the bus `inner`'s storage and
+/// forwards the end-of-run counters.
 class CancelCheckSink : public TraceSink {
  public:
   CancelCheckSink(TraceSink& inner, const CancelToken* cancel)
       : TraceSink(inner.busy_only()), inner_(inner), cancel_(cancel) {}
+  u64* chunk_storage() override { return inner_.chunk_storage(); }
+  void commit_chunk(std::size_t n) override {
+    if (cancel_) cancel_->checkpoint();
+    inner_.commit_chunk(n);
+  }
   void on_chunk(const u64* packed, std::size_t n) override {
     if (cancel_) cancel_->checkpoint();
     inner_.on_chunk(packed, n);
@@ -109,6 +129,19 @@ class CancelCheckSink : public TraceSink {
 /// own cap, kMaxLineSlots.
 inline constexpr u64 kMaxTraceFileRefs = u64(1) << 24;
 
+/// Most chunks the free list keeps (docs/DESIGN.md §8): 12 MiB. A
+/// freed trace's chunks wait there, still faulted in, for the next
+/// generated or loaded trace; chunks beyond the bound are freed. The
+/// most chunks live at once, counted over pipebench runs at three
+/// seeds, are 9 in `generate` (one tak trace) and 20-22 in
+/// `serve` (12 in the warmed bench traces, up to 10 in two workers'
+/// trace-file loads), so neither workload ever frees a chunk it would
+/// take again, and the list never holds more than they once held.
+inline constexpr std::size_t kMaxPooledChunks = 24;
+
+/// Bytes of chunk memory on the free list (the server's `stats`).
+std::size_t chunk_pool_bytes();
+
 /// Throws Error naming `path` and the cap when the file holds more than
 /// kMaxTraceFileRefs records. Reads nothing; a file it cannot size is
 /// left for the loader to report.
@@ -116,7 +149,8 @@ void check_trace_file_size(const std::string& path);
 
 /// Loads a binary trace file (the FileTraceSink format) into shared
 /// immutable chunk storage in one pass: each block of up to kChunkRefs
-/// records is read straight into the end of the trace's current chunk.
+/// records is read straight into the end of the trace's current chunk,
+/// taken from the free list when it has one.
 /// Every record is validated before it is counted (packed_ref_valid:
 /// truncated or corrupted files fail cleanly with Error, never index
 /// per-class tables out of range), the RefCounts metadata covers every
@@ -129,9 +163,10 @@ std::shared_ptr<const ChunkedTrace> load_chunked_trace(const std::string& path,
                                                        bool busy_only = false);
 
 /// Appends packed chunks straight to a binary trace file (8 bytes per
-/// reference, host order; each chunk is one fwrite). Recording a
-/// multi-million-reference trace this way needs O(chunk) memory —
-/// nothing is materialized.
+/// reference, host order; each chunk is one fwrite). The bus packs
+/// into one buffer of the sink's own, written out when it is full.
+/// Recording a multi-million-reference trace this way needs O(chunk)
+/// memory — nothing is materialized.
 ///
 /// Crash-safe: the stream is written to `<path>.tmp` and atomically
 /// renamed to `path` by close(), so `path` either doesn't exist or
@@ -146,6 +181,8 @@ class FileTraceSink : public TraceSink {
  public:
   explicit FileTraceSink(const std::string& path, bool busy_only = true);
   ~FileTraceSink() override;
+  u64* chunk_storage() override;
+  void commit_chunk(std::size_t n) override { on_chunk(buf_.get(), n); }
   void on_chunk(const u64* packed, std::size_t n) override;
   /// Flushes, closes and publishes the file at `path` (atomic rename
   /// from the temporary); throws on write failure. Idempotent.
@@ -160,6 +197,7 @@ class FileTraceSink : public TraceSink {
   std::string tmp_path_;
   std::FILE* f_ = nullptr;
   u64 written_ = 0;
+  std::unique_ptr<u64[]> buf_;  ///< chunk_storage(), allocated on first use
 };
 
 }  // namespace rapwam

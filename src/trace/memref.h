@@ -98,15 +98,18 @@ struct RefCounts {
 
 /// Sink interface the emulator writes references into.
 ///
-/// The handoff is chunk-granular (docs/DESIGN.md §8): the emulator's
-/// memory bus counts every reference, packs the ones the sink keeps
-/// into a fixed-size chunk inline — no virtual call per reference —
-/// and dispatches here once per kChunkRefs kept references (plus a
-/// final flush at end of run). Chunk boundaries carry no meaning;
-/// `packed` holds `n` references in emission order and is only valid
-/// for the duration of the call. A sink stores what it is given: the
-/// busy filter and the counters live in the bus, which hands its
-/// counters over once, through on_counts(), after the final flush.
+/// The handoff is chunk-granular and copy-free (docs/DESIGN.md §8):
+/// the sink lends the emulator's memory bus storage for one chunk
+/// (chunk_storage(), room for kChunkRefs references), the bus counts
+/// every reference and packs each one the sink keeps straight into
+/// that storage inline — no virtual call per reference — and gives it
+/// back through commit_chunk() once per kChunkRefs kept references
+/// (plus a final partial chunk at end of run). Chunk boundaries carry
+/// no meaning. A stream that a caller hands over instead (on_chunk(),
+/// on_ref(): tests, file writers) is copied. A sink stores what it is
+/// given: the busy filter and the counters live in the bus, which
+/// hands its counters over once, through on_counts(), after the final
+/// commit.
 class TraceSink {
  public:
   /// `busy_only`: the sink keeps only busy references (what the cache
@@ -116,9 +119,16 @@ class TraceSink {
 
   bool busy_only() const { return busy_only_; }
 
+  /// Room for kChunkRefs references, of no defined value, that the bus
+  /// fills from the front. The same storage until commit_chunk().
+  virtual u64* chunk_storage() = 0;
+  /// The bus wrote `n` references to the front of chunk_storage().
+  virtual void commit_chunk(std::size_t n) = 0;
+  /// `packed` holds `n` references in emission order, valid only for
+  /// the duration of the call.
   virtual void on_chunk(const u64* packed, std::size_t n) = 0;
   /// End of run: counters over every reference the run emitted, kept
-  /// or not. Called once, after the last on_chunk().
+  /// or not. Called once, after the last commit_chunk().
   virtual void on_counts(const RefCounts&) {}
 
   /// Single-reference convenience for tests and adapters (one chunk of

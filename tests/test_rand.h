@@ -92,6 +92,24 @@ inline std::vector<u64> same_line_trace(u64 seed, unsigned pes, std::size_t n,
   return out;
 }
 
+/// Fully random — but valid — packed references over the whole field
+/// space: 40-bit addresses, all PEs, all classes, both flags.
+inline std::vector<u64> fuzz_refs(u64 seed, std::size_t n) {
+  Lcg rng(seed);
+  std::vector<u64> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    MemRef r;
+    r.addr = (rng.next() << 20 | rng.next()) & 0xFFFFFFFFFFull;
+    r.pe = static_cast<u8>(rng.next(64));
+    r.cls = static_cast<ObjClass>(rng.next(kObjClassCount));
+    r.write = rng.next(2) != 0;
+    r.busy = rng.next(4) != 0;
+    out.push_back(r.pack());
+  }
+  return out;
+}
+
 /// `packed` as shared chunk storage with every reference kept — the
 /// trace form run_sweep and replay jobs take.
 inline std::shared_ptr<const ChunkedTrace> chunked(const std::vector<u64>& packed) {

@@ -22,24 +22,6 @@
 namespace rapwam {
 namespace {
 
-/// Fully random — but valid — packed references over the whole field
-/// space: 40-bit addresses, all PEs, all classes, both flags.
-std::vector<u64> fuzz_refs(u64 seed, std::size_t n) {
-  Lcg rng(seed);
-  std::vector<u64> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    MemRef r;
-    r.addr = (rng.next() << 20 | rng.next()) & 0xFFFFFFFFFFull;
-    r.pe = static_cast<u8>(rng.next(64));
-    r.cls = static_cast<ObjClass>(rng.next(kObjClassCount));
-    r.write = rng.next(2) != 0;
-    r.busy = rng.next(4) != 0;
-    out.push_back(r.pack());
-  }
-  return out;
-}
-
 /// Unique temp file path, removed on destruction.
 struct TempFile {
   std::string path;
